@@ -14,16 +14,11 @@ from .engine import ABBA, BBAB, THUE_MORSE, apply, fixed_point_prefix, unsub, ve
 from .errors import Shallow
 from .jacaranda import brother, jacaranda_prefix, jprime_prefix
 from .measures import invariant_measure
-from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep
+from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep, parent_map, parents_of
 from .render import RenderConfig, make_generators, tiling_svg, tree_svg
 from .systems import OrbitGraph, build_orbit_graph, invariant_edges_expected, nomeasure_tree, tm_project
 from .trees import random_patch
-from .words import chi_pow, chi_recursive, chi_via_theta, line_formula, ones_count_line_2n, v2
-
-
-def _is_rep(line, block):
-    q, r = divmod(len(line), len(block))
-    return r == 0 and line == block * q
+from .words import chi_pow, chi_recursive, chi_via_theta, is_rep, line_formula, ones_count_line_2n, v2
 
 
 def c01_fixed_point_lines():
@@ -37,7 +32,7 @@ def c01_fixed_point_lines():
         if j.line(l) != "10" * (1 << (l - 1)):
             return False, f"odd line {l} is not a 10-repetition"
     for l in range(2, 17):
-        if l % 4 == 2 and not _is_rep(j.line(l), "0010"):
+        if l % 4 == 2 and not is_rep(j.line(l), "0010"):
             return False, f"line {l} is not a 0010-repetition"
     return True, "lines 1,2,4 pinned; odd and 4N+2 structure exact to depth 16"
 
@@ -78,21 +73,6 @@ def c05_ones_counts():
     return ok, f"formula {got_formula}, direct count {got_direct}, expected {expected}"
 
 
-def _parent_maps(jp, dmax):
-    maps = {}
-    for d in range(dmax + 1):
-        child = jp.subtree_ids(d)
-        parent = jp.subtree_ids(d + 1)
-        table = {}
-        for m, prow in enumerate(parent):
-            kids = child[m + 1]
-            for i, pid in enumerate(prow):
-                table.setdefault(kids[2 * i], set()).add(pid)
-                table.setdefault(kids[2 * i + 1], set()).add(pid)
-        maps[d] = table
-    return maps
-
-
 def c06_backward_bound_literal():
     """Every depth-d subpatch, d <= 8: one-step parents <= 3 and p_n <= 3^n, n <= 3.
 
@@ -101,17 +81,14 @@ def c06_backward_bound_literal():
     and the scan then unions their parent sets).
     """
     jp = jacaranda_prefix(14)
-    maps = _parent_maps(jp, 10)
+    maps = [parent_map(jp, d) for d in range(11)]
     violations = []
     for d in range(1, 9):
         ids = {i for row in jp.subtree_ids(d) for i in row}
         for cid in ids:
             frontier = {cid}
             for n in range(1, 4):
-                nxt = set()
-                for x in frontier:
-                    nxt |= maps[d + n - 1].get(x, set())
-                frontier = nxt
+                frontier = parents_of(frontier, maps[d + n - 1])
                 if len(frontier) > 3**n:
                     violations.append((d, n, len(frontier)))
                     break

@@ -14,7 +14,7 @@ from functools import lru_cache
 from .engine import BBAB, apply, fixed_point_prefix, unsub
 from .errors import Inconsistent, Shallow, TypeUndetermined
 from .trees import Patch
-from .words import chi_pow
+from .words import chi_pow, is_rep, v2
 
 INF = math.inf
 
@@ -62,16 +62,11 @@ class TypeReport:
         )
 
 
-def _is_rep(line: str, block: str) -> bool:
-    q, r = divmod(len(line), len(block))
-    return r == 0 and line == block * q
-
-
 def detect_type(p: Patch) -> TypeReport:
     if p.depth < 2:
         raise Shallow("type detection needs depth >= 2")
-    odd_ok = all(_is_rep(p.levels[l], "10") for l in range(2, p.depth + 1, 2))
-    even_ok = all(_is_rep(p.levels[l], "10") for l in range(1, p.depth + 1, 2))
+    odd_ok = all(is_rep(p.levels[l], "10") for l in range(2, p.depth + 1, 2))
+    even_ok = all(is_rep(p.levels[l], "10") for l in range(1, p.depth + 1, 2))
     if not odd_ok and not even_ok:
         raise Inconsistent("neither parity fits the visible lines")
 
@@ -82,7 +77,7 @@ def detect_type(p: Patch) -> TypeReport:
             block = chi_pow(BBAB, "10", u)
             period = 1 << (u + 1)
             if all(
-                _is_rep(p.levels[l], block)
+                is_rep(p.levels[l], block)
                 for l in range(period, p.depth + 1, period)
             ):
                 even_candidates.add(u)
@@ -221,28 +216,43 @@ class EvenClassification:
     v: float  # int or INF
 
 
-def side_type_candidates(side: Patch) -> tuple[set[int], bool]:
-    """Classes v consistent with one branch of an even tree.
+def _in_block_line(row: str, z: int, deeper: bool = False) -> bool:
+    """Is `row` an aligned window of a line repeating the level-z doubling block?
 
-    Branch line l sits on line l+1 of the even tree, and its halves of the
-    relevant block repetitions are aligned, so v reads off the branch alone.
+    With `deeper`, of a line at level z or above: chunks of a deeper block
+    the size of the level-z block are that block or all zero.
     """
-    candidates = set()
-    v = 1
-    while (1 << (v + 1)) - 1 <= side.depth:
-        block = chi_pow(BBAB, "10", v)
-        period = 1 << (v + 1)
+    block = chi_pow(BBAB, "10", z)
+    c = min(len(row), len(block))
+    pieces = {block[j : j + c] for j in range(0, len(block), c)}
+    if deeper:
+        pieces.add("0" * c)
+    return all(row[j : j + c] in pieces for j in range(0, len(row), c))
+
+
+def parent_class(side: Patch) -> int:
+    """Class v = v2(n - 1) of the even parent of an odd tree, read off its lines.
+
+    Line l of the tree at generation n is an aligned window of line n + l of
+    the fixed tree, which repeats the doubling block of level v2(n + l).  That
+    level is v2(l + 1) below v, v above it, and above v where it equals v.
+    Every class with 2^v - 1 > depth gives the visible lines the pattern of
+    v = inf, so INF stands for all of those classes, and no patch pins it.
+    Raises TypeUndetermined unless the lines fit exactly one finite class.
+    """
+    fits = [
+        v
+        for v in (*range(1, (side.depth + 1).bit_length()), INF)
         if all(
-            _is_rep(side.levels[l - 1], block)
-            for l in range(period, side.depth + 2, period)
-            if l - 1 <= side.depth
-        ):
-            candidates.add(v)
-        v += 1
-    inf_ok = side.depth >= 0 and (
-        side == jacaranda_prefix(side.depth) or side == jprime_prefix(side.depth)
-    )
-    return candidates, inf_ok
+            _in_block_line(side.levels[l], v2(l + 1) + 1, deeper=True)
+            if v2(l + 1) == v
+            else _in_block_line(side.levels[l], min(v2(l + 1), v))
+            for l in range(1, side.depth + 1)
+        )
+    ]
+    if len(fits) != 1 or fits[0] == INF:
+        raise TypeUndetermined(f"parent class undetermined: visible lines fit {fits}")
+    return fits[0]
 
 
 def classify_even(desc: XDescriptor, side: Patch | None = None) -> EvenClassification:
@@ -253,14 +263,7 @@ def classify_even(desc: XDescriptor, side: Patch | None = None) -> EvenClassific
         return EvenClassification(CASE_DOUBLED_DEEP, INF)
     p = desc.patch
     if side is not None:
-        candidates, inf_ok = side_type_candidates(side)
-        if inf_ok:
-            return _classify_core(p, INF)
-        if len(candidates) != 1:
-            raise TypeUndetermined(
-                f"branch leaves classes {sorted(candidates)} open at depth {side.depth}"
-            )
-        (v,) = candidates
+        v = parent_class(side)
     else:
         report = detect_type(p)
         if report.parity == "odd":

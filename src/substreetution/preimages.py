@@ -1,8 +1,16 @@
 """One-step and iterated preimages inside the orbit closure.
 
-The case analysis produces, for every tree shape, the exact set of parents
-(root color, which side the tree sits on, and the forced sibling).  A
-brute-force scan over a generated prefix acts as the ground truth: the
+The case analysis gives, for every tree shape, the exact set of parents
+(root color, which side the tree sits on, and the forced sibling).  Where
+the cases branch on an index (classes u, k, v, u_inner, line 2^v - 1), it
+asks one of two index sources:
+
+- a site: its generation n in the fixed tree pins every index by dyadic
+  valuation, and lines below the patch are read from the ambient prefix;
+- the patch alone: indices are read from its visible lines, and whatever
+  the lines leave open raises TypeUndetermined or Undetermined.
+
+A brute-force scan over a generated prefix acts as the ground truth: the
 classification is validated against the scan, never the other way around.
 """
 
@@ -12,16 +20,17 @@ from dataclasses import dataclass, field
 
 from .errors import Inconsistent, Shallow, TypeUndetermined, Undetermined
 from .jacaranda import (
+    INF,
     XDescriptor,
     brother_best_effort,
     detect_type,
     h_power,
     jacaranda_prefix,
     jprime_prefix,
-    side_type_candidates,
+    parent_class,
     unsub_best_effort,
 )
-from .trees import Patch, addr_index, index_addr
+from .trees import Patch, addr_index, index_addr, subpatch_representatives
 from .words import v2
 
 
@@ -44,7 +53,12 @@ class PreimageDescriptor:
 
     def serialize(self) -> str:
         if self.sibling_kind == "patch":
-            sib = f"id:{self.sibling.canonical_id:x}"
+            # depth plus a digest of the levels: a pure function of the sibling;
+            # hashlib loads OpenSSL, so only serialized output pays for importing it
+            import hashlib
+
+            levels = "\n".join(self.sibling.levels).encode("ascii")
+            sib = f"d{self.sibling.depth}:{hashlib.blake2b(levels, digest_size=8).hexdigest()}"
         else:
             sib = self.sibling_kind
         return f"case={self.case_tag} root={self.root} side={self.side} sibling={sib}"
@@ -80,13 +94,43 @@ JAC_PRIME_PREIMAGES = (_desc(0, "a", "J", "jacp"),)
 
 # -- classification -----------------------------------------------------------
 
+# Parent set of every case: (root, side, sibling role).  The roles are the
+# forced sibling ("main"), the doubled branch ("prime") and the tree itself.
+_PARENTS = {
+    "odd1-vinf": ((0, "a", "main"), (1, "a", "main")),
+    "odd1-2a": ((0, "a", "prime"), (1, "a", "prime"), (0, "a", "main")),
+    "odd1-2b": ((1, "a", "prime"), (0, "a", "main")),
+    "odd1-1a": ((0, "a", "main"), (1, "a", "main")),
+    "odd1-1b": ((1, "a", "main"),),
+    "odd1-1c": ((0, "a", "main"),),
+    "odd0-open": ((0, "b", "main"), (1, "b", "main")),
+    "odd0-1a": ((0, "b", "main"), (1, "b", "main")),
+    "odd0-1b": ((1, "b", "main"),),
+    "odd0-2a": ((0, "b", "main"),),
+    "odd0-vinf": ((0, "b", "main"), (1, "b", "main")),
+    "odd0-2bi": ((0, "b", "main"), (1, "b", "main")),
+    "odd0-2bii": ((1, "b", "main"),),
+    "odd0-2biii": ((0, "b", "main"),),
+    "even0-deep": ((0, "a", "self"), (1, "a", "self"), (0, "b", "main")),
+    "even0-2type": ((1, "a", "self"), (0, "b", "main")),
+    "even1-v1": ((0, "a", "main"),),
+    "even1-vdeep": ((0, "a", "main"), (0, "a", "prime")),
+}
+
+
+def _cases(tags, sibs) -> list:
+    return [
+        (tag, [_desc(root, side, sibs[role], tag) for root, side, role in _PARENTS[tag]])
+        for tag in tags
+    ]
+
 
 def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> PreimageSet:
     """Exact parent set per the case analysis.
 
     Concrete descriptors with provenance use the ambient prefix to pin their
     class; without provenance the class is detected from the patch alone and
-    Undetermined is raised when several cases stay open.
+    TypeUndetermined or Undetermined is raised when several cases stay open.
     """
     if desc.kind == "J":
         return PreimageSet(JAC_PREIMAGES, "exact")
@@ -95,9 +139,10 @@ def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> Pre
     if desc.provenance == "":
         raise Inconsistent("a root-site descriptor should be passed symbolically")
     if desc.provenance is not None:
-        tag, members = _classify_at_site(desc.patch, desc.provenance, jprefix)
+        ix = _SiteIndices(desc.patch, desc.provenance, jprefix)
     else:
-        tag, members = _classify_detected(desc.patch)
+        ix = _DetectedIndices(desc.patch)
+    ((_, members),) = _classify(desc.patch, ix)
     return PreimageSet(tuple(members), "exact")
 
 
@@ -119,274 +164,152 @@ def _child(p: Patch, letter: str) -> Patch:
     return Patch.leaf(0)
 
 
-def _odd_root1_cases(sib_main):
-    """The three deep alternatives for an odd root-1 tree (line class open)."""
-    return [
-        ("odd1-1a", [_desc(0, "a", sib_main, "odd1-1a"), _desc(1, "a", sib_main, "odd1-1a")]),
-        ("odd1-1b", [_desc(1, "a", sib_main, "odd1-1b")]),
-        ("odd1-1c", [_desc(0, "a", sib_main, "odd1-1c")]),
-    ]
+class _SiteIndices:
+    """Indices of the tree at `site`: dyadic valuations of its generation n."""
+
+    def __init__(self, p: Patch, site: str, jp: Patch | None):
+        self.p, self.site, self.jp, self.n = p, site, jp, len(site)
+        self.u = v2(self.n)
+
+    def k(self, letter):
+        return v2(self.n + 1)
+
+    def v(self):
+        return INF if self.n == 1 else v2(self.n - 1)
+
+    def line(self, v):
+        return _subtree_line(self.p, self.site, (1 << v) - 1, self.jp)
+
+    def u_inner(self, v):
+        return v2(self.n - 1 + (1 << v)) - v
+
+    def inner(self, c, u):
+        return v2(self.n // (1 << u) + 1)
 
 
-def _classify_at_site(p: Patch, site: str, jp: Patch | None):
-    n = len(site)
-    u = v2(n)
+def _pinned(p: Patch, what: str) -> int:
+    report = detect_type(p) if p.depth >= 2 else None
+    if report is None or report.determined is None:
+        raise TypeUndetermined(f"{what} not pinned")
+    return report.determined
+
+
+class _DetectedIndices:
+    """Indices read from the patch's own lines; a question they leave open raises."""
+
+    def __init__(self, p: Patch):
+        report = detect_type(p)
+        if report.inf_consistent:
+            raise TypeUndetermined("patch matches a fixed-tree prefix; classify it symbolically")
+        if report.parity == "undetermined":
+            raise Undetermined("parity not visible at this depth", cases=[])
+        if report.parity == "even" and report.determined is None:
+            raise TypeUndetermined(report.serialize())
+        self.p, self.u = p, report.determined
+
+    def k(self, letter):
+        return _pinned(self.p.subtree(letter), f"class of the {letter}-branch")
+
+    def v(self):
+        return parent_class(self.p)
+
+    def line(self, v):
+        # parent_class pins only classes whose line 2^v - 1 is visible
+        return self.p.levels[(1 << v) - 1]
+
+    def u_inner(self, v):
+        letter = "a" if self.p.get("") == 1 else "b"
+        probe = self.p.subtree(letter * ((1 << v) - 1))
+        return _pinned(probe, "inner class of the all-zero branch") - v
+
+    def inner(self, c, u):
+        return _pinned(c, "inner branch class")
+
+
+def _classify(p: Patch, ix) -> list:
+    """The parent case tree: [(tag, members)], or Undetermined with the open cases."""
     root = p.get("")
-    if u == 0:
-        if root == 1:
-            g = _child(p, "a")
-            k = v2(n + 1)
-            sib_main = Patch.combine(0, brother_best_effort(g, k), g)
-            sib_prime = Patch.combine(0, g, g)
-            if n == 1:
-                return "odd1-vinf", [
-                    _desc(0, "a", sib_main, "odd1-vinf"),
-                    _desc(1, "a", sib_main, "odd1-vinf"),
-                ]
-            v = v2(n - 1)
-            if v == 1:
-                if k >= 3:
-                    return "odd1-2a", [
-                        _desc(0, "a", sib_prime, "odd1-2a"),
-                        _desc(1, "a", sib_prime, "odd1-2a"),
-                        _desc(0, "a", sib_main, "odd1-2a"),
-                    ]
-                return "odd1-2b", [
-                    _desc(1, "a", sib_prime, "odd1-2b"),
-                    _desc(0, "a", sib_main, "odd1-2b"),
-                ]
-            line = _subtree_line(p, site, (1 << v) - 1, jp)
-            if line is None:
-                raise Undetermined(
-                    f"line {(1 << v) - 1} not visible at depth {p.depth}",
-                    cases=_odd_root1_cases(sib_main),
-                )
-            if "1" in line:
-                return "odd1-1c", [_desc(0, "a", sib_main, "odd1-1c")]
-            u_inner = v2(n - 1 + (1 << v)) - v
-            if u_inner >= 2:
-                return "odd1-1a", [
-                    _desc(0, "a", sib_main, "odd1-1a"),
-                    _desc(1, "a", sib_main, "odd1-1a"),
-                ]
-            return "odd1-1b", [_desc(1, "a", sib_main, "odd1-1b")]
+    u = ix.u
+    if u >= 1:
+        if root == 0:
+            sibs = {"self": p, "main": brother_best_effort(p, u)}
+            return _cases(("even0-deep" if u >= 2 else "even0-2type",), sibs)
+        c = _child(unsub_best_effort(p, u), "a")
+        v = ix.inner(c, u)
+        sibs = {
+            "main": h_power(Patch.combine(0, brother_best_effort(c, v), c), u),
+            "prime": h_power(Patch.combine(0, c, c), u),
+        }
+        return _cases(("even1-v1" if v == 1 else "even1-vdeep",), sibs)
+    if root == 1:
+        g = _child(p, "a")
+        k = ix.k("a")
+        sibs = {
+            "main": Patch.combine(0, brother_best_effort(g, k), g),
+            "prime": Patch.combine(0, g, g),
+        }
+    else:
         # odd tree with root 0: only ever a b-child
         if p.depth < 1:
-            sib = Patch.leaf(1)
             raise Undetermined(
                 "children of a depth-0 odd tree are unknown",
-                cases=[
-                    ("odd0-open", [_desc(0, "b", sib, "odd0-open"), _desc(1, "b", sib, "odd0-open")]),
-                ],
+                cases=_cases(("odd0-open",), {"main": Patch.leaf(1)}),
             )
-        ca, cb = p.get("a"), p.get("b")
         right = p.subtree("b")
-        sib = Patch.combine(1, right, right)
-        k = v2(n + 1)
+        sibs = {"main": Patch.combine(1, right, right)}
+        ca, cb = p.get("a"), p.get("b")
+        k = ix.k("b")
         if (ca, cb) == (0, 0):
-            if k >= 3:
-                return "odd0-1a", [
-                    _desc(0, "b", sib, "odd0-1a"),
-                    _desc(1, "b", sib, "odd0-1a"),
-                ]
-            if k == 2:
-                return "odd0-1b", [_desc(1, "b", sib, "odd0-1b")]
-            raise Inconsistent("children 00 cannot sit on a line of single blocks")
+            if k < 2:
+                raise Inconsistent("children 00 cannot sit on a line of single blocks")
+            return _cases(("odd0-1a" if k >= 3 else "odd0-1b",), sibs)
         if (ca, cb) != (1, 0):
             raise Inconsistent(f"children pair {ca}{cb} cannot occur in the closure")
         if k >= 2:
-            return "odd0-2a", [_desc(0, "b", sib, "odd0-2a")]
-        if n == 1:
-            return "odd0-vinf", [
-                _desc(0, "b", sib, "odd0-vinf"),
-                _desc(1, "b", sib, "odd0-vinf"),
-            ]
-        v = v2(n - 1)
-        line = _subtree_line(p, site, (1 << v) - 1, jp)
-        if line is None:
-            raise Undetermined(
-                f"line {(1 << v) - 1} not visible at depth {p.depth}",
-                cases=[
-                    ("odd0-2bi", [_desc(0, "b", sib, "odd0-2bi"), _desc(1, "b", sib, "odd0-2bi")]),
-                    ("odd0-2bii", [_desc(1, "b", sib, "odd0-2bii")]),
-                    ("odd0-2biii", [_desc(0, "b", sib, "odd0-2biii")]),
-                ],
-            )
-        if "1" in line:
-            return "odd0-2biii", [_desc(0, "b", sib, "odd0-2biii")]
-        u_inner = v2(n - 1 + (1 << v)) - v
-        if u_inner >= 2:
-            return "odd0-2bi", [
-                _desc(0, "b", sib, "odd0-2bi"),
-                _desc(1, "b", sib, "odd0-2bi"),
-            ]
-        return "odd0-2bii", [_desc(1, "b", sib, "odd0-2bii")]
-    # even type of class 2^u
-    if root == 0:
-        sib = brother_best_effort(p, u)
-        if u >= 2:
-            return "even0-deep", [
-                _desc(0, "a", p, "even0-deep"),
-                _desc(1, "a", p, "even0-deep"),
-                _desc(0, "b", sib, "even0-deep"),
-            ]
-        return "even0-2type", [
-            _desc(1, "a", p, "even0-2type"),
-            _desc(0, "b", sib, "even0-2type"),
-        ]
-    core = unsub_best_effort(p, u)
-    c = _child(core, "a")
-    v = v2(n // (1 << u) + 1)
-    d_tree = brother_best_effort(c, v)
-    sib = h_power(Patch.combine(0, d_tree, c), u)
-    sib_prime = h_power(Patch.combine(0, c, c), u)
-    if v == 1:
-        return "even1-v1", [_desc(0, "a", sib, "even1-v1")]
-    return "even1-vdeep", [
-        _desc(0, "a", sib, "even1-vdeep"),
-        _desc(0, "a", sib_prime, "even1-vdeep"),
-    ]
-
-
-def _classify_detected(p: Patch):
-    """Patch-only classification; pins every index via visible lines or raises."""
-    report = detect_type(p)
-    if report.inf_consistent:
-        raise TypeUndetermined(
-            "patch matches a fixed-tree prefix; classify it symbolically"
+            return _cases(("odd0-2a",), sibs)
+    v = ix.v()
+    if v == INF:
+        return _cases((f"odd{root}-vinf",), sibs)
+    if v == 1 and root == 1:
+        return _cases(("odd1-2a" if k >= 3 else "odd1-2b",), sibs)
+    # finite parent class (v >= 2 for root 1): line 2^v - 1 all zero with
+    # u_inner >= 2, all zero with u_inner < 2, or holding a 1
+    deep = ("odd1-1a", "odd1-1b", "odd1-1c") if root else ("odd0-2bi", "odd0-2bii", "odd0-2biii")
+    line = ix.line(v)
+    if line is None:
+        raise Undetermined(
+            f"line {(1 << v) - 1} not visible at depth {p.depth}", cases=_cases(deep, sibs)
         )
-    if report.parity == "undetermined":
-        raise Undetermined("parity not visible at this depth", cases=[])
-    if report.parity == "odd":
-        root = p.get("")
-        site_v, inf_ok = side_type_candidates(p)
-        if root == 1:
-            g = p.subtree("a")
-            krep = detect_type(g) if g.depth >= 2 else None
-            if krep is None or krep.determined is None:
-                raise TypeUndetermined("class of the a-branch not pinned")
-            k = krep.determined
-            sib_main = Patch.combine(0, brother_best_effort(g, k), g)
-            sib_prime = Patch.combine(0, g, g)
-            if inf_ok:
-                return "odd1-vinf", [
-                    _desc(0, "a", sib_main, "odd1-vinf"),
-                    _desc(1, "a", sib_main, "odd1-vinf"),
-                ]
-            if len(site_v) != 1:
-                raise TypeUndetermined(f"parent class open: {sorted(site_v)}")
-            (v,) = site_v
-            if v == 1:
-                if k >= 3:
-                    return "odd1-2a", [
-                        _desc(0, "a", sib_prime, "odd1-2a"),
-                        _desc(1, "a", sib_prime, "odd1-2a"),
-                        _desc(0, "a", sib_main, "odd1-2a"),
-                    ]
-                return "odd1-2b", [
-                    _desc(1, "a", sib_prime, "odd1-2b"),
-                    _desc(0, "a", sib_main, "odd1-2b"),
-                ]
-            if (1 << v) - 1 > p.depth:
-                raise Undetermined(
-                    "deep line class not visible",
-                    cases=_odd_root1_cases(sib_main),
-                )
-            line = p.levels[(1 << v) - 1]
-            if "1" in line:
-                return "odd1-1c", [_desc(0, "a", sib_main, "odd1-1c")]
-            probe = p.subtree("a" * ((1 << v) - 1))
-            trep = detect_type(probe) if probe.depth >= 2 else None
-            if trep is None or trep.determined is None:
-                raise TypeUndetermined("inner class of the all-zero branch not pinned")
-            if trep.determined - v >= 2:
-                return "odd1-1a", [
-                    _desc(0, "a", sib_main, "odd1-1a"),
-                    _desc(1, "a", sib_main, "odd1-1a"),
-                ]
-            return "odd1-1b", [_desc(1, "a", sib_main, "odd1-1b")]
-        right = p.subtree("b")
-        sib = Patch.combine(1, right, right)
-        ca, cb = p.get("a"), p.get("b")
-        krep = detect_type(right) if right.depth >= 2 else None
-        if krep is None or krep.determined is None:
-            raise TypeUndetermined("class of the b-branch not pinned")
-        k = krep.determined
-        if (ca, cb) == (0, 0):
-            if k >= 3:
-                return "odd0-1a", [
-                    _desc(0, "b", sib, "odd0-1a"),
-                    _desc(1, "b", sib, "odd0-1a"),
-                ]
-            return "odd0-1b", [_desc(1, "b", sib, "odd0-1b")]
-        if (ca, cb) != (1, 0):
-            raise Inconsistent(f"children pair {ca}{cb} cannot occur in the closure")
-        if k >= 2:
-            return "odd0-2a", [_desc(0, "b", sib, "odd0-2a")]
-        if inf_ok:
-            return "odd0-vinf", [
-                _desc(0, "b", sib, "odd0-vinf"),
-                _desc(1, "b", sib, "odd0-vinf"),
-            ]
-        if len(site_v) != 1:
-            raise TypeUndetermined(f"parent class open: {sorted(site_v)}")
-        (v,) = site_v
-        if (1 << v) - 1 > p.depth:
-            raise Undetermined(
-                "deep line class not visible",
-                cases=[
-                    ("odd0-2bi", [_desc(0, "b", sib, "odd0-2bi"), _desc(1, "b", sib, "odd0-2bi")]),
-                    ("odd0-2bii", [_desc(1, "b", sib, "odd0-2bii")]),
-                    ("odd0-2biii", [_desc(0, "b", sib, "odd0-2biii")]),
-                ],
-            )
-        line = p.levels[(1 << v) - 1]
-        if "1" in line:
-            return "odd0-2biii", [_desc(0, "b", sib, "odd0-2biii")]
-        probe = p.subtree("b" * ((1 << v) - 1))
-        trep = detect_type(probe) if probe.depth >= 2 else None
-        if trep is None or trep.determined is None:
-            raise TypeUndetermined("inner class of the all-zero branch not pinned")
-        if trep.determined - v >= 2:
-            return "odd0-2bi", [
-                _desc(0, "b", sib, "odd0-2bi"),
-                _desc(1, "b", sib, "odd0-2bi"),
-            ]
-        return "odd0-2bii", [_desc(1, "b", sib, "odd0-2bii")]
-    if report.determined is None:
-        raise TypeUndetermined(report.serialize())
-    u = report.determined
-    root = p.get("")
-    if root == 0:
-        sib = brother_best_effort(p, u)
-        if u >= 2:
-            return "even0-deep", [
-                _desc(0, "a", p, "even0-deep"),
-                _desc(1, "a", p, "even0-deep"),
-                _desc(0, "b", sib, "even0-deep"),
-            ]
-        return "even0-2type", [
-            _desc(1, "a", p, "even0-2type"),
-            _desc(0, "b", sib, "even0-2type"),
-        ]
-    core = unsub_best_effort(p, u)
-    c = _child(core, "a")
-    crep = detect_type(c) if c.depth >= 2 else None
-    if crep is None or crep.determined is None:
-        raise TypeUndetermined("inner branch class not pinned")
-    v = crep.determined
-    d_tree = brother_best_effort(c, v)
-    sib = h_power(Patch.combine(0, d_tree, c), u)
-    sib_prime = h_power(Patch.combine(0, c, c), u)
-    if v == 1:
-        return "even1-v1", [_desc(0, "a", sib, "even1-v1")]
-    return "even1-vdeep", [
-        _desc(0, "a", sib, "even1-vdeep"),
-        _desc(0, "a", sib_prime, "even1-vdeep"),
-    ]
+    if "1" in line:
+        return _cases(deep[2:], sibs)
+    return _cases(deep[:1] if ix.u_inner(v) >= 2 else deep[1:2], sibs)
 
 
 # -- brute force over a generated prefix --------------------------------------
+
+
+def parent_map(jp: Patch, d: int) -> dict[int, dict[int, tuple[int, int]]]:
+    """Every depth-d subtree id of jp -> the ids of its depth-(d+1) parents.
+
+    Each parent id maps to (generation, rank) of its first site in jp.  A
+    parent id fixes both children, so that one site per parent suffices.
+    """
+    first: dict[int, tuple[int, int]] = {}
+    for m, row in enumerate(jp.subtree_ids(d + 1)):
+        for pid in dict.fromkeys(row):
+            if pid not in first:
+                first[pid] = (m, row.index(pid))
+    child = jp.subtree_ids(d)
+    out: dict[int, dict[int, tuple[int, int]]] = {}
+    for pid, (m, i) in first.items():
+        for kid in child[m + 1][2 * i : 2 * i + 2]:
+            out.setdefault(kid, {})[pid] = (m, i)
+    return out
+
+
+def parents_of(frontier, pmap) -> set[int]:
+    """One step up the ancestor scan: the parents of every id in `frontier`."""
+    return {pid for cid in frontier for pid in pmap.get(cid, ())}
 
 
 def brute_parent_patches(a: Patch, jp: Patch) -> list[Patch]:
@@ -394,16 +317,8 @@ def brute_parent_patches(a: Patch, jp: Patch) -> list[Patch]:
     d = a.depth
     if d + 1 > jp.depth:
         raise Shallow(f"need prefix depth >= {d + 1}, have {jp.depth}")
-    child = jp.subtree_ids(d)
-    parent = jp.subtree_ids(d + 1)
-    target = a.canonical_id
-    seen = {}
-    for m, row in enumerate(parent):
-        kids = child[m + 1]
-        for i, pid in enumerate(row):
-            if pid not in seen and (kids[2 * i] == target or kids[2 * i + 1] == target):
-                seen[pid] = jp.window(m, i, d + 1)
-    return list(seen.values())
+    sites = parent_map(jp, d).get(a.canonical_id, {})
+    return [jp.window(m, i, d + 1) for m, i in sites.values()]
 
 
 def preimages_bruteforce(a: Patch, jp: Patch) -> PreimageSet:
@@ -421,16 +336,7 @@ def p_n(a: Patch, n: int, jp: Patch) -> int:
         raise Shallow(f"need prefix depth >= {a.depth + n}, have {jp.depth}")
     frontier = {a.canonical_id}
     for k in range(n):
-        d = a.depth + k
-        child = jp.subtree_ids(d)
-        parent = jp.subtree_ids(d + 1)
-        nxt = set()
-        for m, row in enumerate(parent):
-            kids = child[m + 1]
-            for i, pid in enumerate(row):
-                if kids[2 * i] in frontier or kids[2 * i + 1] in frontier:
-                    nxt.add(pid)
-        frontier = nxt
+        frontier = parents_of(frontier, parent_map(jp, a.depth + k))
     count = len(frontier)
     if count > 3**n:
         raise Inconsistent(f"{count} ancestors at distance {n} exceeds 3^{n}")
@@ -461,13 +367,71 @@ def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bo
     return sib.truncate(d) == ref.truncate(d)
 
 
+def _class_key(a: Patch, site: str, jp: Patch):
+    # everything the site classification reads: the patch, n and, for odd n,
+    # line 2^v2(n-1) - 1, which can lie below the patch
+    n = len(site)
+    line = _subtree_line(a, site, (1 << v2(n - 1)) - 1, jp) if n % 2 and n > 1 else None
+    return (a.canonical_id, n, line)
+
+
+def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, matched: set) -> int:
+    """Match the actual parent at every depth-d site of jp holding a patch of `reps`.
+
+    Sites are classified at their own class, once per distinct (patch,
+    parent, class).  Adds the (root, side) of every matching member to
+    `matched`; returns the number of combinations checked.
+    """
+    table = jp.subtree_ids(d)
+    ptable = jp.subtree_ids(d + 1)
+    seen = set()
+    class_cache: dict = {}
+    checked = 0
+    for m in range(1, jp.depth - d + 1):
+        row = table[m]
+        prow = ptable[m - 1]
+        for i, cid in enumerate(row):
+            a = reps.get(cid)
+            if a is None:
+                continue
+            report.occurrences += 1
+            site = index_addr(i, m)
+            key = _class_key(a, site, jp)
+            pid = prow[i // 2]
+            if (pid, key) in seen:
+                continue
+            seen.add((pid, key))
+            cases = class_cache.get(key)
+            if cases is None:
+                try:
+                    cases = _classify(a, _SiteIndices(a, site, jp))
+                except Undetermined as exc:
+                    cases = list(exc.cases)
+                class_cache[key] = cases
+            if not cases:
+                report.undetermined_sites += 1
+                continue
+            parent = jp.window(m - 1, i // 2, d + 1)
+            checked += 1
+            hits = {
+                (member.root, member.side)
+                for _, members in cases
+                for member in members
+                if _descriptor_matches(parent, a, member)
+            }
+            if not hits:
+                report.ok = False
+                report.mismatches.append((site, parent))
+            matched |= hits
+    return checked
+
+
 def crosscheck(desc: XDescriptor, jp: Patch, depth: int | None = None) -> CrosscheckReport:
     """Validate the classified parents of one patch against the brute scan.
 
-    Every occurrence of the patch inside the prefix is classified at its own
-    site (classes can differ between occurrences of the same truncation) and
-    the actual parent found there must match a predicted descriptor.
-    Predicted descriptors never witnessed anywhere are reported as limit-only.
+    Every occurrence of the patch inside the prefix must have its actual
+    parent among the cases predicted for its site.  Predicted descriptors
+    never witnessed anywhere are reported as limit-only.
     """
     if desc.kind != "patch":
         if depth is None:
@@ -475,82 +439,17 @@ def crosscheck(desc: XDescriptor, jp: Patch, depth: int | None = None) -> Crossc
         a = jacaranda_prefix(depth) if desc.kind == "J" else jprime_prefix(depth)
     else:
         a = desc.patch
-    d = a.depth
-    if d + 1 > jp.depth:
+    if a.depth + 1 > jp.depth:
         raise Shallow("prefix too shallow for a parent scan")
-    table = jp.subtree_ids(d)
-    ptable = jp.subtree_ids(d + 1)
-    target = a.canonical_id
-
-    primary = None
-    if desc.kind == "J":
-        primary = PreimageSet(JAC_PREIMAGES, "exact")
-    elif desc.kind == "J'":
-        primary = PreimageSet(JAC_PRIME_PREIMAGES, "exact")
-    else:
-        try:
-            primary = preimages_classified(desc, jp)
-        except (Undetermined, TypeUndetermined):
-            primary = None
-
-    report = CrosscheckReport(ok=True, occurrences=0)
-    matched = set()
-    seen = set()
-    class_cache: dict = {}
-    for m in range(1, len(table)):
-        row = table[m]
-        for i, cid in enumerate(row):
-            if cid != target:
-                continue
-            report.occurrences += 1
-            site = index_addr(i, m)
-            key = _class_key(a, site, jp)
-            pid = ptable[m - 1][i // 2]
-            if (pid, key) in seen:
-                continue
-            seen.add((pid, key))
-            cases = class_cache.get(key)
-            if cases is None:
-                cases = _site_cases(a, site, jp)
-                class_cache[key] = cases
-            if cases == "undetermined-parity":
-                report.undetermined_sites += 1
-                continue
-            parent = jp.window(m - 1, i // 2, d + 1)
-            hit = False
-            for tag, members in cases:
-                for member in members:
-                    if _descriptor_matches(parent, a, member):
-                        matched.add((member.root, member.side))
-                        hit = True
-            if not hit:
-                report.ok = False
-                report.mismatches.append((site, parent))
-    if primary is not None:
-        for member in primary.members:
-            if (member.root, member.side) not in matched:
-                report.limit_only.append(member.serialize())
-    return report
-
-
-def _class_key(a: Patch, site: str, jp: Patch):
-    n = len(site)
-    extra = None
-    if v2(n) == 0 and n > 1:
-        l = (1 << v2(n - 1)) - 1
-        if l > a.depth:
-            extra = _subtree_line(a, site, l, jp)
-    return (a.canonical_id, n, extra)
-
-
-def _site_cases(a: Patch, site: str, jp: Patch):
     try:
-        tag, members = _classify_at_site(a, site, jp)
-        return [(tag, members)]
-    except Undetermined as exc:
-        if exc.cases:
-            return list(exc.cases)
-        return "undetermined-parity"
+        primary = preimages_classified(desc, jp).members
+    except (Undetermined, TypeUndetermined):
+        primary = ()
+    report = CrosscheckReport(ok=True, occurrences=0)
+    matched: set = set()
+    _check_occurrences(jp, a.depth, {a.canonical_id: a}, report, matched)
+    report.limit_only = [m.serialize() for m in primary if (m.root, m.side) not in matched]
+    return report
 
 
 def crosscheck_sweep(jp: Patch, max_depth: int = 6):
@@ -560,42 +459,8 @@ def crosscheck_sweep(jp: Patch, max_depth: int = 6):
     classification for that site's class.  Returns the aggregate report and
     the number of distinct (patch, parent, class) combinations checked.
     """
-    from .trees import subpatch_representatives
-
     total = CrosscheckReport(ok=True, occurrences=0)
     checked = 0
     for d in range(1, max_depth + 1):
-        reps = subpatch_representatives(jp, d)
-        table = jp.subtree_ids(d)
-        ptable = jp.subtree_ids(d + 1)
-        seen = set()
-        class_cache: dict = {}
-        for m in range(1, jp.depth - d + 1):
-            row = table[m]
-            prow = ptable[m - 1]
-            for i, cid in enumerate(row):
-                total.occurrences += 1
-                site = index_addr(i, m)
-                a = reps[cid]
-                key = _class_key(a, site, jp)
-                pid = prow[i // 2]
-                if (pid, key) in seen:
-                    continue
-                seen.add((pid, key))
-                cases = class_cache.get(key)
-                if cases is None:
-                    cases = _site_cases(a, site, jp)
-                    class_cache[key] = cases
-                if cases == "undetermined-parity":
-                    total.undetermined_sites += 1
-                    continue
-                parent = jp.window(m - 1, i // 2, d + 1)
-                checked += 1
-                if not any(
-                    _descriptor_matches(parent, a, member)
-                    for tag, members in cases
-                    for member in members
-                ):
-                    total.ok = False
-                    total.mismatches.append((site, parent))
+        checked += _check_occurrences(jp, d, subpatch_representatives(jp, d), total, set())
     return total, checked

@@ -83,6 +83,12 @@ def chi(sub: Substreetution, word: str) -> str:
     return chi_via_theta(sub, word)
 
 
+def is_rep(line: str, block: str) -> bool:
+    """True iff `line` is a whole number of copies of `block`."""
+    q, r = divmod(len(line), len(block))
+    return r == 0 and line == block * q
+
+
 def chi_pow(sub: Substreetution, word: str, u: int) -> str:
     """u-fold iteration; a length-2^l word ends up with length 2^(l*2^u)."""
     if u < 0:

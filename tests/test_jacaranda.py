@@ -4,7 +4,7 @@ import random
 import pytest
 
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
-from substreetution.errors import NotInImage, Shallow, TypeUndetermined
+from substreetution.errors import NotInImage, Shallow, SubstreetutionError, TypeUndetermined
 from substreetution.jacaranda import (
     CASE_DOUBLED_2TYPE_ROOT1,
     CASE_DOUBLED_DEEP,
@@ -170,6 +170,24 @@ class TestClassifyEven:
         sub = j.subtree("aa")
         got = classify_even(concrete(sub), side=sub.subtree("b"))
         assert got.v == 1
+
+    def test_side_class_matches_site(self):
+        # a branch must not pin a class its lines leave open: whenever the
+        # side-based classification returns, v is the valuation of the site
+        j = jacaranda_prefix(14)
+        returned = 0
+        for d in range(2, 10):
+            for m in range(2, j.depth - d + 1, 2):
+                for i in range(1 << m):
+                    p = j.window(m, i, d)
+                    for letter in "ab":
+                        try:
+                            got = classify_even(concrete(p), side=p.subtree(letter))
+                        except SubstreetutionError:
+                            continue
+                        returned += 1
+                        assert got.v == v2(m), (m, i, d, letter)
+        assert returned > 0
 
 
 class TestProbes:

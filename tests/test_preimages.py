@@ -1,6 +1,17 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from substreetution.errors import Inconsistent, Shallow
+import substreetution
+from substreetution.errors import (
+    Inconsistent,
+    Shallow,
+    SubstreetutionError,
+    TypeUndetermined,
+    Undetermined,
+)
 from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix, jprime_prefix
 from substreetution.preimages import (
     brute_parent_patches,
@@ -10,7 +21,7 @@ from substreetution.preimages import (
     preimages_bruteforce,
     preimages_classified,
 )
-from substreetution.trees import Patch, subpatch_representatives
+from substreetution.trees import Patch, index_addr, subpatch_representatives
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +45,37 @@ class TestClassifiedFixedTrees:
     def test_serialization(self):
         text = preimages_classified(JAC).serialize()
         assert "completeness=exact" in text and "sibling=J'" in text
+
+
+_QUERY = """
+import random
+from substreetution.jacaranda import concrete, jacaranda_prefix
+from substreetution.preimages import preimages_bruteforce, preimages_classified
+from substreetution.trees import random_patch
+
+rng = random.Random(7)
+for _ in range({warm}):
+    random_patch(6, rng).canonical_id
+jp = jacaranda_prefix(14)
+patch = jp.subtree("aabb").truncate(6)
+print(preimages_classified(concrete(patch, "aabb"), jp).serialize(), end="")
+print(preimages_bruteforce(patch, jp).serialize(), end="")
+"""
+
+
+def test_serialization_ignores_call_history():
+    # siblings print as content, not as positions in the process-wide intern table
+    src = os.path.dirname(os.path.dirname(substreetution.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _QUERY.format(warm=warm)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for warm in (0, 5)
+    ]
+    assert outs[0] == outs[1]
+    assert "sibling=d" in outs[0] and "id:" not in outs[0]
 
 
 class TestBruteForce:
@@ -87,13 +129,15 @@ class TestCrosscheck:
     def test_sweep_is_clean(self, jp):
         report, checked = crosscheck_sweep(jp, 6)
         assert report.ok and not report.mismatches
-        assert checked > 100
+        assert (report.occurrences, checked, report.undetermined_sites) == (32244, 251, 0)
 
     def test_single_descriptor(self, jp):
-        site = "ba"
-        desc = concrete(jp.subtree(site).truncate(4), site)
-        report = crosscheck(desc, jp)
-        assert report.ok and report.occurrences >= 1
+        # one occurrence per cell holding the patch below the root
+        for site, depth in (("ba", 4), ("aabb", 3), ("a" * 9, 2), ("bab", 4)):
+            patch = jp.subtree(site).truncate(depth)
+            report = crosscheck(concrete(patch, site), jp)
+            cells = sum(row.count(patch.canonical_id) for row in jp.subtree_ids(depth)[1:])
+            assert report.ok and report.occurrences == cells
 
     def test_fixed_tree_descriptor_flags_missing_members(self, jp):
         report = crosscheck(JAC, jp, depth=4)
@@ -111,11 +155,39 @@ class TestCrosscheck:
             (d.root, d.side, d.case_tag) for d in detected.members
         }
 
+    def test_provenance_free_tags_match_every_site(self, jp):
+        # whenever the patch alone pins a case, every occurrence whose site
+        # pins one agrees; the patch must not guess a class its lines leave open
+        returned = 0
+        for d in range(2, 9):
+            reps = subpatch_representatives(jp, d)
+            sites = {}
+            for m, row in enumerate(jp.subtree_ids(d)[1:], start=1):
+                for i, cid in enumerate(row):
+                    sites.setdefault(cid, []).append(index_addr(i, m))
+            for cid, patch in reps.items():
+                try:
+                    tag = preimages_classified(concrete(patch)).members[0].case_tag
+                except SubstreetutionError:
+                    continue
+                returned += 1
+                for site in sites.get(cid, ()):
+                    try:
+                        got = preimages_classified(concrete(patch, site), jp)
+                    except Undetermined:
+                        continue
+                    assert got.members[0].case_tag == tag, (patch.levels, site)
+        assert returned >= 10
+
+    def test_patch_without_site_leaves_parent_class_open(self, jp):
+        # occurrences of this truncation are odd1-vinf and odd1-1c, never odd1-2b
+        for depth in (5, 6):
+            with pytest.raises(TypeUndetermined):
+                preimages_classified(concrete(jp.subtree("a").truncate(depth)))
+
     def test_undetermined_carries_case_union(self, jp):
         # a root-1 odd site whose discriminating line lies beyond both the
         # patch and the prefix leaves the three deep cases open
-        from substreetution.errors import Undetermined
-
         site = "a" * 9
         patch = jp.subtree(site).truncate(4)
         assert patch.get("") == 1
