@@ -17,7 +17,7 @@ from .measures import invariant_measure
 from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep, parent_map, parents_of
 from .render import RenderConfig, make_generators, tiling_svg, tree_svg
 from .systems import OrbitGraph, build_orbit_graph, invariant_edges_expected, nomeasure_tree, tm_project
-from .trees import random_patch
+from .trees import index_addr, random_patch
 from .words import chi_pow, chi_recursive, chi_via_theta, is_rep, line_formula, ones_count_line_2n, v2
 
 
@@ -158,8 +158,7 @@ def c10_additive_digit_law():
     for m in range(13):
         row = prefix.line(m)
         for i, c in enumerate(row):
-            site = "".join("b" if (i >> k) & 1 else "a" for k in reversed(range(m)))
-            if int(c) != abba_digit(0, site):
+            if int(c) != abba_digit(0, index_addr(i, m)):
                 return False, f"digit law fails at level {m} index {i}"
     if not abba_nonminimal_witness(10, fixed_point_prefix(ABBA, 0, 11)):
         return False, "escape-branch witness failed"

@@ -19,8 +19,8 @@ from .engine import (
     theta,
     verify_renormalization,
 )
-from .errors import SubstreetutionError
-from .jacaranda import brother, detect_type, jacaranda_prefix, unsub_pow
+from .errors import AddressTooDeep, Inconsistent, SubstreetutionError
+from .jacaranda import brother, concrete, detect_type, jacaranda_prefix, unsub_pow
 from .measures import invariant_measure
 from .preimages import p_n, preimages_bruteforce, preimages_classified
 from .render import RenderConfig, tiling_svg, tree_svg
@@ -40,6 +40,17 @@ def _write(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_occurrence(patch, site, jp) -> None:
+    """The site classifier trusts its site, so the command line checks it."""
+    if len(site) + patch.depth > jp.depth:
+        raise AddressTooDeep(
+            f"site {site!r} plus patch depth {patch.depth} reaches below "
+            f"the depth-{jp.depth} prefix"
+        )
+    if jp.subtree(site).truncate(patch.depth) != patch:
+        raise Inconsistent(f"the patch does not occur at site {site!r} of the prefix")
 
 
 def build_parser() -> _Parser:
@@ -100,6 +111,12 @@ def build_parser() -> _Parser:
     p.add_argument("--jprefix", help="prefix file (defaults to a depth-14 prefix)")
     p.add_argument("--n", type=int, default=1, help="iterated ancestor distance")
     p.add_argument("--classified", action="store_true")
+    p.add_argument(
+        "--site",
+        metavar="WORD",
+        help="where the patch occurs in the prefix; classifies that occurrence "
+        "(implies --classified)",
+    )
 
     p = sub.add_parser("complexity", help="distinct subtree counts by depth")
     p.add_argument("--patch", required=True)
@@ -177,10 +194,10 @@ def _run(args) -> int:
     elif cmd == "preimages":
         patch = load_patch(args.patch)
         jp = load_patch(args.jprefix) if args.jprefix else jacaranda_prefix(14)
-        if args.classified:
-            from .jacaranda import concrete
-
-            result = preimages_classified(concrete(patch), jp)
+        if args.classified or args.site is not None:
+            if args.site is not None:
+                _check_occurrence(patch, args.site, jp)
+            result = preimages_classified(concrete(patch, args.site), jp)
             sys.stdout.write(result.serialize())
         elif args.n == 1:
             sys.stdout.write(preimages_bruteforce(patch, jp).serialize())

@@ -13,6 +13,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadSystemFormat,
@@ -71,6 +72,23 @@ class Substreetution:
         want = "A" if letter == "a" else "B"
         return tuple(s for s, g in zip(SLOTS, self.grammar) if g == want)
 
+    @cached_property
+    def slot_format(self) -> str:
+        """The grammar as a format string over an a-part {0} and a b-part {1}.
+
+        slot_format.format(a, b) fills the four slots (SLOTS order) with the
+        part each one is fed by: one step of the slot recursion.
+        """
+        return "".join("{0}" if g == "A" else "{1}" for g in self.grammar)
+
+    @cached_property
+    def _image_blocks(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Per color: its image root, and its image's two children as one block."""
+        return (
+            {str(c): "%d" % self.image(c)[0] for c in (0, 1)},
+            {str(c): "%d%d" % self.image(c)[1:] for c in (0, 1)},
+        )
+
 
 BBAB = Substreetution((0, 1, 0), (1, 1, 0), "BBAB", name="bbab-jacaranda")
 THUE_MORSE = Substreetution((0, 1, 1), (1, 0, 0), "ABAB", name="thue-morse")
@@ -93,32 +111,39 @@ def apply(sub: Substreetution, p: Patch, out_depth: int | None = None) -> Patch:
 
     A node of color c contributes the three nodes of its image at the two
     generations it spawns; the four grandchild slots receive the images of
-    the node's subtrees as dictated by the grammar.  Truncation happens
-    during construction so deep prefixes never materialize beyond out_depth.
+    the node's subtrees as dictated by the grammar.  Read level by level,
+    generation 2m of the image is generation m of p with each color replaced
+    by its image root, doubled by the slot recursion; generation 2m + 1 is
+    the same with each color replaced by its image's children.  Truncation
+    happens during construction so deep prefixes never materialize beyond
+    out_depth.
     """
     full = 2 * p.depth + 1
-    if out_depth is None or out_depth > full:
-        out_depth = full
-    return Patch(tuple(_apply_rows(sub, p.levels, out_depth)))
+    out_depth = full if out_depth is None else min(max(out_depth, 0), full)
+    roots, children = sub._image_blocks
+    rows = []
+    for line in p.levels[: out_depth // 2 + 1]:
+        rows.append(double(sub, [roots[c] for c in line]))
+        if len(rows) <= out_depth:
+            rows.append(double(sub, [children[c] for c in line]))
+    return Patch(tuple(rows))
 
 
-def _apply_rows(sub, rows, out_depth):
-    rt, ra, rb = sub.image(int(rows[0][0]))
-    out = [str(rt)]
-    if out_depth >= 1:
-        out.append(f"{ra}{rb}")
-    if out_depth >= 2:
-        sides = {}
-        for letter in "ab":
-            if sub.slots_of(letter):
-                if letter == "a":
-                    half = [row[: len(row) // 2] for row in rows[1:]]
-                else:
-                    half = [row[len(row) // 2 :] for row in rows[1:]]
-                sides[letter] = _apply_rows(sub, half, out_depth - 2)
-        for k in range(out_depth - 1):
-            out.append("".join(sides[sub.source_letter(s)][k] for s in SLOTS))
-    return out
+def double(sub: Substreetution, line) -> str:
+    """The slot recursion on halves: 2^m equal blocks to their 4^m-block image.
+
+    `line` is a string of colors or a sequence of equal-length blocks.  The
+    image of a line is slot_format applied to the images of its two halves,
+    and a single block is its own image.  This runs bottom-up, one level at
+    a time, gluing each distinct pair of a level once.
+    """
+    glue = sub.slot_format.format
+    parts = list(line)
+    while len(parts) > 1:
+        pairs = list(zip(parts[0::2], parts[1::2]))
+        glued = {pair: glue(*pair) for pair in set(pairs)}
+        parts = [glued[pair] for pair in pairs]
+    return parts[0]
 
 
 def fixed_point_prefix(sub: Substreetution, root: int, depth: int) -> Patch:

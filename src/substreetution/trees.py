@@ -88,7 +88,8 @@ class Patch:
                 raise BadPatchFormat(
                     f"level {l} must hold {1 << l} colors, got {len(row)}"
                 )
-            if any(c not in "01" for c in row):
+            # one C-speed pass; a non-ASCII character encodes to "?" and stays
+            if row.encode("ascii", "replace").translate(None, b"01"):
                 raise BadPatchFormat(f"level {l} contains a non-binary color")
 
     # -- construction ------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .engine import BBAB, SLOTS, Substreetution, theta
+from .engine import BBAB, Substreetution, double, theta
 from .errors import NonIntegerResult, NonPositive, NotPowerOfTwo
 from .trees import addr_index, index_addr
 
@@ -36,45 +36,47 @@ def word_from_addresses(level: int, addrs) -> str:
 
 
 @lru_cache(maxsize=None)
-def _theta_indices(sub: Substreetution, addr: str) -> tuple[int, ...]:
-    return tuple(addr_index(w) for w in theta(sub, addr))
+def _theta_masks(sub: Substreetution, level: int) -> list[int | None]:
+    """Per address rank of a level, its theta mask; filled on first use."""
+    return [None] * (1 << level)
+
+
+_RANK_DIGITS = str.maketrans("ab", "01")
+
+
+def _theta_mask(sub: Substreetution, addr: str) -> int:
+    """theta(addr) as the bits of a length-4^len(addr) word, position 0 on top."""
+    n = 1 << (2 * len(addr))
+    bits = bytearray((n + 7) // 8)
+    for site in theta(sub, addr):
+        j = int(site.translate(_RANK_DIGITS) or "0", 2)  # addr_index(site), in C
+        bits[j >> 3] |= 0x80 >> (j & 7)
+    return int.from_bytes(bits, "big") >> (-n % 8)
 
 
 def chi_via_theta(sub: Substreetution, word: str) -> str:
     """Word whose 1-addresses are the theta-images of the input's 1-addresses.
 
     This is the defining form and works for any grammar; images that collide
-    simply merge.
+    simply merge.  Each address's image is a bitmask built from theta once
+    per system and level, so a word is the OR of its 1-addresses' masks.
     """
     l = _level_of(word)
-    out = bytearray(b"0" * (1 << (2 * l)))
+    masks = _theta_masks(sub, l)
+    image = 0
     for i, c in enumerate(word):
         if c == "1":
-            for j in _theta_indices(sub, index_addr(i, l)):
-                out[j] = ord("1")
-    return out.decode("ascii")
+            mask = masks[i]
+            if mask is None:
+                mask = masks[i] = _theta_mask(sub, index_addr(i, l))
+            image |= mask
+    return format(image, f"0{1 << (2 * l)}b")
 
 
 def chi_recursive(sub: Substreetution, word: str) -> str:
-    """Slot recursion on halves; fast path that must agree with the theta form."""
+    """Slot recursion on halves (engine.double); must agree with the theta form."""
     _level_of(word)
-    return _chi_rec(sub, word, {})
-
-
-def _chi_rec(sub, word, memo):
-    got = memo.get(word)
-    if got is None:
-        if len(word) == 1:
-            got = word
-        else:
-            half = len(word) // 2
-            parts = {
-                "a": _chi_rec(sub, word[:half], memo),
-                "b": _chi_rec(sub, word[half:], memo),
-            }
-            got = "".join(parts[sub.source_letter(s)] for s in SLOTS)
-        memo[word] = got
-    return got
+    return double(sub, word)
 
 
 def chi(sub: Substreetution, word: str) -> str:

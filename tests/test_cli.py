@@ -2,6 +2,8 @@ import pytest
 
 from substreetution.cli import main
 from substreetution.engine import BBAB, fixed_point_prefix
+from substreetution.jacaranda import concrete, jacaranda_prefix
+from substreetution.preimages import preimages_classified
 from substreetution.systems import build_orbit_graph, nomeasure_tree
 from substreetution.trees import dump_patch, parse_patch
 
@@ -84,6 +86,33 @@ class TestPatchCommands:
             capsys, "preimages", "--patch", str(target), "--jprefix", str(jp)
         )
         assert code == 0 and "count=0" in out
+
+    def test_preimages_classified_at_site(self, capsys, tmp_path):
+        # without a site the lines leave the parent class open; the site
+        # "a" of the default depth-14 prefix pins it
+        jp = jacaranda_prefix(14)
+        patch = jp.subtree("a").truncate(5)
+        f = tmp_path / "sub.patch"
+        f.write_text(dump_patch(patch))
+        code, _, err = run(capsys, "preimages", "--patch", str(f), "--classified")
+        assert code == 2 and "undetermined" in err
+        code, out, _ = run(capsys, "preimages", "--patch", str(f), "--site", "a")
+        assert code == 0
+        assert out == preimages_classified(concrete(patch, "a"), jp).serialize()
+        assert out.startswith("completeness=exact")
+
+    def test_preimages_site_is_checked(self, capsys, tmp_path):
+        f = tmp_path / "sub.patch"
+        f.write_text(dump_patch(jacaranda_prefix(14).subtree("a").truncate(5)))
+        for site, message in (
+            ("b", "does not occur at site 'b'"),
+            ("a" * 10, "reaches below the depth-14 prefix"),
+            ("ax", "address must be a word"),
+        ):
+            code, out, err = run(
+                capsys, "preimages", "--patch", str(f), "--classified", "--site", site
+            )
+            assert code == 2 and message in err and out == ""
 
     def test_verify_renorm(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substreetution.engine import (
     ABBA,
@@ -25,6 +28,15 @@ from substreetution.errors import (
     Shallow,
 )
 from substreetution.trees import Patch, distance, random_patch
+
+
+def patches(max_depth):
+    """Random patches of depth 0..max_depth, one bit string per generation."""
+    return st.integers(0, max_depth).flatmap(
+        lambda d: st.tuples(
+            *(st.text("01", min_size=1 << l, max_size=1 << l) for l in range(d + 1))
+        ).map(Patch)
+    )
 
 
 class TestDefinition:
@@ -62,6 +74,19 @@ class TestApply:
         full = apply(BBAB, p)
         for d in range(full.depth + 1):
             assert apply(BBAB, p, d) == full.truncate(d)
+
+    @settings(deadline=None)
+    @given(p=patches(4), system=st.sampled_from([BBAB, ABBA, THUE_MORSE]))
+    def test_image_read_through_source(self, p, system):
+        # the image at an even site w carries the image root of the color at
+        # source(w); the next generation carries that image's two children
+        image = apply(system, p)
+        for m in range(p.depth + 1):
+            for letters in itertools.product("ab", repeat=2 * m):
+                w = "".join(letters)
+                root, *kids = system.image(p.get(source(system, w)))
+                assert image.get(w) == root
+                assert [image.get(w + e) for e in "ab"] == kids
 
     def test_contraction(self):
         # a first mismatch at generation n reappears first at generation 2n
@@ -175,6 +200,11 @@ class TestUnsub:
             p = random_patch(rng.randrange(4), rng)
             assert unsub(BBAB, apply(BBAB, p)) == p
             assert unsub(ABBA, apply(ABBA, p)) == p
+
+    @settings(deadline=None)
+    @given(p=patches(6), system=st.sampled_from([BBAB, ABBA, THUE_MORSE]))
+    def test_roundtrip_property(self, p, system):
+        assert unsub(system, apply(system, p)) == p
 
     def test_fixed_tree_halves(self):
         j = fixed_point_prefix(BBAB, 0, 9)

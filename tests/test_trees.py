@@ -44,6 +44,21 @@ class TestPatchBasics:
         with pytest.raises(BadPatchFormat):
             Patch(())
 
+    def test_every_constructor_rejects_bad_colors(self):
+        q = patch("0", "10")
+        bad = [
+            lambda: patch("0", "10", "0x10"),  # fault in the middle of a row
+            lambda: patch("0", "1\u0660"),  # a non-ASCII digit zero
+            lambda: patch("0", "10", "0\uff1110"),  # a fullwidth digit one
+            lambda: Patch.leaf(2),
+            lambda: Patch.combine(2, q, q),
+            lambda: Patch.from_levels([[0], [1, 2]]),
+            lambda: parse_patch("depth 1\n0\n1-\n"),
+        ]
+        for make in bad:
+            with pytest.raises(BadPatchFormat, match="non-binary"):
+                make()
+
     def test_get_at_sites(self):
         j = jacaranda_prefix(4)
         assert j.get("ba") == 1  # the single 1 of generation 2

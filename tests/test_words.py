@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from substreetution.engine import ABBA, BBAB, apply
+from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply
 from substreetution.errors import NonPositive, NotPowerOfTwo
 from substreetution.words import (
     chi,
@@ -58,13 +60,25 @@ class TestChi:
         for u in range(3):
             assert len(chi_pow(BBAB, w, u)) == 1 << (2 * (1 << u))
 
-    def test_recursion_matches_definition(self):
-        rng = random.Random(2)
-        for system in (BBAB, ABBA):
-            for l in range(4):
-                for _ in range(12):
-                    w = "".join(rng.choice("01") for _ in range(1 << l))
-                    assert chi_recursive(system, w) == chi_via_theta(system, w)
+    @settings(deadline=None)
+    @given(
+        system=st.sampled_from([BBAB, ABBA, THUE_MORSE]),
+        word=st.integers(0, 8).flatmap(
+            lambda l: st.text("01", min_size=1 << l, max_size=1 << l)
+        ),
+    )
+    def test_recursion_matches_definition(self, system, word):
+        assert chi_recursive(system, word) == chi_via_theta(system, word)
+
+    def test_unused_letter_contributes_nothing(self):
+        # theta of an a-address is empty under this grammar, so only the
+        # b-addresses reach the image, and theta still warns about it
+        allb = Substreetution((0, 1, 0), (1, 1, 0), "BBBB")
+        with pytest.warns(UserWarning, match="never uses letter 'a'"):
+            assert chi_via_theta(allb, "10") == "0000"
+        assert chi_via_theta(allb, "01") == "1111"
+        with pytest.warns(UserWarning, match="never uses letter 'a'"):
+            assert chi_via_theta(allb, "0110") == "0" * 16
 
     def test_block_recursion_shape(self):
         # image of a split word is slot-wise images of the halves
