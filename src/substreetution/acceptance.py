@@ -1,13 +1,16 @@
 """The verification table: one deterministic check per headline claim.
 
 Each criterion returns (ok, detail).  run_all prints one pass/fail line per
-criterion; the CLI's verify-paper command and the test suite both call in
-here so there is exactly one definition of every gate.
+criterion, or one JSON object that adds its wall time; the CLI's
+verify-paper command and the test suite both call in here so there is
+exactly one definition of every gate.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import time
 from fractions import Fraction
 
 from .engine import ABBA, BBAB, THUE_MORSE, apply, fixed_point_prefix, unsub, verify_renormalization
@@ -242,11 +245,16 @@ CRITERIA = [
 ]
 
 
-def run_all(verbose=False):
+def run_all(verbose=False, as_json=False):
     results = []
     for name, fn in CRITERIA:
+        start = time.perf_counter()
         ok, detail = fn()
+        seconds = time.perf_counter() - start
         results.append((name, ok, detail))
-        if verbose:
+        if verbose and as_json:
+            entry = {"gate": name, "ok": bool(ok), "detail": detail, "seconds": round(seconds, 6)}
+            print(json.dumps(entry), flush=True)
+        elif verbose:
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return results

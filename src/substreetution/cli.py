@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every subcommand is a pure function of its inputs: same flags, same bytes.
+Every subcommand is a pure function of its inputs: same flags, same bytes
+(the one exception is the `seconds` field of `verify-paper --json`).
 Exit codes: 0 success, 1 usage error, 2 operation error, 3 verification
 failure.
 """
@@ -145,7 +146,12 @@ def build_parser() -> _Parser:
     p.add_argument("--res", type=int, default=256)
     p.add_argument("--out", required=True)
 
-    sub.add_parser("verify-paper", help="run the full verification table")
+    p = sub.add_parser("verify-paper", help="run the full verification table")
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="one JSON object per gate: gate, ok, detail, seconds",
+    )
     return parser
 
 
@@ -221,14 +227,17 @@ def _run(args) -> int:
     elif cmd == "measure-check":
         with open(args.graph, encoding="ascii") as fh:
             graph = parse_orbit_graph(fh.read())
-        sys.stdout.write(invariant_measure(graph).serialize())
+        result = invariant_measure(graph)
+        for line in result.certificate:
+            print(f"# {line}", file=sys.stderr)
+        sys.stdout.write(result.serialize())
     elif cmd == "render-tree":
         _write(tree_svg(load_patch(args.patch)), args.out)
     elif cmd == "render-tiling":
         cfg = RenderConfig(resolution=args.res, depth_limit=args.depth)
         _write(tiling_svg(load_patch(args.patch), cfg), args.out)
     elif cmd == "verify-paper":
-        results = acceptance.run_all(verbose=True)
+        results = acceptance.run_all(verbose=True, as_json=args.json)
         return 0 if all(ok for _, ok, _ in results) else 3
     return 0
 

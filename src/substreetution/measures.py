@@ -1,11 +1,15 @@
 """Exact decision of invariant-probability existence on an orbit graph.
 
-The balance conditions say the mass of each state equals the mass of its
-a-preimages and also of its b-preimages.  Together with nonnegativity and
-total mass one this is a small linear feasibility problem, solved here by
-exact rational elimination: Gaussian on the equalities, Fourier-Motzkin on
-what remains, and back-substitution to produce a concrete witness.  No
-floating point: an infeasibility found this way is a proof.
+A probability mu with a_*mu = mu and b_*mu = mu exists iff some class of the
+relation "same a-cycle or same b-cycle" lies inside Per(a) and Per(b).
+
+Proof.  For a map f of n states, f^n sends every state onto a cycle, so
+mu = f^n_*mu lives on Per(f); there f is a bijection and f_*mu = mu reads
+mu(f(x)) = mu(x), so mu is constant on each cycle.  Hence mu is constant on
+each class and zero off Per(a) and Per(b): a class carrying mass lies inside
+both.  Conversely a and b each permute such a class, so the uniform measure
+on it is invariant.  The decision is a union-find over the cycles of the two
+maps; an infeasible result names, for each class, a state that escapes.
 """
 
 from __future__ import annotations
@@ -35,126 +39,58 @@ class MeasureResult:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(coeffs, const, names, rel):
-    terms = [f"{c}*{names[i]}" for i, c in enumerate(coeffs) if c]
-    lhs = " + ".join(terms) if terms else "0"
-    return f"{lhs} {rel} {-const}"
-
-
-def _substitute(row, var, expr, const):
-    """In-place: replace x_var by sum(expr * x) + const inside `row`."""
-    c = row[0][var]
-    if not c:
-        return
-    row[0][var] = Fraction(0)
-    for j, e in enumerate(expr):
-        row[0][j] += c * e
-    row[1] += c * const
-
-
-def _eval(coeffs, const, values):
-    return sum(c * values[j] for j, c in enumerate(coeffs) if c) + const
+def _periodic(states, edges) -> set:
+    """Per(f) for the map `edges`: each walk runs to the first state already
+    seen; if this walk saw it first, the walk has closed a cycle there."""
+    walk, per = {}, set()
+    for start in states:
+        x = start
+        while x not in walk:
+            walk[x] = start
+            x = edges[x]
+        if walk[x] == start:
+            while x not in per:
+                per.add(x)
+                x = edges[x]
+    return per
 
 
 def invariant_measure(g: OrbitGraph) -> MeasureResult:
     """Decide the balance system exactly; feasible results carry a witness."""
-    states = list(g.states)
-    if not states:
-        raise MalformedGraph("empty graph")
+    states, known = g.states, set(g.states)
+    if not states or len(known) != len(states):
+        raise MalformedGraph("empty graph or a repeated state")
+    maps = {"a": g.a_edges, "b": g.b_edges}
     for s in states:
-        if s not in g.a_edges or s not in g.b_edges:
-            raise MalformedGraph(f"state {s} lacks an edge")
-    n = len(states)
-    index = {s: i for i, s in enumerate(states)}
+        if any(f.get(s) not in known for f in maps.values()):
+            raise MalformedGraph(f"state {s} lacks an edge into the state set")
+    per = {c: _periodic(states, f) for c, f in maps.items()}
 
-    eqs = []  # [coeffs, const] meaning sum + const == 0
-    for edges in (g.a_edges, g.b_edges):
-        for x in states:
-            coeffs = [Fraction(0)] * n
-            coeffs[index[x]] = Fraction(1)
-            for y in states:
-                if edges[y] == x:
-                    coeffs[index[y]] -= 1
-            eqs.append([coeffs, Fraction(0)])
-    eqs.append([[Fraction(1)] * n, Fraction(-1)])
+    root = {s: s for s in states}
 
-    ineqs = []  # [coeffs, const] meaning sum + const >= 0
-    for i in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(1)
-        ineqs.append([coeffs, Fraction(0)])
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
 
-    trail = []
+    for c, f in maps.items():
+        for x in per[c]:
+            root[find(x)] = find(f[x])
+    classes = {}
+    for s in states:
+        classes.setdefault(find(s), []).append(s)
 
-    # Gaussian elimination over the equalities
-    substitutions = []  # (var, expr, const): x_var = sum(expr * x) + const
-    for row in eqs:
-        pivot = next((i for i, c in enumerate(row[0]) if c), None)
-        if pivot is None:
-            if row[1] != 0:
-                trail.append(_fmt(row[0], row[1], states, "=="))
-                return MeasureResult("infeasible", None, tuple(trail))
-            continue
-        pc = row[0][pivot]
-        expr = [-c / pc for c in row[0]]
-        expr[pivot] = Fraction(0)
-        const = -row[1] / pc
-        substitutions.append((pivot, expr, const))
-        trail.append(f"eliminate {states[pivot]}")
-        for other in eqs:
-            if other is not row:
-                _substitute(other, pivot, expr, const)
-        row[0][pivot] = Fraction(0)
-        row[1] = Fraction(0)
-        for other in ineqs:
-            _substitute(other, pivot, expr, const)
-
-    # Fourier-Motzkin over the variables the inequalities still mention
-    free = [i for i in range(n) if any(row[0][i] for row in ineqs)]
-    eliminated = []  # (var, lower bound exprs, upper bound exprs)
-    rows = ineqs
-    for var in free:
-        lowers, uppers, keep = [], [], []
-        for row in rows:
-            c = row[0][var]
-            if c:
-                rest = list(row[0])
-                rest[var] = Fraction(0)
-                if c > 0:  # x >= -(rest + const)/c
-                    lowers.append(([-x / c for x in rest], -row[1] / c))
-                else:  # x <= (rest + const)/(-c)
-                    uppers.append(([x / -c for x in rest], row[1] / -c))
-            else:
-                keep.append(row)
-        rows = list(keep)
-        for lo_c, lo_k in lowers:
-            for up_c, up_k in uppers:
-                rows.append([[u - l for u, l in zip(up_c, lo_c)], up_k - lo_k])
-        eliminated.append((var, lowers, uppers))
-        trail.append(f"project out {states[var]}")
-
-    for row in rows:
-        if not any(row[0]) and row[1] < 0:
-            trail.append(_fmt(row[0], row[1], states, ">="))
-            return MeasureResult("infeasible", None, tuple(trail))
-
-    # Back-substitute a witness
-    values = [Fraction(0)] * n
-    for var, lowers, uppers in reversed(eliminated):
-        lo = max((_eval(c, k, values) for c, k in lowers), default=None)
-        up = min((_eval(c, k, values) for c, k in uppers), default=None)
-        if lo is not None and up is not None:
-            values[var] = (lo + up) / 2
-        elif lo is not None:
-            values[var] = lo
-        elif up is not None:
-            values[var] = min(up, Fraction(0))
-    for var, expr, const in reversed(substitutions):
-        values[var] = _eval(expr, const, values)
-
-    assignment = {s: values[index[s]] for s in states}
-    _verify(g, assignment)
-    return MeasureResult("feasible", assignment, tuple(trail))
+    escapes = []
+    for members in classes.values():
+        escape = next(((s, c) for s in members for c in "ab" if s not in per[c]), None)
+        if escape is None:
+            assignment = dict.fromkeys(states, Fraction(0))
+            assignment.update(dict.fromkeys(members, Fraction(1, len(members))))
+            _verify(g, assignment)
+            return MeasureResult("feasible", assignment, ())
+        escapes.append(f"state {escape[0]} is not {escape[1]}-periodic")
+    return MeasureResult("infeasible", None, tuple(escapes))
 
 
 def _verify(g: OrbitGraph, mu: dict) -> None:
@@ -165,7 +101,9 @@ def _verify(g: OrbitGraph, mu: dict) -> None:
         if val < 0:
             raise AssertionError(f"negative mass on {s}")
     for edges in (g.a_edges, g.b_edges):
+        pushed = dict.fromkeys(g.states, 0)
+        for y in g.states:
+            pushed[edges[y]] += mu[y]
         for x in g.states:
-            pulled = sum(mu[y] for y in g.states if edges[y] == x)
-            if pulled != mu[x]:
+            if pushed[x] != mu[x]:
                 raise AssertionError(f"balance fails at {x}")

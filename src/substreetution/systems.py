@@ -112,12 +112,17 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
         parts = line.split()
         if parts[0] == "state" and len(parts) == 2:
             states.append(parts[1])
-        elif parts[0] == "edge" and len(parts) == 4 and parts[2] in "ab":
-            (a_edges if parts[2] == "a" else b_edges)[parts[1]] = parts[3]
+        elif parts[0] == "edge" and len(parts) == 4 and parts[2] in ("a", "b"):
+            edges = a_edges if parts[2] == "a" else b_edges
+            if parts[1] in edges:
+                raise MalformedGraph(f"state {parts[1]} has two {parts[2]}-edges")
+            edges[parts[1]] = parts[3]
         else:
             raise MalformedGraph(f"bad graph line {raw!r}")
     if not states:
         raise MalformedGraph("graph has no states")
+    if len(set(states)) != len(states):
+        raise MalformedGraph("a state is declared twice")
     for s in states:
         for edges, c in ((a_edges, "a"), (b_edges, "b")):
             if s not in edges:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from substreetution.cli import main
@@ -132,8 +134,9 @@ class TestGraphCommands:
             "--out", str(gfile),
         )
         assert code == 0
-        code, out, _ = run(capsys, "measure-check", "--graph", str(gfile))
-        assert code == 0 and out.strip() == "infeasible"
+        code, out, err = run(capsys, "measure-check", "--graph", str(gfile))
+        assert code == 0 and out == "infeasible\n"
+        assert err == "# state s1 is not b-periodic\n"
 
     def test_measure_feasible(self, capsys, tmp_path):
         gfile = tmp_path / "loop.graph"
@@ -141,6 +144,19 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "measure-check", "--graph", str(gfile))
         assert code == 0
         assert out.splitlines() == ["feasible", "mu s0 1"]
+
+
+class TestVerifyPaper:
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 3
+        entries = [json.loads(line) for line in out.splitlines()]
+        assert len(entries) == 13
+        assert all(set(e) == {"gate", "ok", "detail", "seconds"} for e in entries)
+        assert [e["gate"].split()[0] for e in entries] == [str(k) for k in range(1, 14)]
+        assert [e["gate"] for e in entries if not e["ok"]] == ["6 backward bound (literal)"]
+        assert all(e["seconds"] >= 0 for e in entries)
+        assert entries[10]["detail"] == "6-state graph infeasible; self-loop feasible with mass 1"
 
 
 class TestRenderCommands:

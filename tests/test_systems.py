@@ -117,3 +117,9 @@ class TestOrbitGraphs:
     def test_parse_rejects_partial(self):
         with pytest.raises(MalformedGraph):
             parse_orbit_graph("state s0\nedge s0 a s0\n")
+        with pytest.raises(MalformedGraph, match="declared twice"):
+            parse_orbit_graph("state s0\nstate s0\nedge s0 a s0\nedge s0 b s0\n")
+        with pytest.raises(MalformedGraph, match="two a-edges"):
+            parse_orbit_graph("state s0\nedge s0 a s0\nedge s0 a s0\nedge s0 b s0\n")
+        with pytest.raises(MalformedGraph, match="bad graph line"):
+            parse_orbit_graph("state s0\nedge s0 ab s0\nedge s0 a s0\nedge s0 b s0\n")

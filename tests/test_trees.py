@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substreetution.errors import AddressTooDeep, BadPatchFormat, DepthMismatch
 from substreetution.jacaranda import jacaranda_prefix, jprime_prefix
@@ -181,6 +183,17 @@ class TestTextFormat:
     def test_roundtrip(self):
         j = jacaranda_prefix(5)
         assert parse_patch(dump_patch(j)) == j
+
+    @settings(deadline=None)
+    @given(
+        p=st.integers(0, 8).flatmap(
+            lambda d: st.tuples(
+                *(st.text("01", min_size=1 << l, max_size=1 << l) for l in range(d + 1))
+            ).map(Patch)
+        )
+    )
+    def test_roundtrip_property(self, p):
+        assert parse_patch(dump_patch(p)) == p
 
     def test_comments_and_blanks(self):
         text = "# a patch\ndepth 1\n\n0  # root\n10\n"
