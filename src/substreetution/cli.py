@@ -56,12 +56,6 @@ def _check_occurrence(patch, site, jp) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="substreetution")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="advisory worker count; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixpoint", help="prefix of a fixed tree")

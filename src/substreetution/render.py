@@ -1,20 +1,25 @@
 """Static SVG figures: the tree picture and the colored disk tiling.
 
-Floating point lives only here.  Pixel classification pulls points back
-through the two disk isometries and tests membership in the central
-Dirichlet cell; ties go to the shorter word.  Output is deterministic:
-fixed formatting, row-major order, no concurrency.
+Floating point lives only here.  A pixel's cell is found by pulling it back
+through the two disk isometries into the central Dirichlet cell; ties go to
+the shorter word.  The tiling is drawn one pixel row at a time, by spans:
+  every comparison is a bisector of two isometry images, so walls are geodesics;
+  between two wall crossings a row keeps one label, so one pixel decides it;
+  pixels within two columns of a crossing are classified one by one, exactly.
+Output is deterministic: fixed formatting, row-major order, no concurrency.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import Shallow
+from .errors import NonPositive, Shallow
 from .trees import Patch
 
 _TOL = 1e-9
@@ -81,71 +86,182 @@ class RenderConfig:
     root_color: str = "#e6c800"
 
 
-def classify_point(z, gens, depth_limit, tol=_TOL):
-    """Positive word whose cell contains z, or None (inverse side / too deep)."""
+@lru_cache(maxsize=16)
+def _classifier(gens, depth_limit, tol=_TOL):
+    """The descent of `classify_point`, with the isometry set-up done once.
+
+    Same arithmetic, operation for operation: hyperbolic_distance(z, 0) is
+    atanh(abs(z)), the inverse maps are their Moebius coefficients, and the
+    argmin is the first index of the minimum.
+    """
     h1, h2 = gens
     inv1, inv2 = h1.inverse(), h2.inverse()
-    targets = [h(0) for h in (h1, inv1, h2, inv2)]
-    word = []
+    t1, t2, t3, t4 = (h(0) for h in (h1, inv1, h2, inv2))
+    c1, c2, c3, c4 = (t.conjugate() for t in (t1, t2, t3, t4))
+    pulls = [
+        (inv.alpha, inv.beta, inv.beta.conjugate(), inv.alpha.conjugate()) for inv in (inv1, inv2)
+    ]
+    atanh = math.atanh
+    rounds = range(depth_limit + 1)
+
+    def classify(z):
+        word = ""
+        for _ in rounds:
+            ds = [
+                atanh(abs(z - t1) / abs(1 - c1 * z)),
+                atanh(abs(z - t2) / abs(1 - c2 * z)),
+                atanh(abs(z - t3) / abs(1 - c3 * z)),
+                atanh(abs(z - t4) / abs(1 - c4 * z)),
+            ]
+            nearest = min(ds)
+            if atanh(abs(z)) <= nearest + tol:  # rounding is monotone: d0 <= d + tol for every d
+                return word
+            best = ds.index(nearest)
+            if best % 2:
+                return None  # lives in an inverse-letter half-plane
+            a, b, bc, ac = pulls[best // 2]
+            word += "ab"[best // 2]
+            z = (a * z + b) / (bc * z + ac)
+        return None
+
+    return classify
+
+
+def classify_point(z, gens, depth_limit, tol=_TOL):
+    """Positive word whose cell contains z, or None (inverse side / too deep)."""
+    return _classifier(tuple(gens), depth_limit, tol)(z)
+
+
+# Euclidean half-width of the band around each wall that counts as crossing
+# it.  The 1e-9 tolerance and rounding move a decision by far less, so a row
+# that only grazes a wall still has its pixels there classified one by one;
+# the band is far narrower than a column.
+_WALL_BAND = 1e-5
+
+
+def _bisector(p: complex, q: complex):
+    """The wall where d(z, p) = d(z, q): ("circle", c, R, R^2 - Im(c)^2) or ("line", n).
+
+    1 - rho(z, p)^2 = (1 - |z|^2)(1 - |p|^2) / |1 - conj(p) z|^2 turns the
+    comparison into alpha |z|^2 - 2 Re(conj(beta) z) + gamma = 0, where
+    alpha = gamma = |q|^2 - |p|^2 and beta = (1 - |p|^2) q - (1 - |q|^2) p:
+    a circle of centre beta / alpha orthogonal to the unit circle, or, when
+    alpha vanishes, the diameter with unit normal beta / |beta|.
+    """
+    pp, qq = abs(p) ** 2, abs(q) ** 2
+    alpha = qq - pp
+    beta = (1 - pp) * q - (1 - qq) * p
+    if abs(alpha) <= 1e-6 * abs(beta):  # that flat, the circle is in the diameter's band
+        return ("line", beta / abs(beta))
+    c = beta / alpha
+    return ("circle", c, math.sqrt(abs(c) ** 2 - 1), c.real**2 - 1)
+
+
+def _walls(gens, depth_limit):
+    """Every comparison the descent can make, plus the unit circle.
+
+    At a word W the descent compares distances from W^-1(z) to 0 and the
+    four generator images of 0; W is an isometry, so each comparison is the
+    bisector of the W-images of a pair of those five points.
+    """
+    h1, h2 = gens
+    base = [complex(0)] + [h(0) for h in (h1, h1.inverse(), h2, h2.inverse())]
+    walls = [("circle", complex(0), 1.0, 1.0)]
+    words = [DiskIsometry(complex(1), complex(0))]
     for _ in range(depth_limit + 1):
-        d0 = hyperbolic_distance(z, 0)
-        ds = [hyperbolic_distance(z, t) for t in targets]
-        if all(d0 <= d + tol for d in ds):
-            return "".join(word)
-        best = min(range(4), key=lambda k: ds[k])
-        if best == 0:
-            word.append("a")
-            z = inv1(z)
-        elif best == 2:
-            word.append("b")
-            z = inv2(z)
-        else:
-            return None  # lives in an inverse-letter half-plane
-    return None
+        for w in words:
+            walls += [_bisector(p, q) for p, q in itertools.combinations(map(w, base), 2)]
+        words = [w.compose(h) for w in words for h in (h1, h2)]
+    return walls
+
+
+def _crossings(walls, y):
+    """The x-intervals where the walls' bands meet the row at height y."""
+    d = _WALL_BAND
+    out = []
+    for wall in walls:
+        if wall[0] == "line":
+            n = wall[1]
+            if abs(n.real) > 1e-12:
+                xa = (-n.imag * y - d) / n.real
+                xb = (-n.imag * y + d) / n.real
+                out.append((min(xa, xb), max(xa, xb)))
+            elif abs(n.imag * y) <= d:
+                out.append((-1.0, 1.0))
+            continue
+        # (x - cx)^2 = s on the wall, with k = R^2 - cy^2 kept free of
+        # cancellation; the band widens s by 2 R d + d^2.
+        _, c, radius, k = wall
+        s = k + y * (2 * c.imag - y)
+        hi2 = s + 2 * radius * d + d * d
+        if hi2 >= 0:
+            hi = math.sqrt(hi2)
+            lo = math.sqrt(max(s - 2 * radius * d, 0.0))
+            out += [(c.real - hi, c.real - lo), (c.real + lo, c.real + hi)]
+    return out
 
 
 def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
-    """Per-pixel coloring of the positive-word cells by the patch digits."""
-    if p.depth < cfg.depth_limit:
-        raise Shallow(f"patch depth {p.depth} below word limit {cfg.depth_limit}")
+    """Color the positive-word cells by the patch digits, one row at a time.
+
+    A row is cut at the wall bands; every pixel within two columns of a band
+    is classified on its own, and each stretch between them takes the label
+    of one of its pixels.
+    """
+    res, depth_limit = cfg.resolution, cfg.depth_limit
+    if res < 1:
+        raise NonPositive(f"resolution must be at least 1, got {res}")
+    if depth_limit < 0:
+        raise NonPositive(f"word limit must be nonnegative, got {depth_limit}")
+    if p.depth < depth_limit:
+        raise Shallow(f"patch depth {p.depth} below word limit {depth_limit}")
     gens = make_generators()
-    res = cfg.resolution
+    classify = _classifier(gens, depth_limit)
+    walls = _walls(gens, depth_limit)
+    xs = [(2 * col + 1) / res - 1 for col in range(res)]
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
         f'viewBox="0 0 {res} {res}">',
         f'<rect width="{res}" height="{res}" fill="{cfg.background}"/>',
     ]
     cache: dict = {}
+
+    def paint(changes, col, y):
+        """Classify one pixel; record (col, color) if the color changes there."""
+        z = complex(xs[col], y)
+        color = None
+        if abs(z) < 1:
+            word = classify(z)
+            if word is not None:
+                color = cache.get(word)
+                if color is None:
+                    color = cache[word] = cfg.palette[p.get(word)]
+        if color != changes[-1][1]:
+            changes.append((col, color))
+
     for row in range(res):
         y = 1 - (2 * row + 1) / res
-        runs = []
-        current = None
-        start = 0
-        for col in range(res):
-            x = (2 * col + 1) / res - 1
-            z = complex(x, y)
-            if abs(z) >= 1:
-                color = None
-            else:
-                word = classify_point(z, gens, cfg.depth_limit)
-                if word is None:
-                    color = None
-                else:
-                    color = cache.get(word)
-                    if color is None:
-                        color = cfg.palette[p.get(word)]
-                        cache[word] = color
-            if color != current:
-                if current is not None:
-                    runs.append((start, col, current))
-                current = color
-                start = col
-        if current is not None:
-            runs.append((start, res, current))
-        for x0, x1, color in runs:
-            out.append(
-                f'<rect x="{x0}" y="{row}" width="{x1 - x0}" height="1" fill="{color}"/>'
-            )
+        # Columns c with |c - c(x)| <= 2 for some x in a band, c(x) = ((x+1)res-1)/2.
+        exact = sorted(
+            (math.ceil(((xa + 1) * res - 1) / 2) - 2, math.floor(((xb + 1) * res - 1) / 2) + 2)
+            for xa, xb in _crossings(walls, y)
+        )
+        changes = [(0, None)]
+        col = 0  # first column not yet painted
+        for c0, c1 in exact:
+            if col < min(c0, res):
+                paint(changes, col, y)  # the stretch up to this band has one label
+            for c in range(max(col, c0), min(c1 + 1, res)):
+                paint(changes, c, y)
+            col = max(col, c1 + 1)
+        if col < res:
+            paint(changes, col, y)
+        ends = [c for c, _ in changes[1:]] + [res]
+        for (x0, color), x1 in zip(changes, ends):
+            if color is not None:
+                out.append(
+                    f'<rect x="{x0}" y="{row}" width="{x1 - x0}" height="1" fill="{color}"/>'
+                )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

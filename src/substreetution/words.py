@@ -35,6 +35,12 @@ def word_from_addresses(level: int, addrs) -> str:
     return out.decode("ascii")
 
 
+# Masks are cached per system up to this level: 2^8 masks of 4^8 bits, 2 MB.
+# Longer words build their masks per call and drop them, since the table
+# grows as 8^l (about 128 MB at l = 10).
+_MASK_CACHE_LEVEL = 8
+
+
 @lru_cache(maxsize=None)
 def _theta_masks(sub: Substreetution, level: int) -> list[int | None]:
     """Per address rank of a level, its theta mask; filled on first use."""
@@ -45,30 +51,41 @@ _RANK_DIGITS = str.maketrans("ab", "01")
 
 
 def _theta_mask(sub: Substreetution, addr: str) -> int:
-    """theta(addr) as the bits of a length-4^len(addr) word, position 0 on top."""
-    n = 1 << (2 * len(addr))
-    bits = bytearray((n + 7) // 8)
-    for site in theta(sub, addr):
-        j = int(site.translate(_RANK_DIGITS) or "0", 2)  # addr_index(site), in C
-        bits[j >> 3] |= 0x80 >> (j & 7)
-    return int.from_bytes(bits, "big") >> (-n % 8)
+    """theta(addr) as the bits of a length-4^len(addr) word, position 0 on top.
+
+    theta is the product of the letters' slot sets, so its mask is the
+    Kronecker product of their 4-bit slot masks, first letter outermost.
+    """
+    mask, width = 1, 1
+    for c in reversed(addr):
+        slots = sub.slots_of(c)
+        if not slots:
+            theta(sub, addr)  # empty: warns that the grammar never uses c
+            return 0
+        # the slots' blocks are disjoint, so the sum is their union
+        mask = sum(mask << (width * (3 - int(s.translate(_RANK_DIGITS), 2))) for s in slots)
+        width *= 4
+    return mask
 
 
 def chi_via_theta(sub: Substreetution, word: str) -> str:
     """Word whose 1-addresses are the theta-images of the input's 1-addresses.
 
     This is the defining form and works for any grammar; images that collide
-    simply merge.  Each address's image is a bitmask built from theta once
-    per system and level, so a word is the OR of its 1-addresses' masks.
+    simply merge.  Each address's image is theta's bitmask, kept per system
+    and level up to `_MASK_CACHE_LEVEL`, so a word is the OR of its
+    1-addresses' masks.
     """
     l = _level_of(word)
-    masks = _theta_masks(sub, l)
+    masks = _theta_masks(sub, l) if l <= _MASK_CACHE_LEVEL else None
     image = 0
     for i, c in enumerate(word):
         if c == "1":
-            mask = masks[i]
+            mask = masks[i] if masks is not None else None
             if mask is None:
-                mask = masks[i] = _theta_mask(sub, index_addr(i, l))
+                mask = _theta_mask(sub, index_addr(i, l))
+                if masks is not None:
+                    masks[i] = mask
             image |= mask
     return format(image, f"0{1 << (2 * l)}b")
 

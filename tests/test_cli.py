@@ -147,8 +147,8 @@ class TestGraphCommands:
 
 
 class TestVerifyPaper:
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "verify-paper", "--json")
+    def test_json(self, verify_paper_json):
+        code, out = verify_paper_json
         assert code == 3
         entries = [json.loads(line) for line in out.splitlines()]
         assert len(entries) == 13
@@ -168,20 +168,40 @@ class TestRenderCommands:
         assert code == 0 and out_file.read_text().startswith("<svg")
 
     def test_render_tiling_threads_flag(self, capsys, tmp_path):
+        # renders are pure functions of their flags; --threads no longer exists
         f = tmp_path / "j.patch"
         f.write_text(dump_patch(fixed_point_prefix(BBAB, 0, 3)))
+        args = ["render-tiling", "--patch", str(f), "--depth", "1", "--res", "48"]
         outs = []
-        for threads in ("1", "4"):
-            out_file = tmp_path / f"tiling{threads}.svg"
-            code, _, _ = run(
-                capsys,
-                "--threads", threads,
-                "render-tiling", "--patch", str(f), "--depth", "1",
-                "--res", "48", "--out", str(out_file),
-            )
+        for k in range(2):
+            out_file = tmp_path / f"tiling{k}.svg"
+            code, _, _ = run(capsys, *args, "--out", str(out_file))
             assert code == 0
             outs.append(out_file.read_bytes())
         assert outs[0] == outs[1]
+        code, _, err = run(capsys, "--threads", "4", *args, "--out", str(tmp_path / "t.svg"))
+        assert code == 1 and "invalid choice: '4'" in err
+        code, _, err = run(capsys, *args, "--out", str(tmp_path / "t.svg"), "--threads", "4")
+        assert code == 1 and "unrecognized arguments: --threads 4" in err
+        assert not (tmp_path / "t.svg").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--res", "0"), "resolution must be at least 1, got 0"),
+            (("--res", "-5"), "resolution must be at least 1, got -5"),
+            (("--depth", "-1"), "word limit must be nonnegative, got -1"),
+        ],
+    )
+    def test_render_tiling_rejects_degenerate_sizes(self, capsys, tmp_path, flags, message):
+        f = tmp_path / "j.patch"
+        f.write_text(dump_patch(fixed_point_prefix(BBAB, 0, 3)))
+        out_file = tmp_path / "tiling.svg"
+        code, _, err = run(
+            capsys, "render-tiling", "--patch", str(f), *flags, "--out", str(out_file)
+        )
+        assert code == 2 and err == f"error: {message}\n"
+        assert not out_file.exists()
 
 
 class TestExitCodes:

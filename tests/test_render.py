@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from substreetution.engine import THUE_MORSE, fixed_point_prefix
-from substreetution.errors import Shallow
+from substreetution.errors import NonPositive, Shallow
 from substreetution.jacaranda import jacaranda_prefix
 from substreetution.render import (
     RenderConfig,
@@ -13,6 +15,51 @@ from substreetution.render import (
     tiling_svg,
     tree_svg,
 )
+from substreetution.trees import Patch
+
+
+def _tiling_svg_per_pixel(p, cfg):
+    """The tiling classified pixel by pixel: the oracle for the span renderer."""
+    gens = make_generators()
+    res = cfg.resolution
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
+        f'viewBox="0 0 {res} {res}">',
+        f'<rect width="{res}" height="{res}" fill="{cfg.background}"/>',
+    ]
+    cache = {}
+    for row in range(res):
+        y = 1 - (2 * row + 1) / res
+        runs = []
+        current = None
+        start = 0
+        for col in range(res):
+            x = (2 * col + 1) / res - 1
+            z = complex(x, y)
+            if abs(z) >= 1:
+                color = None
+            else:
+                word = classify_point(z, gens, cfg.depth_limit)
+                if word is None:
+                    color = None
+                else:
+                    color = cache.get(word)
+                    if color is None:
+                        color = cfg.palette[p.get(word)]
+                        cache[word] = color
+            if color != current:
+                if current is not None:
+                    runs.append((start, col, current))
+                current = color
+                start = col
+        if current is not None:
+            runs.append((start, res, current))
+        for x0, x1, color in runs:
+            out.append(
+                f'<rect x="{x0}" y="{row}" width="{x1 - x0}" height="1" fill="{color}"/>'
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +155,6 @@ class TestTreeSvg:
         assert level2 == [grey, grey, black, grey]
 
     def test_single_black_node(self):
-        from substreetution.trees import Patch
-
         cfg = RenderConfig()
         svg = tree_svg(Patch.leaf(1), cfg)
         assert svg.count("<rect") == 2  # background + root glyph
@@ -131,8 +176,6 @@ class TestTreeSvg:
         assert tree_svg(p) == tree_svg(p)
 
     def test_deep_warning(self):
-        from substreetution.trees import Patch
-
         deep = Patch(tuple("0" * (1 << l) for l in range(14)))
         with pytest.warns(UserWarning):
             tree_svg(deep)
@@ -158,3 +201,26 @@ class TestTilingSvg:
         cfg = RenderConfig(resolution=64, depth_limit=2)
         p = jacaranda_prefix(2)
         assert tiling_svg(p, cfg) == tiling_svg(p, cfg)
+
+    @pytest.mark.parametrize("res", [64, 96, 128, 200, 256])
+    def test_spans_match_per_pixel(self, res):
+        p = jacaranda_prefix(6)
+        for depth_limit in range(5):
+            cfg = RenderConfig(resolution=res, depth_limit=depth_limit)
+            assert tiling_svg(p, cfg) == _tiling_svg_per_pixel(p, cfg)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        levels=st.tuples(*(st.text("01", min_size=1 << l, max_size=1 << l) for l in range(5))),
+        res=st.integers(48, 96),
+        depth_limit=st.integers(0, 3),
+    )
+    def test_spans_match_per_pixel_on_random_patches(self, levels, res, depth_limit):
+        p = Patch(levels)
+        cfg = RenderConfig(resolution=res, depth_limit=depth_limit)
+        assert tiling_svg(p, cfg) == _tiling_svg_per_pixel(p, cfg)
+
+    @pytest.mark.parametrize("res, depth_limit", [(0, 2), (-5, 2), (32, -1)])
+    def test_degenerate_config_rejected(self, res, depth_limit):
+        with pytest.raises(NonPositive):
+            tiling_svg(jacaranda_prefix(2), RenderConfig(resolution=res, depth_limit=depth_limit))

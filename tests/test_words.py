@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import substreetution
 from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply
 from substreetution.errors import NonPositive, NotPowerOfTwo
 from substreetution.words import (
@@ -23,6 +27,21 @@ from substreetution.words import (
     word_from_addresses,
 )
 from substreetution.trees import random_patch
+
+
+# VmHWM is the peak RSS of this process image alone; ru_maxrss would also
+# carry the peak of the forking test process across exec.
+_LONG_WORDS = """
+import random
+from substreetution.engine import ABBA
+from substreetution.words import chi_via_theta
+
+rng = random.Random(1)
+for _ in range(3):
+    chi_via_theta(ABBA, "".join(rng.choice("01") for _ in range(1024)))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
 
 
 class TestAddressSets:
@@ -79,6 +98,17 @@ class TestChi:
         assert chi_via_theta(allb, "01") == "1111"
         with pytest.warns(UserWarning, match="never uses letter 'a'"):
             assert chi_via_theta(allb, "0110") == "0" * 16
+
+    def test_long_words_keep_memory_bounded(self):
+        # level-10 masks are built per call and dropped: a table of all of
+        # them would hold 2^10 masks of 4^10 bits, about 128 MB
+        src = os.path.dirname(os.path.dirname(substreetution.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", _LONG_WORDS],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert int(out) <= 60 * 1024  # kB
 
     def test_block_recursion_shape(self):
         # image of a split word is slot-wise images of the halves
