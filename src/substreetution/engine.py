@@ -232,43 +232,39 @@ def unsub(sub: Substreetution, p: Patch) -> Patch:
     """Invert the substitution on its image (marked systems only).
 
     Recovers the patch of depth floor((depth-1)/2) whose image agrees with p
-    on all of p's data; slots carrying the same grammar letter are checked
-    for equality, so a forged deepest level is still rejected.
+    on all of p's data.  Generation m of the preimage is read off generation
+    2m of p by undoing the slot recursion, and p is accepted only when the
+    image of what was read is p itself, so a forged deepest level is still
+    rejected.
     """
     if not sub.marked:
         raise NotInImage("only marked systems can be unsubstituted")
     if p.depth < 1:
         raise Shallow("need at least one generation to unsubstitute")
-    root = sub.root_preimage(p.get(""))
-    _, ia, ib = sub.image(root)
-    if p.levels[1] != f"{ia}{ib}":
-        raise NotInImage(
-            f"generation 1 is {p.levels[1]}, image of {root} needs {ia}{ib}"
-        )
-    if p.depth < 3:
-        if p.depth == 2:
-            _check_slot_agreement(sub, p, depth=0)
-        return Patch.leaf(root)
-    kids = {}
-    for letter in "ab":
-        slots = sub.slots_of(letter)
-        if not slots:
+    # a letter the grammar never uses feeds no slot: its subtree is invisible
+    # in the image, so the other letter's slot stands in for it
+    first = [sub.grammar.find(g) for g in "AB"]
+    if -1 in first:
+        if p.depth >= 3:
+            letter = "ab"[first.index(-1)]
             raise NotInImage(f"grammar {sub.grammar} never places the {letter}-subtree")
-        pulled = [p.subtree(s) for s in slots]
-        for other in pulled[1:]:
-            if other != pulled[0]:
-                raise NotInImage(f"slots {slots} disagree; not an image")
-        kids[letter] = unsub(sub, pulled[0])
-    return Patch.combine(root, kids["a"], kids["b"])
+        first = [max(first)] * 2
+    colors = str.maketrans("%d%d" % (sub.image0[0], sub.image1[0]), "01")
+    q = Patch(tuple(_undouble(line, first).translate(colors) for line in p.levels[::2]))
+    image = apply(sub, q, p.depth)
+    if image != p:
+        l = next(l for l, (x, y) in enumerate(zip(image.levels, p.levels)) if x != y)
+        raise NotInImage(f"generation {l} does not match the image of the recovered patch")
+    return q.truncate((p.depth - 1) // 2)
 
 
-def _check_slot_agreement(sub, p, depth):
-    for letter in "ab":
-        slots = sub.slots_of(letter)
-        vals = [p.window(2, SLOTS.index(s), depth) for s in slots]
-        for other in vals[1:]:
-            if other != vals[0]:
-                raise NotInImage(f"slots {slots} disagree; not an image")
+def _undouble(line: str, first: list[int]) -> str:
+    """Inverse of double on an image line: read the first a-slot and b-slot of each block."""
+    parts = [line]
+    while len(parts[0]) > 1:
+        w = len(parts[0]) // 4
+        parts = [part[k * w : (k + 1) * w] for part in parts for k in first]
+    return "".join(parts)
 
 
 # -- text format --------------------------------------------------------------

@@ -165,12 +165,8 @@ def brother(p: Patch, u: int | None = None) -> Patch:
             raise TypeUndetermined(f"class not pinned at depth {p.depth}: {report.serialize()}")
     if _unsub_chain_depth(p.depth, u) < 1:
         raise Shallow(f"depth {p.depth} cannot be unsubstituted {u} times")
-    core = unsub_pow(p, u)
-    right = core.subtree("b")
-    out = Patch.combine(1, right, right)
-    for _ in range(u):
-        out = apply(BBAB, out)
-    return out
+    # deep enough that the chain never falls back to a bare root
+    return brother_best_effort(p, u)
 
 
 def brother_best_effort(p: Patch, u: int) -> Patch:
@@ -179,15 +175,11 @@ def brother_best_effort(p: Patch, u: int) -> Patch:
     The image root is always known, so running out of depth mid-chain still
     yields the depth-(2^u - 1) image prefix of a bare root-1 core.
     """
-    if u == 0:
-        if p.depth >= 1:
-            right = p.subtree("b")
-            return Patch.combine(1, right, right)
-        return Patch.leaf(1)
-    inner = brother_best_effort(
-        unsub(BBAB, p) if p.depth >= 1 else Patch.leaf(p.get("")), u - 1
-    )
-    return apply(BBAB, inner)
+    core = unsub_best_effort(p, u)
+    if core.depth < 1:
+        return h_power(Patch.leaf(1), u)
+    right = core.subtree("b")
+    return h_power(Patch.combine(1, right, right), u)
 
 
 def unsub_best_effort(p: Patch, u: int) -> Patch:

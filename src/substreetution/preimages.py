@@ -139,20 +139,20 @@ def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> Pre
     if desc.provenance == "":
         raise Inconsistent("a root-site descriptor should be passed symbolically")
     if desc.provenance is not None:
-        ix = _SiteIndices(desc.patch, desc.provenance, jprefix)
+        site = desc.provenance
+        ix = _SiteIndices(desc.patch, len(site), addr_index(site), jprefix)
     else:
         ix = _DetectedIndices(desc.patch)
     ((_, members),) = _classify(desc.patch, ix)
     return PreimageSet(tuple(members), "exact")
 
 
-def _subtree_line(p: Patch, site: str, l: int, jp: Patch | None):
-    """Line l of the subtree at `site`, read from p or from the ambient prefix."""
+def _subtree_line(p: Patch, m: int, i: int, l: int, jp: Patch | None):
+    """Line l of the subtree p at rank i of generation m, read from p or the prefix."""
     if l <= p.depth:
         return p.levels[l]
-    if jp is not None and len(site) + l <= jp.depth:
-        i = addr_index(site)
-        return jp.levels[len(site) + l][i << l : (i + 1) << l]
+    if jp is not None and m + l <= jp.depth:
+        return jp.levels[m + l][i << l : (i + 1) << l]
     return None
 
 
@@ -165,11 +165,11 @@ def _child(p: Patch, letter: str) -> Patch:
 
 
 class _SiteIndices:
-    """Indices of the tree at `site`: dyadic valuations of its generation n."""
+    """Indices of the tree at rank i of generation n: dyadic valuations of n."""
 
-    def __init__(self, p: Patch, site: str, jp: Patch | None):
-        self.p, self.site, self.jp, self.n = p, site, jp, len(site)
-        self.u = v2(self.n)
+    def __init__(self, p: Patch, n: int, i: int, jp: Patch | None):
+        self.p, self.n, self.i, self.jp = p, n, i, jp
+        self.u = v2(n)
 
     def k(self, letter):
         return v2(self.n + 1)
@@ -178,7 +178,7 @@ class _SiteIndices:
         return INF if self.n == 1 else v2(self.n - 1)
 
     def line(self, v):
-        return _subtree_line(self.p, self.site, (1 << v) - 1, self.jp)
+        return _subtree_line(self.p, self.n, self.i, (1 << v) - 1, self.jp)
 
     def u_inner(self, v):
         return v2(self.n - 1 + (1 << v)) - v
@@ -317,7 +317,7 @@ def brute_parent_patches(a: Patch, jp: Patch) -> list[Patch]:
     d = a.depth
     if d + 1 > jp.depth:
         raise Shallow(f"need prefix depth >= {d + 1}, have {jp.depth}")
-    sites = parent_map(jp, d).get(a.canonical_id, {})
+    sites = parent_map(jp, d).get(jp.locate(a), {})
     return [jp.window(m, i, d + 1) for m, i in sites.values()]
 
 
@@ -334,7 +334,7 @@ def p_n(a: Patch, n: int, jp: Patch) -> int:
     """Number of distinct n-step ancestors of `a` visible in the prefix."""
     if a.depth + n > jp.depth:
         raise Shallow(f"need prefix depth >= {a.depth + n}, have {jp.depth}")
-    frontier = {a.canonical_id}
+    frontier = {jp.locate(a)}
     for k in range(n):
         frontier = parents_of(frontier, parent_map(jp, a.depth + k))
     count = len(frontier)
@@ -367,14 +367,6 @@ def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bo
     return sib.truncate(d) == ref.truncate(d)
 
 
-def _class_key(a: Patch, site: str, jp: Patch):
-    # everything the site classification reads: the patch, n and, for odd n,
-    # line 2^v2(n-1) - 1, which can lie below the patch
-    n = len(site)
-    line = _subtree_line(a, site, (1 << v2(n - 1)) - 1, jp) if n % 2 and n > 1 else None
-    return (a.canonical_id, n, line)
-
-
 def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, matched: set) -> int:
     """Match the actual parent at every depth-d site of jp holding a patch of `reps`.
 
@@ -395,8 +387,10 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
             if a is None:
                 continue
             report.occurrences += 1
-            site = index_addr(i, m)
-            key = _class_key(a, site, jp)
+            # everything the site classification reads: the patch, m and, for
+            # odd m, line 2^v2(m-1) - 1, which can lie below the patch
+            line = _subtree_line(a, m, i, (1 << v2(m - 1)) - 1, jp) if m % 2 and m > 1 else None
+            key = (cid, m, line)
             pid = prow[i // 2]
             if (pid, key) in seen:
                 continue
@@ -404,7 +398,7 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
             cases = class_cache.get(key)
             if cases is None:
                 try:
-                    cases = _classify(a, _SiteIndices(a, site, jp))
+                    cases = _classify(a, _SiteIndices(a, m, i, jp))
                 except Undetermined as exc:
                     cases = list(exc.cases)
                 class_cache[key] = cases
@@ -421,7 +415,7 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
             }
             if not hits:
                 report.ok = False
-                report.mismatches.append((site, parent))
+                report.mismatches.append((index_addr(i, m), parent))
             matched |= hits
     return checked
 
@@ -447,7 +441,7 @@ def crosscheck(desc: XDescriptor, jp: Patch, depth: int | None = None) -> Crossc
         primary = ()
     report = CrosscheckReport(ok=True, occurrences=0)
     matched: set = set()
-    _check_occurrences(jp, a.depth, {a.canonical_id: a}, report, matched)
+    _check_occurrences(jp, a.depth, {jp.locate(a): a}, report, matched)
     report.limit_only = [m.serialize() for m in primary if (m.root, m.side) not in matched]
     return report
 

@@ -23,14 +23,6 @@ def tm_project(p: Patch) -> str:
     return "".join(out)
 
 
-def thue_morse_word(n: int) -> str:
-    """Reference recurrence: t(0)=0, t(2k)=t(k), t(2k+1)=1-t(k)."""
-    bits = [0]
-    while len(bits) < n:
-        bits += [1 - b for b in bits]
-    return "".join(str(b) for b in bits[:n])
-
-
 def abba_digit(root: int, word: str) -> int:
     """Digit law of the ABBA fixed trees: root plus the number of b's, mod 2."""
     return (root + word.count("b")) % 2

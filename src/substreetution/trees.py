@@ -6,9 +6,10 @@ b-branch.  The subtree rooted at the site with rank i in generation m then
 occupies the aligned window [i * 2^l, (i+1) * 2^l) of level m + l, which
 keeps all family-block reasoning plain index arithmetic.
 
-Structural sharing is provided by a global interning table that assigns a
-canonical integer id to every distinct (color, left-id, right-id) node.
-Interning is exact: equal ids mean equal subtrees, never "probably equal".
+Subtree ids are local to a patch: each patch numbers its own distinct
+(color, left-id, right-id) nodes, so ids are a pure function of the patch.
+They are exact: two subtrees of one patch have equal ids exactly when they
+are equal, never "probably equal".
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import AddressTooDeep, BadPatchFormat, DepthMismatch
 
@@ -56,22 +58,6 @@ class _EqualToDepth:
 
 
 EQUAL_TO_DEPTH = _EqualToDepth()
-
-
-class _Interner:
-    def __init__(self):
-        self._table = {}
-
-    def node(self, color, left=None, right=None):
-        key = (color, left, right)
-        got = self._table.get(key)
-        if got is None:
-            got = len(self._table) + 1
-            self._table[key] = got
-        return got
-
-
-_INTERN = _Interner()
 
 
 @dataclass(frozen=True)
@@ -152,49 +138,36 @@ class Patch:
             return self
         return Patch(self.levels[: depth + 1])
 
-    # -- canonical identity --------------------------------------------------
-
-    @property
-    def canonical_id(self) -> int:
-        got = self.__dict__.get("_cid")
-        if got is None:
-            ids = [_INTERN.node(c) for c in self.levels[-1]]
-            for l in range(self.depth - 1, -1, -1):
-                row = self.levels[l]
-                ids = [
-                    _INTERN.node(row[i], ids[2 * i], ids[2 * i + 1])
-                    for i in range(len(row))
-                ]
-            got = ids[0]
-            self.__dict__["_cid"] = got
-        return got
+    # -- subtree identity ----------------------------------------------------
 
     def subtree_ids(self, n: int) -> list[list[int]]:
-        """Canonical ids of every depth-n subtree.
+        """Ids of every depth-n subtree, local to this patch.
 
         Entry [m][i] is the id of the depth-n subtree rooted at rank i of
         generation m, for every m <= depth - n.  Tables are cached per patch
-        and built incrementally from the depth-(n-1) table.
+        and built upward from depth 0; ids come from one (color, left-id,
+        right-id) -> id table per patch, where a leaf has children 0.
         """
         if n > self.depth:
             raise AddressTooDeep(f"no depth-{n} subtrees in a depth-{self.depth} patch")
         cache = self.__dict__.setdefault("_idtables", {})
-        start = n
-        while start >= 0 and start not in cache:
-            start -= 1
-        if start < 0:
-            cache[0] = [[_INTERN.node(c) for c in row] for row in self.levels]
-            start = 0
-        for k in range(start + 1, n + 1):
-            below = cache[k - 1]
+        nodes = self.__dict__.setdefault("_nodes", {})
+        for k in range(len(cache), n + 1):
+            below = map(iter, cache[k - 1][1:]) if k else repeat(repeat(0))
             cache[k] = [
-                [
-                    _INTERN.node(row[i], below[m + 1][2 * i], below[m + 1][2 * i + 1])
-                    for i in range(len(row))
-                ]
-                for m, row in enumerate(self.levels[: self.depth - k + 1])
+                [nodes.setdefault(key, len(nodes) + 1) for key in zip(row, it, it)]
+                for row, it in zip(self.levels[: self.depth - k + 1], below)
             ]
         return cache[n]
+
+    def locate(self, a: "Patch") -> int | None:
+        """The id `a` has in self.subtree_ids(a.depth), or None if it does not occur."""
+        self.subtree_ids(a.depth)
+        ids = repeat(0)
+        for row in reversed(a.levels):
+            # a missing child puts None in the key, and no key holds None
+            ids = map(self.__dict__["_nodes"].get, zip(row, ids, ids))
+        return next(ids)
 
 
 def distance(p: Patch, q: Patch):
@@ -212,13 +185,13 @@ def distance(p: Patch, q: Patch):
 
 
 def distinct_subpatches(p: Patch, n: int) -> frozenset[int]:
-    """Canonical ids of all distinct depth-n subtrees rooted anywhere in p."""
+    """Ids (local to p) of all distinct depth-n subtrees rooted anywhere in p."""
     table = p.subtree_ids(n)
     return frozenset(i for row in table for i in row)
 
 
 def subpatch_representatives(p: Patch, n: int) -> dict[int, Patch]:
-    """One concrete depth-n patch per distinct canonical id occurring in p."""
+    """One concrete depth-n patch per distinct subtree id of p."""
     table = p.subtree_ids(n)
     reps: dict[int, Patch] = {}
     for m, row in enumerate(table):

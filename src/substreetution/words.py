@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .engine import BBAB, Substreetution, double, theta
 from .errors import NonIntegerResult, NonPositive, NotPowerOfTwo
-from .trees import addr_index, index_addr
+from .trees import index_addr
 
 
 def _level_of(word: str) -> int:
@@ -20,19 +20,6 @@ def _level_of(word: str) -> int:
     if n != 1 << l:
         raise NotPowerOfTwo(f"line words have power-of-two length, got {n}")
     return l
-
-
-def ones_addresses(word: str) -> frozenset[str]:
-    """Addresses (a=0, b=1 positional bits) of the 1s in a line word."""
-    l = _level_of(word)
-    return frozenset(index_addr(i, l) for i, c in enumerate(word) if c == "1")
-
-
-def word_from_addresses(level: int, addrs) -> str:
-    out = bytearray(b"0" * (1 << level))
-    for w in addrs:
-        out[addr_index(w)] = ord("1")
-    return out.decode("ascii")
 
 
 # Masks are cached per system up to this level: 2^8 masks of 4^8 bits, 2 MB.
@@ -124,26 +111,6 @@ def v2(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-def v2_case_check(kmax: int = 8, mmax: int = 8) -> bool:
-    """Range-check the three valuation rules for 2^k(2m+1) + 2^(k'+1).
-
-    k' >= k gives valuation k; k' = k-1 pushes it to at least k+1;
-    k' <= k-2 pins it at k'+1.
-    """
-    for k in range(1, kmax + 1):
-        for m in range(mmax + 1):
-            base = (1 << k) * (2 * m + 1)
-            for kp in range(0, kmax + 2):
-                val = v2(base + (1 << (kp + 1)))
-                if kp >= k and val != k:
-                    return False
-                if kp == k - 1 and val < k + 1:
-                    return False
-                if kp <= k - 2 and val != kp + 1:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def f_iter(n: int) -> Fraction:
     """n-th iterate of x + 1/x + 1 started at 1, exactly."""
@@ -182,9 +149,3 @@ def line_formula(m: int) -> str:
         raise NonIntegerResult(f"line {m} does not tile by a block of {len(block)}")
     return block * reps
 
-
-def proportion_check(word: str, u: int) -> bool:
-    """True iff the word's 1-density equals the exact level-u block density."""
-    if not word:
-        return False
-    return Fraction(word.count("1"), len(word)) == ones_proportion(u)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from substreetution.engine import (
     ABBA,
     BBAB,
+    SLOTS,
     THUE_MORSE,
     Substreetution,
     apply,
@@ -28,6 +29,15 @@ from substreetution.errors import (
     Shallow,
 )
 from substreetution.trees import Patch, distance, random_patch
+
+
+MARKED = [
+    Substreetution(image0, image1, "".join(grammar))
+    for image0 in itertools.product((0, 1), repeat=3)
+    for image1 in itertools.product((0, 1), repeat=3)
+    for grammar in itertools.product("AB", repeat=4)
+    if image0[0] != image1[0]
+]
 
 
 def patches(max_depth):
@@ -186,6 +196,22 @@ class TestRenormalization:
         for _ in range(5):
             assert verify_renormalization(BBAB, random_patch(4, rng), 2).ok
 
+    @settings(deadline=None)
+    @given(
+        p=patches(6),
+        system=st.builds(
+            Substreetution,
+            st.tuples(*[st.integers(0, 1)] * 3),
+            st.tuples(*[st.integers(0, 1)] * 3),
+            st.text("AB", min_size=4, max_size=4),
+        ),
+        data=st.data(),
+    )
+    def test_identity_property(self, p, system, data):
+        # any of the 1024 systems, marked or not, on any patch
+        maxlen = 2 * data.draw(st.integers(0, p.depth // 2))
+        assert verify_renormalization(system, p, maxlen).ok
+
     def test_maxlen_guard(self):
         with pytest.raises(Shallow):
             verify_renormalization(BBAB, Patch.leaf(0), 2)
@@ -228,6 +254,66 @@ class TestUnsub:
         assert unsub(BBAB, good) == Patch.leaf(0)
         with pytest.raises(NotInImage):
             unsub(BBAB, Patch(("0", "10", "0110")))
+
+
+    def test_matches_recursive_oracle(self):
+        # images of random patches, every truncation of them, every single-bit
+        # flip of those, and random patches: same levels or same exception
+        rng = random.Random(12)
+        cases = 0
+        for system in MARKED:
+            image = apply(system, random_patch(rng.randrange(3), rng))
+            truncs = [image.truncate(d) for d in range(image.depth + 1)]
+            inputs = truncs + [f for t in truncs for f in _flips(t)]
+            inputs += [random_patch(rng.randrange(6), rng) for _ in range(2)]
+            for p in inputs:
+                assert _outcome(unsub, system, p) == _outcome(_unsub_recursive, system, p)
+            cases += len(inputs)
+        assert len(MARKED) == 512 and cases > 25_000
+
+
+def _unsub_recursive(sub, p):
+    """Top-down inversion: root from generation 1, children from the slots."""
+    if not sub.marked:
+        raise NotInImage("only marked systems can be unsubstituted")
+    if p.depth < 1:
+        raise Shallow("need at least one generation to unsubstitute")
+    root = sub.root_preimage(p.get(""))
+    _, ia, ib = sub.image(root)
+    if p.levels[1] != f"{ia}{ib}":
+        raise NotInImage(f"generation 1 is {p.levels[1]}, image of {root} needs {ia}{ib}")
+    if p.depth < 3:
+        if p.depth == 2:
+            for letter in "ab":
+                vals = [p.window(2, SLOTS.index(s), 0) for s in sub.slots_of(letter)]
+                if any(other != vals[0] for other in vals[1:]):
+                    raise NotInImage("slots disagree; not an image")
+        return Patch.leaf(root)
+    kids = {}
+    for letter in "ab":
+        slots = sub.slots_of(letter)
+        if not slots:
+            raise NotInImage(f"grammar {sub.grammar} never places the {letter}-subtree")
+        pulled = [p.subtree(s) for s in slots]
+        if any(other != pulled[0] for other in pulled[1:]):
+            raise NotInImage(f"slots {slots} disagree; not an image")
+        kids[letter] = _unsub_recursive(sub, pulled[0])
+    return Patch.combine(root, kids["a"], kids["b"])
+
+
+def _outcome(f, sub, p):
+    try:
+        return f(sub, p).levels
+    except (NotInImage, Shallow) as exc:
+        return type(exc)
+
+
+def _flips(p):
+    for l, row in enumerate(p.levels):
+        for i, c in enumerate(row):
+            rows = list(p.levels)
+            rows[l] = row[:i] + "10"[int(c)] + row[i + 1 :]
+            yield Patch(tuple(rows))
 
 
 class TestTextFormat:

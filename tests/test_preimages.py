@@ -51,20 +51,22 @@ _QUERY = """
 import random
 from substreetution.jacaranda import concrete, jacaranda_prefix
 from substreetution.preimages import preimages_bruteforce, preimages_classified
-from substreetution.trees import random_patch
+from substreetution.trees import distinct_subpatches, random_patch
 
 rng = random.Random(7)
 for _ in range({warm}):
-    random_patch(6, rng).canonical_id
+    random_patch(6, rng).subtree_ids(3)
 jp = jacaranda_prefix(14)
 patch = jp.subtree("aabb").truncate(6)
 print(preimages_classified(concrete(patch, "aabb"), jp).serialize(), end="")
 print(preimages_bruteforce(patch, jp).serialize(), end="")
+print(sorted(distinct_subpatches(jp, 3)))
 """
 
 
 def test_serialization_ignores_call_history():
-    # siblings print as content, not as positions in the process-wide intern table
+    # siblings print as content, and subtree ids belong to the patch, so
+    # nothing another patch numbered earlier shows up
     src = os.path.dirname(os.path.dirname(substreetution.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     outs = [
@@ -136,7 +138,7 @@ class TestCrosscheck:
         for site, depth in (("ba", 4), ("aabb", 3), ("a" * 9, 2), ("bab", 4)):
             patch = jp.subtree(site).truncate(depth)
             report = crosscheck(concrete(patch, site), jp)
-            cells = sum(row.count(patch.canonical_id) for row in jp.subtree_ids(depth)[1:])
+            cells = sum(row.count(jp.locate(patch)) for row in jp.subtree_ids(depth)[1:])
             assert report.ok and report.occurrences == cells
 
     def test_fixed_tree_descriptor_flags_missing_members(self, jp):

@@ -11,9 +11,16 @@ from substreetution.systems import (
     nomeasure_tree,
     parse_orbit_graph,
     tm_project,
-    thue_morse_word,
 )
 from substreetution.trees import Patch
+
+
+def thue_morse_word(n: int) -> str:
+    """Reference recurrence: t(0)=0, t(2k)=t(k), t(2k+1)=1-t(k)."""
+    bits = [0]
+    while len(bits) < n:
+        bits += [1 - b for b in bits]
+    return "".join(str(b) for b in bits[:n])
 
 
 class TestSequenceLift:

@@ -25,6 +25,15 @@ def patch(*rows):
     return Patch(tuple(rows))
 
 
+def patches(max_depth):
+    """Random patches of depth 0..max_depth, one bit string per generation."""
+    return st.integers(0, max_depth).flatmap(
+        lambda d: st.tuples(
+            *(st.text("01", min_size=1 << l, max_size=1 << l) for l in range(d + 1))
+        ).map(Patch)
+    )
+
+
 class TestAddressing:
     def test_index_roundtrip(self):
         for length in range(6):
@@ -134,20 +143,34 @@ class TestCanonicalIds:
         for _ in range(40):
             p = random_patch(4, rng)
             q = Patch(p.levels)
-            assert p.canonical_id == q.canonical_id
+            assert p.locate(q) == p.subtree_ids(4)[0][0] == q.locate(p)
             rows = list(p.levels)
             l = rng.randrange(len(rows))
             i = rng.randrange(len(rows[l]))
             flipped = "1" if rows[l][i] == "0" else "0"
             rows[l] = rows[l][:i] + flipped + rows[l][i + 1 :]
-            assert Patch(tuple(rows)).canonical_id != p.canonical_id
+            assert p.locate(Patch(tuple(rows))) is None
 
     def test_id_tables_match_windows(self):
         j = jacaranda_prefix(6)
         table = j.subtree_ids(2)
         for m in range(len(table)):
             for i in range(1 << m):
-                assert table[m][i] == j.window(m, i, 2).canonical_id
+                assert table[m][i] == j.locate(j.window(m, i, 2))
+
+    @settings(deadline=None)
+    @given(p=patches(6), data=st.data())
+    def test_ids_equal_iff_windows_equal(self, p, data):
+        n = data.draw(st.integers(0, p.depth))
+        entries = {
+            (cid, p.window(m, i, n).levels)
+            for m, row in enumerate(p.subtree_ids(n))
+            for i, cid in enumerate(row)
+        }
+        ids = {cid for cid, _ in entries}
+        windows = {w for _, w in entries}
+        # a bijection between ids and windows: equal ids exactly for equal windows
+        assert len(entries) == len(ids) == len(windows)
 
 
 class TestDistinctSubpatches:
@@ -168,7 +191,7 @@ class TestDistinctSubpatches:
 
     def test_contains_root_subtree(self):
         j = jacaranda_prefix(6)
-        assert j.truncate(2).canonical_id in distinct_subpatches(j, 2)
+        assert j.locate(j.truncate(2)) in distinct_subpatches(j, 2)
 
     def test_monotone_and_bounded(self):
         for n in (0, 1, 2):
@@ -185,13 +208,7 @@ class TestTextFormat:
         assert parse_patch(dump_patch(j)) == j
 
     @settings(deadline=None)
-    @given(
-        p=st.integers(0, 8).flatmap(
-            lambda d: st.tuples(
-                *(st.text("01", min_size=1 << l, max_size=1 << l) for l in range(d + 1))
-            ).map(Patch)
-        )
-    )
+    @given(p=patches(8))
     def test_roundtrip_property(self, p):
         assert parse_patch(dump_patch(p)) == p
 

@@ -12,21 +12,58 @@ import substreetution
 from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply
 from substreetution.errors import NonPositive, NotPowerOfTwo
 from substreetution.words import (
+    _level_of,
     chi,
     chi_pow,
     chi_recursive,
     chi_via_theta,
     f_iter,
     line_formula,
-    ones_addresses,
     ones_count_line_2n,
     ones_proportion,
-    proportion_check,
     v2,
-    v2_case_check,
-    word_from_addresses,
 )
-from substreetution.trees import random_patch
+from substreetution.trees import addr_index, index_addr, random_patch
+
+
+def ones_addresses(word: str) -> frozenset[str]:
+    """Addresses (a=0, b=1 positional bits) of the 1s in a line word."""
+    l = _level_of(word)
+    return frozenset(index_addr(i, l) for i, c in enumerate(word) if c == "1")
+
+
+def word_from_addresses(level: int, addrs) -> str:
+    out = bytearray(b"0" * (1 << level))
+    for w in addrs:
+        out[addr_index(w)] = ord("1")
+    return out.decode("ascii")
+
+
+def v2_case_check(kmax: int = 8, mmax: int = 8) -> bool:
+    """Range-check the three valuation rules for 2^k(2m+1) + 2^(k'+1).
+
+    k' >= k gives valuation k; k' = k-1 pushes it to at least k+1;
+    k' <= k-2 pins it at k'+1.
+    """
+    for k in range(1, kmax + 1):
+        for m in range(mmax + 1):
+            base = (1 << k) * (2 * m + 1)
+            for kp in range(0, kmax + 2):
+                val = v2(base + (1 << (kp + 1)))
+                if kp >= k and val != k:
+                    return False
+                if kp == k - 1 and val < k + 1:
+                    return False
+                if kp <= k - 2 and val != kp + 1:
+                    return False
+    return True
+
+
+def proportion_check(word: str, u: int) -> bool:
+    """True iff the word's 1-density equals the exact level-u block density."""
+    if not word:
+        return False
+    return Fraction(word.count("1"), len(word)) == ones_proportion(u)
 
 
 # VmHWM is the peak RSS of this process image alone; ru_maxrss would also
