@@ -25,6 +25,9 @@ from .errors import (
 from .trees import Patch, check_address
 
 SLOTS = ("aa", "ab", "ba", "bb")
+# blocks per entry of a system's table of double images: chunks of 8 colors
+# or 2-character blocks have images of at most 128 characters
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,16 @@ class Substreetution:
         return "".join("{0}" if g == "A" else "{1}" for g in self.grammar)
 
     @cached_property
+    def _chunk_images(self) -> dict[tuple[int, str], str]:
+        """Images under double of chunks of at most CHUNK blocks, filled on use.
+
+        Keyed by (block count, joined blocks): two 1-character blocks and one
+        2-character block join to the same string.  Color strings and the
+        blocks of _image_blocks fill at most 2 * (2 + 4 + 16 + 256) = 556 entries.
+        """
+        return {}
+
+    @cached_property
     def _image_blocks(self) -> tuple[dict[str, str], dict[str, str]]:
         """Per color: its image root, and its image's two children as one block."""
         return (
@@ -134,11 +147,29 @@ def double(sub: Substreetution, line) -> str:
 
     `line` is a string of colors or a sequence of equal-length blocks.  The
     image of a line is slot_format applied to the images of its two halves,
-    and a single block is its own image.  This runs bottom-up, one level at
-    a time, gluing each distinct pair of a level once.
+    and a single block is its own image.  Each chunk of CHUNK blocks is
+    replaced by its image from the system's table, then the chunk images are
+    glued bottom-up, one level at a time, each distinct pair of a level once.
     """
+    joined = line if isinstance(line, str) else "".join(line)
+    width = len(joined) // len(line)
+    count = min(len(line), CHUNK)
+    step = count * width
+    table = sub._chunk_images
+    parts = []
+    for i in range(0, len(joined), step):
+        chunk = joined[i : i + step]
+        image = table.get((count, chunk))
+        if image is None:
+            blocks = [chunk[j : j + width] for j in range(0, step, width)]
+            image = table[count, chunk] = _glue(sub, blocks)
+        parts.append(image)
+    return _glue(sub, parts)
+
+
+def _glue(sub: Substreetution, parts: list[str]) -> str:
+    """Bottom-up slot recursion on 2^m equal-length parts."""
     glue = sub.slot_format.format
-    parts = list(line)
     while len(parts) > 1:
         pairs = list(zip(parts[0::2], parts[1::2]))
         glued = {pair: glue(*pair) for pair in set(pairs)}

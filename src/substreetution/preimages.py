@@ -334,7 +334,7 @@ def p_n(a: Patch, n: int, jp: Patch) -> int:
     """Number of distinct n-step ancestors of `a` visible in the prefix."""
     if a.depth + n > jp.depth:
         raise Shallow(f"need prefix depth >= {a.depth + n}, have {jp.depth}")
-    frontier = {jp.locate(a)}
+    frontier = {jp.locate(a)} - {None}  # a patch absent from jp has no ancestors
     for k in range(n):
         frontier = parents_of(frontier, parent_map(jp, a.depth + k))
     count = len(frontier)

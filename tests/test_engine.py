@@ -12,6 +12,7 @@ from substreetution.engine import (
     THUE_MORSE,
     Substreetution,
     apply,
+    double,
     dump_substreetution,
     fixed_point_prefix,
     parse_substreetution,
@@ -29,6 +30,7 @@ from substreetution.errors import (
     Shallow,
 )
 from substreetution.trees import Patch, distance, random_patch
+from substreetution.words import chi_recursive
 
 
 MARKED = [
@@ -111,6 +113,64 @@ class TestApply:
             ip, iq = apply(BBAB, p), apply(BBAB, q)
             assert ip.truncate(7) == iq.truncate(7)
             assert ip != iq
+
+
+GRAMMARS = ["".join(g) for g in itertools.product("AB", repeat=4)]
+
+
+def _double_oracle(sub, blocks):
+    """Plain bottom-up slot recursion: each pair of a level glued by the grammar."""
+    parts = list(blocks)
+    while len(parts) > 1:
+        parts = [
+            "".join(a if g == "A" else b for g in sub.grammar)
+            for a, b in zip(parts[0::2], parts[1::2])
+        ]
+    return parts[0]
+
+
+class TestDouble:
+    @staticmethod
+    def _inputs(rng):
+        colors = [
+            "".join(rng.choice("01") for _ in range(1 << l)) for l in range(9) for _ in range(3)
+        ]
+        blocks = [
+            [rng.choice(["00", "01", "10", "11"]) for _ in range(1 << l)]
+            for l in range(8)
+            for _ in range(3)
+        ]
+        return colors + blocks
+
+    def test_matches_oracle_cold_and_warm(self):
+        # every grammar, color strings of length 1..256 and lists of
+        # 2-character blocks; a table warmed in another order gives the same
+        rng = random.Random(13)
+        for grammar in GRAMMARS:
+            inputs = self._inputs(rng)
+            cold = Substreetution((0, 1, 0), (1, 1, 0), grammar)
+            expected = [_double_oracle(cold, line) for line in inputs]
+            assert [double(cold, line) for line in inputs] == expected
+            warm = Substreetution((0, 1, 0), (1, 1, 0), grammar)
+            for line in rng.sample(inputs, len(inputs)):
+                double(warm, line[: len(line) // 2] or line)
+                double(warm, line)
+            assert [double(warm, line) for line in inputs] == expected
+            assert cold._chunk_images.items() <= warm._chunk_images.items()
+
+    def test_table_stays_small(self):
+        # gate 12's word sweep, then apply and unsub on depth 0..7 patches
+        rng = random.Random(14)
+        for system in (BBAB, ABBA, THUE_MORSE):
+            sub = Substreetution(system.image0, system.image1, system.grammar)
+            if system is BBAB:
+                for l in range(5):
+                    for bits in itertools.product("01", repeat=1 << l):
+                        chi_recursive(sub, "".join(bits))
+            for depth in range(8):
+                p = random_patch(depth, rng)
+                assert unsub(sub, apply(sub, p)) == p
+            assert len(sub._chunk_images) <= 2 * (2 + 4 + 16 + 256)
 
 
 class TestFixedPoints:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,9 +18,7 @@ from substreetution.jacaranda import (
     detect_type,
     jacaranda_prefix,
     jprime_prefix,
-    recurrence_probe,
     unsub_pow,
-    zero_at_even_within,
 )
 from substreetution.trees import Patch, random_patch
 from substreetution.words import chi_pow, v2
@@ -188,6 +187,68 @@ class TestClassifyEven:
                         returned += 1
                         assert got.v == v2(m), (m, i, d, letter)
         assert returned > 0
+
+
+# -- empirical minimality probes -----------------------------------------------
+
+
+def zero_at_even_within(p: Patch, n_max: int) -> tuple[bool, int]:
+    """Does every length-n_max path hit a 0 at even generation?
+
+    Returns the verdict together with the minimal window that works on all
+    fully visible paths of this prefix.
+    """
+    if n_max > p.depth:
+        raise Shallow(f"window {n_max} exceeds depth {p.depth}")
+
+    def clean(level, row):
+        # a site blocks the window only while it is not a 0 at even level
+        return [not (level % 2 == 0 and c == "0") for c in row]
+
+    runs = [1 if c else 0 for c in clean(p.depth, p.levels[-1])]
+    longest = max(runs)
+    for level in range(p.depth - 1, -1, -1):
+        flags = clean(level, p.levels[level])
+        runs = [
+            1 + max(runs[2 * i], runs[2 * i + 1]) if flag else 0
+            for i, flag in enumerate(flags)
+        ]
+        longest = max(longest, max(runs))
+    # a clean chain of k sites defeats every window shorter than k
+    return longest <= n_max, longest
+
+
+@dataclass(frozen=True)
+class ProbeResult:
+    found: bool
+    window: int | None
+    horizon: int
+
+
+def recurrence_probe(p: Patch, m: int) -> ProbeResult:
+    """Largest gap, over all branches, back to a subtree matching the seed.
+
+    A site counts as a return when its subtree agrees with the root's first
+    m+1 generations.  The probe reports the prefix-scale window; when some
+    branch only returns at the root itself the window is unbounded at this
+    horizon and the probe reports not-found.
+    """
+    if m > p.depth:
+        raise Shallow(f"ball depth {m} exceeds patch depth {p.depth}")
+    table = p.subtree_ids(m)
+    ref = table[0][0]
+    horizon = p.depth - m
+    gaps = [0]
+    worst = 0
+    for level in range(1, horizon + 1):
+        row = table[level]
+        gaps = [
+            0 if cid == ref else gaps[i // 2] + 1 for i, cid in enumerate(row)
+        ]
+        worst = max(worst, max(gaps))
+    if worst >= horizon:
+        return ProbeResult(False, None, horizon)
+    return ProbeResult(True, worst, horizon)
 
 
 class TestProbes:

@@ -108,6 +108,11 @@ class TestIteratedCounts:
     def test_distance_zero(self, jp):
         assert p_n(jp.truncate(2), 0, jp) == 1
 
+    def test_absent_patch_has_no_ancestors(self, jp):
+        absent = Patch(("0", "00", "0000"))
+        assert jp.locate(absent) is None
+        assert [p_n(absent, n, jp) for n in range(4)] == [0, 0, 0, 0]
+
     def test_deep_patches_within_bound(self, jp):
         reps = subpatch_representatives(jp, 8)
         for patch in reps.values():
