@@ -20,7 +20,7 @@ from .measures import invariant_measure
 from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep, parent_map, parents_of
 from .render import RenderConfig, make_generators, tiling_svg, tree_svg
 from .systems import OrbitGraph, build_orbit_graph, invariant_edges_expected, nomeasure_tree, tm_project
-from .trees import index_addr, random_patch
+from .trees import distinct_subpatches, index_addr, random_patch
 from .words import chi_pow, chi_recursive, chi_via_theta, is_rep, line_formula, ones_count_line_2n, v2
 
 
@@ -87,8 +87,7 @@ def c06_backward_bound_literal():
     maps = [parent_map(jp, d) for d in range(11)]
     violations = []
     for d in range(1, 9):
-        ids = {i for row in jp.subtree_ids(d) for i in row}
-        for cid in ids:
+        for cid in distinct_subpatches(jp, d):
             frontier = {cid}
             for n in range(1, 4):
                 frontier = parents_of(frontier, maps[d + n - 1])

@@ -17,6 +17,7 @@ classification is validated against the scan, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .errors import Inconsistent, Shallow, TypeUndetermined, Undetermined
 from .jacaranda import (
@@ -30,7 +31,7 @@ from .jacaranda import (
     parent_class,
     unsub_best_effort,
 )
-from .trees import Patch, addr_index, index_addr, subpatch_representatives
+from .trees import Patch, addr_index, first_sites, index_addr, subpatch_representatives
 from .words import v2
 
 
@@ -147,15 +148,6 @@ def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> Pre
     return PreimageSet(tuple(members), "exact")
 
 
-def _subtree_line(p: Patch, m: int, i: int, l: int, jp: Patch | None):
-    """Line l of the subtree p at rank i of generation m, read from p or the prefix."""
-    if l <= p.depth:
-        return p.levels[l]
-    if jp is not None and m + l <= jp.depth:
-        return jp.levels[m + l][i << l : (i + 1) << l]
-    return None
-
-
 def _child(p: Patch, letter: str) -> Patch:
     if p.depth >= 1:
         return p.subtree(letter)
@@ -178,7 +170,12 @@ class _SiteIndices:
         return INF if self.n == 1 else v2(self.n - 1)
 
     def line(self, v):
-        return _subtree_line(self.p, self.n, self.i, (1 << v) - 1, self.jp)
+        l = (1 << v) - 1  # read from the patch or, below it, from the prefix
+        if l <= self.p.depth:
+            return self.p.levels[l]
+        if self.jp is not None and self.n + l <= self.jp.depth:
+            return self.jp.levels[self.n + l][self.i << l : (self.i + 1) << l]
+        return None
 
     def u_inner(self, v):
         return v2(self.n - 1 + (1 << v)) - v
@@ -294,14 +291,9 @@ def parent_map(jp: Patch, d: int) -> dict[int, dict[int, tuple[int, int]]]:
     Each parent id maps to (generation, rank) of its first site in jp.  A
     parent id fixes both children, so that one site per parent suffices.
     """
-    first: dict[int, tuple[int, int]] = {}
-    for m, row in enumerate(jp.subtree_ids(d + 1)):
-        for pid in dict.fromkeys(row):
-            if pid not in first:
-                first[pid] = (m, row.index(pid))
     child = jp.subtree_ids(d)
     out: dict[int, dict[int, tuple[int, int]]] = {}
-    for pid, (m, i) in first.items():
+    for pid, (m, i) in first_sites(jp, d + 1).items():
         for kid in child[m + 1][2 * i : 2 * i + 2]:
             out.setdefault(kid, {})[pid] = (m, i)
     return out
@@ -371,30 +363,30 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
     """Match the actual parent at every depth-d site of jp holding a patch of `reps`.
 
     Sites are classified at their own class, once per distinct (patch,
-    parent, class).  Adds the (root, side) of every matching member to
-    `matched`; returns the number of combinations checked.
+    parent, class) at its first site.  Adds the (root, side) of every
+    matching member to `matched`; returns the number of combinations checked.
     """
-    table = jp.subtree_ids(d)
-    ptable = jp.subtree_ids(d + 1)
-    seen = set()
+    table, ptable = jp.subtree_ids(d), jp.subtree_ids(d + 1)
     class_cache: dict = {}
     checked = 0
     for m in range(1, jp.depth - d + 1):
-        row = table[m]
-        prow = ptable[m - 1]
-        for i, cid in enumerate(row):
-            a = reps.get(cid)
-            if a is None:
-                continue
-            report.occurrences += 1
-            # everything the site classification reads: the patch, m and, for
-            # odd m, line 2^v2(m-1) - 1, which can lie below the patch
-            line = _subtree_line(a, m, i, (1 << v2(m - 1)) - 1, jp) if m % 2 and m > 1 else None
-            key = (cid, m, line)
-            pid = prow[i // 2]
-            if (pid, key) in seen:
-                continue
-            seen.add((pid, key))
+        row, prow, n = table[m], ptable[m - 1], 1 << m
+        report.occurrences += sum(map(reps.__contains__, row))
+        # the site classification reads the patch, m and, for odd m, line
+        # l = 2^v2(m-1) - 1: the patch's, or below it sliced from the prefix
+        l = (1 << v2(m - 1)) - 1 if m % 2 and m > 1 else None
+        lines = repeat(None)
+        if l is not None and l > d and m + l <= jp.depth:
+            w = 1 << l
+            cuts = map(slice, range((n - 1) * w, -1, -w), range(n * w, 0, -w))
+            lines = map(jp.levels[m + l].__getitem__, cuts)
+        # scanned from the last rank down, each (parent, patch, line) keeps its first
+        pids = chain.from_iterable(zip(reversed(prow), reversed(prow)))
+        first = dict(zip(zip(pids, reversed(row), lines), range(n - 1, -1, -1)))
+        visits = sorted((i, cid, line) for (_, cid, line), i in first.items() if cid in reps)
+        for i, cid, line in visits:
+            a = reps[cid]
+            key = (cid, m, a.levels[l] if l is not None and l <= d else line)
             cases = class_cache.get(key)
             if cases is None:
                 try:

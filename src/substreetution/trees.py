@@ -15,9 +15,10 @@ are equal, never "probably equal".
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, count, repeat
 
 from .errors import AddressTooDeep, BadPatchFormat, DepthMismatch
 
@@ -146,16 +147,17 @@ class Patch:
         Entry [m][i] is the id of the depth-n subtree rooted at rank i of
         generation m, for every m <= depth - n.  Tables are cached per patch
         and built upward from depth 0; ids come from one (color, left-id,
-        right-id) -> id table per patch, where a leaf has children 0.
+        right-id) -> id table per patch, where a leaf has children 0.  A
+        missing key takes the next id, so ids count from 1 in first-seen order.
         """
         if n > self.depth:
             raise AddressTooDeep(f"no depth-{n} subtrees in a depth-{self.depth} patch")
         cache = self.__dict__.setdefault("_idtables", {})
-        nodes = self.__dict__.setdefault("_nodes", {})
+        nodes = self.__dict__.setdefault("_nodes", defaultdict(count(1).__next__))
         for k in range(len(cache), n + 1):
             below = map(iter, cache[k - 1][1:]) if k else repeat(repeat(0))
             cache[k] = [
-                [nodes.setdefault(key, len(nodes) + 1) for key in zip(row, it, it)]
+                list(map(nodes.__getitem__, zip(row, it, it)))
                 for row, it in zip(self.levels[: self.depth - k + 1], below)
             ]
         return cache[n]
@@ -165,7 +167,7 @@ class Patch:
         self.subtree_ids(a.depth)
         ids = repeat(0)
         for row in reversed(a.levels):
-            # a missing child puts None in the key, and no key holds None
+            # .get adds no key; a missing child puts None in the key, which no key holds
             ids = map(self.__dict__["_nodes"].get, zip(row, ids, ids))
         return next(ids)
 
@@ -186,19 +188,22 @@ def distance(p: Patch, q: Patch):
 
 def distinct_subpatches(p: Patch, n: int) -> frozenset[int]:
     """Ids (local to p) of all distinct depth-n subtrees rooted anywhere in p."""
-    table = p.subtree_ids(n)
-    return frozenset(i for row in table for i in row)
+    return frozenset(chain.from_iterable(p.subtree_ids(n)))
+
+
+def first_sites(p: Patch, n: int) -> dict[int, tuple[int, int]]:
+    """Each depth-n subtree id of p -> (generation, rank) of its first site."""
+    first: dict[int, tuple[int, int]] = {}
+    for m, row in enumerate(p.subtree_ids(n)):
+        for cid in dict.fromkeys(row):  # distinct ids in first-seen order
+            if cid not in first:
+                first[cid] = (m, row.index(cid))
+    return first
 
 
 def subpatch_representatives(p: Patch, n: int) -> dict[int, Patch]:
     """One concrete depth-n patch per distinct subtree id of p."""
-    table = p.subtree_ids(n)
-    reps: dict[int, Patch] = {}
-    for m, row in enumerate(table):
-        for i, cid in enumerate(row):
-            if cid not in reps:
-                reps[cid] = p.window(m, i, n)
-    return reps
+    return {cid: p.window(m, i, n) for cid, (m, i) in first_sites(p, n).items()}
 
 
 def random_patch(depth: int, rng: random.Random) -> Patch:

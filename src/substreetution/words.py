@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .engine import BBAB, Substreetution, double, theta
-from .errors import NonIntegerResult, NonPositive, NotPowerOfTwo
+from .errors import BadPatchFormat, NonIntegerResult, NonPositive, NotPowerOfTwo
 from .trees import index_addr
 
 
@@ -99,6 +99,9 @@ def chi_pow(sub: Substreetution, word: str, u: int) -> str:
     """u-fold iteration; a length-2^l word ends up with length 2^(l*2^u)."""
     if u < 0:
         raise NonPositive("iteration count must be >= 0")
+    # checked once here: chi_recursive and chi_via_theta trust their input
+    if word.encode("ascii", "replace").translate(None, b"01"):
+        raise BadPatchFormat(f"line words are over {{0,1}}, got {word!r}")
     for _ in range(u):
         word = chi(sub, word)
     return word

@@ -21,6 +21,11 @@ class TestWordCommands:
         code, out, _ = run(capsys, "chi", "--word", "10", "--pow", "1")
         assert code == 0 and out.strip() == "0010"
 
+    def test_chi_rejects_non_binary_word(self, capsys):
+        code, out, err = run(capsys, "chi", "--word", "01x2", "--pow", "1")
+        assert code == 2 and out == ""
+        assert "line words are over {0,1}" in err
+
     def test_proportion(self, capsys):
         code, out, _ = run(capsys, "proportion", "--n", "4")
         assert code == 0 and out.strip() == "8463/65536"

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import substreetution
+from substreetution import preimages
 from substreetution.errors import (
     Inconsistent,
     Shallow,
@@ -14,6 +15,10 @@ from substreetution.errors import (
 )
 from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix, jprime_prefix
 from substreetution.preimages import (
+    CrosscheckReport,
+    _classify,
+    _descriptor_matches,
+    _SiteIndices,
     brute_parent_patches,
     crosscheck,
     crosscheck_sweep,
@@ -22,6 +27,7 @@ from substreetution.preimages import (
     preimages_classified,
 )
 from substreetution.trees import Patch, index_addr, subpatch_representatives
+from substreetution.words import v2
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +208,120 @@ class TestCrosscheck:
             preimages_classified(concrete(patch, site), jp)
         tags = [tag for tag, _ in exc.value.cases]
         assert tags == ["odd1-1a", "odd1-1b", "odd1-1c"]
+
+
+def _check_occurrences_per_site(jp, d, reps, report, matched):
+    """The occurrence scan one site at a time: the oracle for the scan by generation."""
+    table = jp.subtree_ids(d)
+    ptable = jp.subtree_ids(d + 1)
+    seen = set()
+    class_cache: dict = {}
+    checked = 0
+    for m in range(1, jp.depth - d + 1):
+        row = table[m]
+        prow = ptable[m - 1]
+        for i, cid in enumerate(row):
+            a = reps.get(cid)
+            if a is None:
+                continue
+            report.occurrences += 1
+            line = _SiteIndices(a, m, i, jp).line(v2(m - 1)) if m % 2 and m > 1 else None
+            key = (cid, m, line)
+            pid = prow[i // 2]
+            if (pid, key) in seen:
+                continue
+            seen.add((pid, key))
+            cases = class_cache.get(key)
+            if cases is None:
+                try:
+                    cases = _classify(a, _SiteIndices(a, m, i, jp))
+                except Undetermined as exc:
+                    cases = list(exc.cases)
+                class_cache[key] = cases
+            if not cases:
+                report.undetermined_sites += 1
+                continue
+            parent = jp.window(m - 1, i // 2, d + 1)
+            checked += 1
+            hits = {
+                (member.root, member.side)
+                for _, members in cases
+                for member in members
+                if _descriptor_matches(parent, a, member)
+            }
+            if not hits:
+                report.ok = False
+                report.mismatches.append((index_addr(i, m), parent))
+            matched |= hits
+    return checked
+
+
+def _fields(report):
+    return (report.ok, report.occurrences, report.mismatches, report.limit_only,
+            report.undetermined_sites)
+
+
+class TestOccurrenceScanOracle:
+    """The scan by generation reports exactly what the per-site loop reports."""
+
+    def _both(self, monkeypatch, fn, *args):
+        """fn(*args) under each scan: [(result, checked count of every scan call)]."""
+        out = []
+        for scan in (preimages._check_occurrences, _check_occurrences_per_site):
+            counts = []
+
+            def recording(*a, scan=scan, counts=counts):
+                counts.append(scan(*a))
+                return counts[-1]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(preimages, "_check_occurrences", recording)
+                out.append((fn(*args), counts))
+        return out
+
+    @pytest.mark.parametrize("depth", [10, 12, 14])
+    def test_sweep(self, monkeypatch, depth):
+        jp = jacaranda_prefix(depth)
+        (got, got_counts), (want, want_counts) = self._both(monkeypatch, crosscheck_sweep, jp, 6)
+        assert _fields(got[0]) == _fields(want[0]) and got[1] == want[1]
+        assert got_counts == want_counts
+
+    def test_single_crosschecks(self, monkeypatch, jp):
+        absent = list(jp.subtree("aabb").truncate(6).levels)
+        absent[-1] = ("1" if absent[-1][0] == "0" else "0") + absent[-1][1:]
+        absent = Patch(tuple(absent))
+        assert jp.locate(absent) is None
+        descs = [(JAC, None), (JAC, 4), (JAC_PRIME, None), (JAC_PRIME, 4), (concrete(absent), None)]
+        for site, depth in (("aabb", 6), ("ba", 4), ("bab", 4), ("a" * 9, 2), ("b", 3)):
+            patch = jp.subtree(site).truncate(depth)
+            descs += [(concrete(patch, site), None), (concrete(patch), None)]
+        for desc, depth in descs:
+            (got, got_counts), (want, want_counts) = self._both(
+                monkeypatch, crosscheck, desc, jp, depth
+            )
+            assert _fields(got) == _fields(want) and got_counts == want_counts
+
+    def test_mismatch_addresses(self):
+        # real prefixes never mismatch, so stand each subtree id for another
+        # patch of the same depth: the actual parents then miss the cases
+        jp = jacaranda_prefix(10)
+        mismatched = 0
+        for d in (2, 3):
+            reps = subpatch_representatives(jp, d)
+            for cid in reps:
+                for other in reps.values():
+                    if other is reps[cid]:
+                        continue
+                    results = []
+                    for scan in (preimages._check_occurrences, _check_occurrences_per_site):
+                        report, matched = CrosscheckReport(ok=True, occurrences=0), set()
+                        try:
+                            checked = scan(jp, d, {cid: other}, report, matched)
+                        except SubstreetutionError as exc:
+                            results.append((type(exc), str(exc)))
+                        else:
+                            results.append((_fields(report), matched, checked))
+                    assert results[0] == results[1], (d, cid, other.levels)
+                    if len(results[0]) == 3:
+                        mismatched += len(results[0][0][2])
+        assert mismatched >= 10

@@ -173,6 +173,60 @@ class TestCanonicalIds:
         assert len(entries) == len(ids) == len(windows)
 
 
+def setdefault_ids(p, n):
+    """Tables for depths 0..n and the node table, numbered by plain setdefault."""
+    nodes, tables = {}, []
+    for k in range(n + 1):
+        below = tables[-1][1:] if k else None
+        tables.append([
+            [
+                nodes.setdefault(
+                    (c, below[m][2 * i], below[m][2 * i + 1]) if k else (c, 0, 0),
+                    len(nodes) + 1,
+                )
+                for i, c in enumerate(row)
+            ]
+            for m, row in enumerate(p.levels[: p.depth - k + 1])
+        ])
+    return tables, nodes
+
+
+class TestIdNumbering:
+    """Ids count from 1 in first-seen order, as a setdefault table numbers them."""
+
+    def check(self, p, n):
+        fresh = Patch(p.levels)  # no tables yet
+        tables, nodes = setdefault_ids(fresh, n)
+        assert fresh.subtree_ids(n) == tables[n]
+        assert list(fresh.__dict__["_nodes"].items()) == list(nodes.items())
+        assert [fresh.subtree_ids(k) for k in range(n + 1)] == tables
+
+    @settings(deadline=None)
+    @given(p=patches(8), data=st.data())
+    def test_random_patches(self, p, data):
+        self.check(p, data.draw(st.integers(0, p.depth)))
+
+    def test_fixed_tree_prefix(self):
+        for n in (0, 3, 8, 12):
+            self.check(jacaranda_prefix(12), n)
+
+    def test_locate_never_adds_nodes(self):
+        # locate reads the node table with .get: a lookup with [] would give
+        # every missing (color, left-id, right-id) key the next id
+        rng = random.Random(5)
+        for p in [Patch(jacaranda_prefix(12).levels)] + [random_patch(6, rng) for _ in range(20)]:
+            p.subtree_ids(p.depth)
+            nodes = p.__dict__["_nodes"]
+            size = len(nodes)
+            a = p.window(1, 1, 4)
+            flip = a.levels[:-1] + (("1" if a.levels[-1][0] == "0" else "0") + a.levels[-1][1:],)
+            absent = Patch(tuple("1" * (1 << l) for l in range(5)))
+            located = [p.locate(q) for q in (a, Patch(flip), absent)]
+            assert located[0] == p.subtree_ids(4)[1][1] and len(nodes) == size
+            if p.depth == 12:
+                assert located[1:] == [None, None]
+
+
 class TestDistinctSubpatches:
     def test_jacaranda_depth1(self):
         ids = distinct_subpatches(jacaranda_prefix(6), 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import substreetution
 from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply
-from substreetution.errors import NonPositive, NotPowerOfTwo
+from substreetution.errors import BadPatchFormat, NonPositive, NotPowerOfTwo
 from substreetution.words import (
     _level_of,
     chi,
@@ -110,6 +110,16 @@ class TestChi:
         assert chi_pow(BBAB, "10", 2) == "0010001000000010"
         w3 = chi_pow(BBAB, "10", 3)
         assert len(w3) == 256 and w3.count("1") == 39
+
+    @pytest.mark.parametrize("word", ["01x2", "0120", "1 ", "10é1", "0" * 15 + "2"])
+    def test_pow_rejects_non_binary_words(self, word):
+        # checked once, before any iteration (and so before any chunk of the
+        # word reaches the system's chunk table), also for u = 0
+        size = len(BBAB._chunk_images)
+        for u in (0, 1, 2):
+            with pytest.raises(BadPatchFormat, match="line words are over"):
+                chi_pow(BBAB, word, u)
+        assert len(BBAB._chunk_images) == size
 
     def test_pow_length_exponent_doubles(self):
         w = "0110"
