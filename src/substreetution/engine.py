@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .errors import (
     BadSystemFormat,
+    NonPositive,
     NotFixable,
     NotInImage,
     OddLength,
@@ -183,6 +184,8 @@ def fixed_point_prefix(sub: Substreetution, root: int, depth: int) -> Patch:
     Iterates the substitution from a single node, truncating along the way;
     agreement doubles each round, so the loop stops once the prefix is fixed.
     """
+    if depth < 0:
+        raise NonPositive(f"depth must be >= 0, got {depth}")
     if not sub.fixable_at(root):
         raise NotFixable(f"{sub.name or sub.grammar}: image of {root} does not start with {root}")
     p = Patch.leaf(root)
@@ -238,6 +241,8 @@ class RenormReport:
 
 def verify_renormalization(sub: Substreetution, p: Patch, maxlen: int) -> RenormReport:
     """Check shift-after-image = image-after-source on every even site <= maxlen."""
+    if maxlen < 0:
+        raise NonPositive(f"maxlen must be >= 0, got {maxlen}")
     if maxlen % 2:
         raise OddLength("maxlen must be even")
     if maxlen > p.depth:

@@ -1,4 +1,4 @@
-"""Structural analysis of the BBAB fixed trees: types, rigidity, probes.
+"""Structural analysis of the BBAB fixed trees: types, rigidity, parent classes.
 
 Everything in this module is specific to the system 0 -> 0(1,0),
 1 -> 1(1,0) with grammar BBAB and its two fixed trees (root 0 and root 1),
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import BBAB, apply, fixed_point_prefix, unsub
-from .errors import Inconsistent, Shallow, TypeUndetermined
+from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
 from .trees import Patch
 from .words import chi_pow, is_rep, v2
 
@@ -99,6 +99,8 @@ def detect_type(p: Patch) -> TypeReport:
 
 
 def unsub_pow(p: Patch, u: int) -> Patch:
+    if u < 0:
+        raise NonPositive(f"unsubstitution count must be >= 0, got {u}")
     for _ in range(u):
         p = unsub(BBAB, p)
     return p
@@ -138,12 +140,6 @@ def concrete(patch: Patch, provenance: str | None = None) -> XDescriptor:
 # -- the rigidity construction ------------------------------------------------
 
 
-def _unsub_chain_depth(d: int, u: int) -> int:
-    for _ in range(u):
-        d = (d - 1) // 2
-    return d
-
-
 def brother(p: Patch, u: int | None = None) -> Patch:
     """The unique root-1 sibling forced by a root-0 subtree of class 2^u.
 
@@ -157,15 +153,12 @@ def brother(p: Patch, u: int | None = None) -> Patch:
         report = detect_type(p)
         if report.inf_consistent:
             raise TypeUndetermined("input matches a fixed-tree prefix; class is 2^inf")
-        if report.parity == "odd":
-            u = 0
-        elif report.determined is not None:
-            u = report.determined
-        else:
+        if report.determined is None:
             raise TypeUndetermined(f"class not pinned at depth {p.depth}: {report.serialize()}")
-    if _unsub_chain_depth(p.depth, u) < 1:
+        u = report.determined
+    # u unsubstitutions leave depth ((d + 1) >> u) - 1; the core must keep its children
+    if (p.depth + 1) >> u < 2:
         raise Shallow(f"depth {p.depth} cannot be unsubstituted {u} times")
-    # deep enough that the chain never falls back to a bare root
     return brother_best_effort(p, u)
 
 
@@ -173,13 +166,14 @@ def brother_best_effort(p: Patch, u: int) -> Patch:
     """Sibling construction that degrades to the root-only prefix when shallow.
 
     The image root is always known, so running out of depth mid-chain still
-    yields the depth-(2^u - 1) image prefix of a bare root-1 core.
+    yields the image of a bare root-1 core.  Either way the sibling is built
+    only to depth p.depth, the depth a parent of p shows it to.
     """
     core = unsub_best_effort(p, u)
     if core.depth < 1:
-        return h_power(Patch.leaf(1), u)
+        return h_power(Patch.leaf(1), u, p.depth)
     right = core.subtree("b")
-    return h_power(Patch.combine(1, right, right), u)
+    return h_power(Patch.combine(1, right, right), u, p.depth)
 
 
 def unsub_best_effort(p: Patch, u: int) -> Patch:
@@ -189,23 +183,14 @@ def unsub_best_effort(p: Patch, u: int) -> Patch:
     return p
 
 
-def h_power(core: Patch, u: int) -> Patch:
+def h_power(core: Patch, u: int, depth: int) -> Patch:
+    """u-fold image of `core`, truncated to `depth` while it is built."""
     for _ in range(u):
-        core = apply(BBAB, core)
+        core = apply(BBAB, core, depth)
     return core
 
 
-# -- classification of even trees ---------------------------------------------
-
-CASE_DOUBLED_DEEP = "doubled-deep"
-CASE_DOUBLED_2TYPE_ROOT1 = "doubled-2type-root1"
-CASE_MIXED_ROOT0 = "mixed-root0"
-
-
-@dataclass(frozen=True)
-class EvenClassification:
-    case: str
-    v: float  # int or INF
+# -- the parent class of an odd tree ------------------------------------------
 
 
 def _in_block_line(row: str, z: int, deeper: bool = False) -> bool:
@@ -245,56 +230,3 @@ def parent_class(side: Patch) -> int:
     if len(fits) != 1 or fits[0] == INF:
         raise TypeUndetermined(f"parent class undetermined: visible lines fit {fits}")
     return fits[0]
-
-
-def classify_even(desc: XDescriptor, side: Patch | None = None) -> EvenClassification:
-    """Which of the three even shapes the tree has, plus its class index v."""
-    if desc.kind == "J":
-        return EvenClassification(CASE_MIXED_ROOT0, INF)
-    if desc.kind == "J'":
-        return EvenClassification(CASE_DOUBLED_DEEP, INF)
-    p = desc.patch
-    if side is not None:
-        v = parent_class(side)
-    else:
-        report = detect_type(p)
-        if report.parity == "odd":
-            raise Inconsistent("classification applies to even trees only")
-        if report.inf_consistent:
-            return _classify_core(p, INF)
-        if report.determined is None:
-            raise TypeUndetermined(report.serialize())
-        v = report.determined
-    return _classify_core(p, v)
-
-
-def _classify_core(p: Patch, v) -> EvenClassification:
-    if v is INF:
-        if p.get("") == 0:
-            return EvenClassification(CASE_MIXED_ROOT0, INF)
-        return EvenClassification(CASE_DOUBLED_DEEP, INF)
-    if _unsub_chain_depth(p.depth, v) < 1:
-        raise Shallow(f"depth {p.depth} does not expose the core under {v} unsubstitutions")
-    core = unsub_pow(p, v)
-    ca, cb = core.get("a"), core.get("b")
-    if (ca, cb) == (1, 0):
-        if core.get("") != 0:
-            raise Inconsistent("mixed children under a root-1 core")
-        return EvenClassification(CASE_MIXED_ROOT0, v)
-    if (ca, cb) == (0, 0):
-        if core.subtree("a") != core.subtree("b"):
-            raise Inconsistent("equal-rooted children must be equal subtrees")
-        side_d = core.subtree("a")
-        if side_d.depth >= 2:
-            rep = detect_type(side_d)
-            if rep.determined == 1:
-                if core.get("") != 1:
-                    raise Inconsistent("a 2-class doubled core must have root 1")
-                return EvenClassification(CASE_DOUBLED_2TYPE_ROOT1, v)
-            if rep.determined is not None or rep.inf_consistent:
-                return EvenClassification(CASE_DOUBLED_DEEP, v)
-        raise TypeUndetermined(
-            f"doubled core found, inner class open at depth {side_d.depth}"
-        )
-    raise Inconsistent(f"children pair {ca}{cb} cannot occur at even level")
-

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
-from .errors import Inconsistent, Shallow, TypeUndetermined, Undetermined
+from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined, Undetermined
 from .jacaranda import (
     INF,
     XDescriptor,
@@ -234,8 +234,8 @@ def _classify(p: Patch, ix) -> list:
         c = _child(unsub_best_effort(p, u), "a")
         v = ix.inner(c, u)
         sibs = {
-            "main": h_power(Patch.combine(0, brother_best_effort(c, v), c), u),
-            "prime": h_power(Patch.combine(0, c, c), u),
+            "main": h_power(Patch.combine(0, brother_best_effort(c, v), c), u, p.depth),
+            "prime": h_power(Patch.combine(0, c, c), u, p.depth),
         }
         return _cases(("even1-v1" if v == 1 else "even1-vdeep",), sibs)
     if root == 1:
@@ -324,6 +324,8 @@ def preimages_bruteforce(a: Patch, jp: Patch) -> PreimageSet:
 
 def p_n(a: Patch, n: int, jp: Patch) -> int:
     """Number of distinct n-step ancestors of `a` visible in the prefix."""
+    if n < 0:
+        raise NonPositive(f"ancestor distance must be >= 0, got {n}")
     if a.depth + n > jp.depth:
         raise Shallow(f"need prefix depth >= {a.depth + n}, have {jp.depth}")
     frontier = {jp.locate(a)} - {None}  # a patch absent from jp has no ancestors

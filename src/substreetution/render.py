@@ -15,7 +15,7 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -77,13 +77,15 @@ def hyperbolic_distance(z: complex, w: complex) -> float:
     return math.atanh(abs(z - w) / abs(1 - w.conjugate() * z))
 
 
+PALETTE = ("#9a9a9a", "#101010")  # fill of a color-0 and a color-1 node or cell
+BACKGROUND = "#ffffff"
+ROOT_COLOR = "#e6c800"  # the root glyph of the tree picture
+
+
 @dataclass(frozen=True)
 class RenderConfig:
     resolution: int = 512
     depth_limit: int = 3
-    palette: dict = field(default_factory=lambda: {0: "#9a9a9a", 1: "#101010"})
-    background: str = "#ffffff"
-    root_color: str = "#e6c800"
 
 
 @lru_cache(maxsize=16)
@@ -222,7 +224,7 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
         f'viewBox="0 0 {res} {res}">',
-        f'<rect width="{res}" height="{res}" fill="{cfg.background}"/>',
+        f'<rect width="{res}" height="{res}" fill="{BACKGROUND}"/>',
     ]
     cache: dict = {}
 
@@ -235,7 +237,7 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
             if word is not None:
                 color = cache.get(word)
                 if color is None:
-                    color = cache[word] = cfg.palette[p.get(word)]
+                    color = cache[word] = PALETTE[p.get(word)]
         if color != changes[-1][1]:
             changes.append((col, color))
 
@@ -266,9 +268,8 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
     return "\n".join(out) + "\n"
 
 
-def tree_svg(p: Patch, cfg: RenderConfig | None = None) -> str:
+def tree_svg(p: Patch) -> str:
     """Classic layered layout: squares under a-edges, disks under b-edges."""
-    cfg = cfg or RenderConfig()
     if p.depth > 12:
         warnings.warn(f"depth {p.depth} will not render readably", stacklevel=2)
     unit = 24
@@ -284,7 +285,7 @@ def tree_svg(p: Patch, cfg: RenderConfig | None = None) -> str:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="{cfg.background}"/>',
+        f'<rect width="{width}" height="{height}" fill="{BACKGROUND}"/>',
     ]
     for level in range(p.depth):
         for i in range(1 << level):
@@ -298,10 +299,7 @@ def tree_svg(p: Patch, cfg: RenderConfig | None = None) -> str:
     for level, rowbits in enumerate(p.levels):
         for i, c in enumerate(rowbits):
             x, y = pos(level, i)
-            if level == 0:
-                fill = cfg.root_color
-            else:
-                fill = cfg.palette[int(c)]
+            fill = ROOT_COLOR if level == 0 else PALETTE[int(c)]
             if level == 0 or i % 2 == 0:  # root and a-followers: rectangles
                 out.append(
                     f'<rect x="{x - half:.2f}" y="{y - half:.2f}" '

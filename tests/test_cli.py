@@ -121,6 +121,21 @@ class TestPatchCommands:
             )
             assert code == 2 and message in err and out == ""
 
+    def test_preimages_at_generation_16(self, capsys, tmp_path):
+        # the class-2^4 sibling is built only as deep as the depth-1 patch
+        jp = tmp_path / "j17.patch"
+        jp.write_text(dump_patch(jacaranda_prefix(17)))
+        f = tmp_path / "p.patch"
+        f.write_text("depth 1\n1\n10\n")
+        code, out, _ = run(
+            capsys, "preimages", "--patch", str(f), "--site", "a" * 14 + "ba", "--jprefix", str(jp)
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "completeness=exact count=1",
+            "case=even1-v1 root=0 side=a sibling=d1:9f269ff2348b00a5",
+        ]
+
     def test_verify_renorm(self, capsys):
         code, out, _ = run(
             capsys,
@@ -221,3 +236,19 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "line", "--patch", "/nonexistent", "--level", "0")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("unsub --patch {f} --times -2", "unsubstitution count must be >= 0, got -2"),
+            ("fixpoint --sub builtin:bbab --root 0 --depth -3", "depth must be >= 0, got -3"),
+            ("verify-renorm --sub builtin:bbab --maxlen -2", "maxlen must be >= 0, got -2"),
+            ("preimages --patch {f} --n -1", "ancestor distance must be >= 0, got -1"),
+        ],
+        ids=["unsub", "fixpoint", "verify-renorm", "preimages"],
+    )
+    def test_negative_count(self, capsys, tmp_path, argv, message):
+        f = tmp_path / "j.patch"
+        f.write_text(dump_patch(fixed_point_prefix(BBAB, 0, 9)))
+        code, out, err = run(capsys, *(a.format(f=f) for a in argv.split()))
+        assert (code, out, err) == (2, "", f"error: {message}\n")

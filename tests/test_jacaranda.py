@@ -1,25 +1,22 @@
-import math
 import random
 from dataclasses import dataclass
 
 import pytest
 
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
-from substreetution.errors import NotInImage, Shallow, SubstreetutionError, TypeUndetermined
+from substreetution.errors import NonPositive, NotInImage, Shallow, TypeUndetermined
 from substreetution.jacaranda import (
-    CASE_DOUBLED_2TYPE_ROOT1,
-    CASE_DOUBLED_DEEP,
-    CASE_MIXED_ROOT0,
     JAC,
     JAC_PRIME,
     brother,
-    classify_even,
     concrete,
     detect_type,
     jacaranda_prefix,
     jprime_prefix,
+    parent_class,
     unsub_pow,
 )
+from substreetution.preimages import preimages_classified
 from substreetution.trees import Patch, random_patch
 from substreetution.words import chi_pow, v2
 
@@ -99,6 +96,10 @@ class TestUnsubPow:
         with pytest.raises(NotInImage):
             unsub_pow(jacaranda_prefix(9).subtree("a"), 1)
 
+    def test_negative_count(self):
+        with pytest.raises(NonPositive):
+            unsub_pow(jacaranda_prefix(9), -1)
+
 
 class TestBrother:
     def test_odd_case_is_right_double(self):
@@ -131,22 +132,44 @@ class TestBrother:
         with pytest.raises(Shallow):
             brother(jacaranda_prefix(2), 2)
 
+    def test_depth_threshold(self):
+        # u unsubstitutions leave depth ((d + 1) >> u) - 1, which must be >= 1:
+        # the b-sibling at generation 2^u needs depth 2^(u + 1) - 1
+        j = jacaranda_prefix(14)
+        for u in range(3):
+            b = j.subtree("a" * ((1 << u) - 1) + "b")
+            need = (2 << u) - 1
+            assert brother(b.truncate(need), u).depth == need
+            with pytest.raises(Shallow):
+                brother(b.truncate(need - 1), u)
+
+
+def _case_tags(sub: Patch, site: str) -> list[set[str]]:
+    """Case tags of the classified parents, from the site and from the patch alone."""
+    jp = jacaranda_prefix(14)
+    return [
+        {m.case_tag for m in preimages_classified(concrete(sub, prov), jp).members}
+        for prov in (site, None)
+    ]
+
 
 class TestClassifyEven:
+    """The even shapes, as the parent case tree decides them from both index sources."""
+
     def test_fixed_trees(self):
-        assert classify_even(JAC).case == CASE_MIXED_ROOT0
-        assert classify_even(JAC).v == math.inf
-        assert classify_even(JAC_PRIME).v == math.inf
+        def parents(desc):
+            return [(m.root, m.side, m.sibling_kind) for m in preimages_classified(desc).members]
+
+        assert parents(JAC) == [(0, "a", "J"), (1, "a", "J"), (0, "b", "J'")]
+        assert parents(JAC_PRIME) == [(0, "a", "J")]
 
     def test_mixed_finite(self):
         sub = jacaranda_prefix(14).subtree("aa")  # root 0, starts 0(1,0)
-        got = classify_even(concrete(sub))
-        assert got.case == CASE_MIXED_ROOT0 and got.v == 1
+        assert _case_tags(sub, "aa") == [{"even0-2type"}] * 2
 
     def test_doubled_root1(self):
         sub = jacaranda_prefix(14).subtree("ba")
-        got = classify_even(concrete(sub))
-        assert got.case == CASE_DOUBLED_2TYPE_ROOT1 and got.v == 1
+        assert _case_tags(sub, "ba") == [{"even1-v1"}] * 2
 
     def test_doubled_deep_over_zero_block(self):
         # parents of all-zero grandchildren blocks carry equal-children cores
@@ -160,19 +183,19 @@ class TestClassifyEven:
                 block_site = site
                 break
         assert block_site is not None
-        sub = j.subtree(block_site)
-        got = classify_even(concrete(sub))
-        assert got.case in (CASE_DOUBLED_DEEP, CASE_DOUBLED_2TYPE_ROOT1)
+        assert _case_tags(j.subtree(block_site), block_site) == [{"even1-v1"}] * 2
+
+    def test_deep_root0(self):
+        sub = jacaranda_prefix(14).subtree("abab")  # generation 4: class 2^2
+        assert _case_tags(sub, "abab") == [{"even0-deep"}] * 2
 
     def test_side_detection(self):
-        j = jacaranda_prefix(14)
-        sub = j.subtree("aa")
-        got = classify_even(concrete(sub), side=sub.subtree("b"))
-        assert got.v == 1
+        sub = jacaranda_prefix(14).subtree("aa")
+        assert parent_class(sub.subtree("b")) == 1
 
     def test_side_class_matches_site(self):
         # a branch must not pin a class its lines leave open: whenever the
-        # side-based classification returns, v is the valuation of the site
+        # parent class is read off a child, it is the valuation of the site
         j = jacaranda_prefix(14)
         returned = 0
         for d in range(2, 10):
@@ -181,11 +204,11 @@ class TestClassifyEven:
                     p = j.window(m, i, d)
                     for letter in "ab":
                         try:
-                            got = classify_even(concrete(p), side=p.subtree(letter))
-                        except SubstreetutionError:
+                            v = parent_class(p.subtree(letter))
+                        except TypeUndetermined:
                             continue
                         returned += 1
-                        assert got.v == v2(m), (m, i, d, letter)
+                        assert v == v2(m), (m, i, d, letter)
         assert returned > 0
 
 

@@ -8,6 +8,7 @@ import substreetution
 from substreetution import preimages
 from substreetution.errors import (
     Inconsistent,
+    NonPositive,
     Shallow,
     SubstreetutionError,
     TypeUndetermined,
@@ -26,7 +27,7 @@ from substreetution.preimages import (
     preimages_bruteforce,
     preimages_classified,
 )
-from substreetution.trees import Patch, index_addr, subpatch_representatives
+from substreetution.trees import Patch, first_sites, index_addr, subpatch_representatives
 from substreetution.words import v2
 
 
@@ -114,6 +115,10 @@ class TestIteratedCounts:
     def test_distance_zero(self, jp):
         assert p_n(jp.truncate(2), 0, jp) == 1
 
+    def test_negative_distance(self, jp):
+        with pytest.raises(NonPositive):
+            p_n(jp.truncate(2), -1, jp)
+
     def test_absent_patch_has_no_ancestors(self, jp):
         absent = Patch(("0", "00", "0000"))
         assert jp.locate(absent) is None
@@ -143,6 +148,33 @@ class TestCrosscheck:
         report, checked = crosscheck_sweep(jp, 6)
         assert report.ok and not report.mismatches
         assert (report.occurrences, checked, report.undetermined_sites) == (32244, 251, 0)
+
+    def test_sweep_below_generation_16(self):
+        # generation 16 asks for class-2^4 siblings, which are built only as
+        # deep as the patch (unbounded, the depth-1 patch 1/10 wanted depth 31)
+        report, checked = crosscheck_sweep(jacaranda_prefix(17), 6)
+        assert report.ok and not report.mismatches
+        assert (report.occurrences, checked, report.undetermined_sites) == (258036, 355, 0)
+
+    def test_siblings_no_deeper_than_patch(self):
+        # a parent of a depth-d tree shows the sibling only to depth d
+        jp16 = jacaranda_prefix(16)
+        seen = 0
+        for d in range(1, 9):
+            for m, i in first_sites(jp16, d).values():
+                if m == 0:
+                    continue
+                patch, site = jp16.window(m, i, d), index_addr(i, m)
+                for prov in (site, None):
+                    try:
+                        members = preimages_classified(concrete(patch, prov), jp16).members
+                    except SubstreetutionError:
+                        continue
+                    for member in members:
+                        if member.sibling is not None:
+                            seen += 1
+                            assert member.sibling.depth <= d, (site, prov, member.serialize())
+        assert seen > 0
 
     def test_single_descriptor(self, jp):
         # one occurrence per cell holding the patch below the root

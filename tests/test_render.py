@@ -8,6 +8,9 @@ from substreetution.engine import THUE_MORSE, fixed_point_prefix
 from substreetution.errors import NonPositive, Shallow
 from substreetution.jacaranda import jacaranda_prefix
 from substreetution.render import (
+    BACKGROUND,
+    PALETTE,
+    ROOT_COLOR,
     RenderConfig,
     classify_point,
     hyperbolic_distance,
@@ -25,7 +28,7 @@ def _tiling_svg_per_pixel(p, cfg):
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
         f'viewBox="0 0 {res} {res}">',
-        f'<rect width="{res}" height="{res}" fill="{cfg.background}"/>',
+        f'<rect width="{res}" height="{res}" fill="{BACKGROUND}"/>',
     ]
     cache = {}
     for row in range(res):
@@ -45,7 +48,7 @@ def _tiling_svg_per_pixel(p, cfg):
                 else:
                     color = cache.get(word)
                     if color is None:
-                        color = cfg.palette[p.get(word)]
+                        color = PALETTE[p.get(word)]
                         cache[word] = color
             if color != current:
                 if current is not None:
@@ -144,32 +147,29 @@ class TestTreeSvg:
         assert glyphs == 31
 
     def test_level2_fills(self):
-        cfg = RenderConfig()
-        svg = tree_svg(jacaranda_prefix(2), cfg)
+        svg = tree_svg(jacaranda_prefix(2))
         glyph_lines = [
             l for l in svg.splitlines() if "<rect" in l or "<circle" in l
         ][1:]
         fills = [l.split('fill="')[1].split('"')[0] for l in glyph_lines]
         level2 = fills[3:]
-        grey, black = cfg.palette[0], cfg.palette[1]
+        grey, black = PALETTE
         assert level2 == [grey, grey, black, grey]
 
     def test_single_black_node(self):
-        cfg = RenderConfig()
-        svg = tree_svg(Patch.leaf(1), cfg)
+        svg = tree_svg(Patch.leaf(1))
         assert svg.count("<rect") == 2  # background + root glyph
-        assert cfg.root_color in svg
+        assert ROOT_COLOR in svg
 
     def test_level_constant_fills(self):
-        cfg = RenderConfig()
-        svg = tree_svg(fixed_point_prefix(THUE_MORSE, 0, 3), cfg)
+        svg = tree_svg(fixed_point_prefix(THUE_MORSE, 0, 3))
         glyph_lines = [
             l for l in svg.splitlines() if "<rect" in l or "<circle" in l
         ][1:]
         fills = [l.split('fill="')[1].split('"')[0] for l in glyph_lines]
-        assert set(fills[1:3]) == {cfg.palette[1]}
-        assert set(fills[3:7]) == {cfg.palette[1]}
-        assert set(fills[7:]) == {cfg.palette[0]}
+        assert set(fills[1:3]) == {PALETTE[1]}
+        assert set(fills[3:7]) == {PALETTE[1]}
+        assert set(fills[7:]) == {PALETTE[0]}
 
     def test_deterministic(self):
         p = jacaranda_prefix(5)
@@ -185,13 +185,13 @@ class TestTilingSvg:
     def test_word_limit_zero_over_root(self):
         cfg = RenderConfig(resolution=48, depth_limit=0)
         svg = tiling_svg(jacaranda_prefix(1), cfg)
-        assert cfg.palette[0] in svg  # the root cell, color of the root digit
-        assert cfg.palette[1] not in svg
+        assert PALETTE[0] in svg  # the root cell, color of the root digit
+        assert PALETTE[1] not in svg
 
     def test_first_generation_colors(self):
         cfg = RenderConfig(resolution=64, depth_limit=1)
         svg = tiling_svg(jacaranda_prefix(1), cfg)
-        assert cfg.palette[0] in svg and cfg.palette[1] in svg
+        assert PALETTE[0] in svg and PALETTE[1] in svg
 
     def test_depth_guard(self):
         with pytest.raises(Shallow):
