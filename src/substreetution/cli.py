@@ -20,7 +20,7 @@ from .engine import (
     theta,
     verify_renormalization,
 )
-from .errors import AddressTooDeep, Inconsistent, SubstreetutionError
+from .errors import AddressTooDeep, Inconsistent, NonPositive, SubstreetutionError
 from .jacaranda import brother, concrete, detect_type, jacaranda_prefix, unsub_pow
 from .measures import invariant_measure
 from .preimages import p_n, preimages_bruteforce, preimages_classified
@@ -168,6 +168,8 @@ def _run(args) -> int:
         system = resolve_system(args.sub)
         print(source(system, args.addr) or "e")
     elif cmd == "verify-renorm":
+        if args.random < 0:
+            raise NonPositive(f"random patch count must be >= 0, got {args.random}")
         system = resolve_system(args.sub)
         reports = []
         if args.patch:
@@ -204,6 +206,8 @@ def _run(args) -> int:
         else:
             print(p_n(patch, args.n, jp))
     elif cmd == "complexity":
+        if args.max_n < 0:
+            raise NonPositive(f"max-n must be >= 0, got {args.max_n}")
         patch = load_patch(args.patch)
         for n in range(args.max_n + 1):
             print(f"{n} {len(distinct_subpatches(patch, n))}")

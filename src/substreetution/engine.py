@@ -62,12 +62,6 @@ class Substreetution:
     def fixable_at(self, color: int) -> bool:
         return self.image(color)[0] == color
 
-    def root_preimage(self, color: int) -> int:
-        """The color whose image has the given root (marked systems only)."""
-        if not self.marked:
-            raise NotInImage("root colors of an unmarked system are ambiguous")
-        return 0 if self.image0[0] == color else 1
-
     def source_letter(self, slot: str) -> str:
         """Which subtree ('a' or 'b') feeds the given generation-2 slot."""
         return "a" if self.grammar[SLOTS.index(slot)] == "A" else "b"
@@ -140,7 +134,7 @@ def apply(sub: Substreetution, p: Patch, out_depth: int | None = None) -> Patch:
         rows.append(double(sub, [roots[c] for c in line]))
         if len(rows) <= out_depth:
             rows.append(double(sub, [children[c] for c in line]))
-    return Patch(tuple(rows))
+    return Patch._of(tuple(rows))
 
 
 def double(sub: Substreetution, line) -> str:
@@ -150,7 +144,7 @@ def double(sub: Substreetution, line) -> str:
     image of a line is slot_format applied to the images of its two halves,
     and a single block is its own image.  Each chunk of CHUNK blocks is
     replaced by its image from the system's table, then the chunk images are
-    glued bottom-up, one level at a time, each distinct pair of a level once.
+    glued bottom-up, one level at a time.
     """
     joined = line if isinstance(line, str) else "".join(line)
     width = len(joined) // len(line)
@@ -172,9 +166,7 @@ def _glue(sub: Substreetution, parts: list[str]) -> str:
     """Bottom-up slot recursion on 2^m equal-length parts."""
     glue = sub.slot_format.format
     while len(parts) > 1:
-        pairs = list(zip(parts[0::2], parts[1::2]))
-        glued = {pair: glue(*pair) for pair in set(pairs)}
-        parts = [glued[pair] for pair in pairs]
+        parts = list(map(glue, parts[0::2], parts[1::2]))
     return parts[0]
 
 
@@ -250,13 +242,16 @@ def verify_renormalization(sub: Substreetution, p: Patch, maxlen: int) -> Renorm
     big = apply(sub, p)
     checked = 0
     for n in range(0, maxlen + 1, 2):
+        images: dict[str, Patch] = {}  # sites of one length share few sources
         for letters in itertools.product("ab", repeat=n):
             w = "".join(letters)
             lhs = big.subtree(w)
-            rhs = apply(sub, p.subtree(source(sub, w)))
-            d = min(lhs.depth, rhs.depth)
+            s = source(sub, w)
+            rhs = images.get(s)
+            if rhs is None:
+                rhs = images[s] = apply(sub, p.subtree(s))
             checked += 1
-            if lhs.truncate(d) != rhs.truncate(d):
+            if lhs != rhs:  # both sides have depth 2 * p.depth + 1 - n
                 return RenormReport(False, checked, (w, lhs, rhs))
     return RenormReport(True, checked)
 
@@ -286,7 +281,8 @@ def unsub(sub: Substreetution, p: Patch) -> Patch:
             raise NotInImage(f"grammar {sub.grammar} never places the {letter}-subtree")
         first = [max(first)] * 2
     colors = str.maketrans("%d%d" % (sub.image0[0], sub.image1[0]), "01")
-    q = Patch(tuple(_undouble(line, first).translate(colors) for line in p.levels[::2]))
+    # the two image roots differ, so every recovered color is 0 or 1
+    q = Patch._of(tuple(_undouble(line, first).translate(colors) for line in p.levels[::2]))
     image = apply(sub, q, p.depth)
     if image != p:
         l = next(l for l, (x, y) in enumerate(zip(image.levels, p.levels)) if x != y)
@@ -307,14 +303,6 @@ def _undouble(line: str, first: list[int]) -> str:
 
 _IMAGE_RE = re.compile(r"^([01])\s*->\s*([01])\(\s*([01])\s*,\s*([01])\s*\)$")
 _GRAMMAR_RE = re.compile(r"^grammar\s+([A-Z]+)$")
-
-
-def dump_substreetution(sub: Substreetution) -> str:
-    lines = []
-    for c, img in ((0, sub.image0), (1, sub.image1)):
-        lines.append(f"{c} -> {img[0]}({img[1]},{img[2]})")
-    lines.append(f"grammar {sub.grammar}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_substreetution(text: str) -> Substreetution:

@@ -73,10 +73,6 @@ def _solve_half_shift() -> Fraction:
     return rhs / lhs_coeff
 
 
-def hyperbolic_distance(z: complex, w: complex) -> float:
-    return math.atanh(abs(z - w) / abs(1 - w.conjugate() * z))
-
-
 PALETTE = ("#9a9a9a", "#101010")  # fill of a color-0 and a color-1 node or cell
 BACKGROUND = "#ffffff"
 ROOT_COLOR = "#e6c800"  # the root glyph of the tree picture
@@ -92,9 +88,9 @@ class RenderConfig:
 def _classifier(gens, depth_limit, tol=_TOL):
     """The descent of `classify_point`, with the isometry set-up done once.
 
-    Same arithmetic, operation for operation: hyperbolic_distance(z, 0) is
-    atanh(abs(z)), the inverse maps are their Moebius coefficients, and the
-    argmin is the first index of the minimum.
+    Same arithmetic, operation for operation: the distance from z to t is
+    atanh(|z - t| / |1 - conj(t) z|), atanh(|z|) for t = 0; inverse maps are
+    their Moebius coefficients; the argmin is the first index of the minimum.
     """
     h1, h2 = gens
     inv1, inv2 = h1.inverse(), h2.inverse()

@@ -10,6 +10,11 @@ Subtree ids are local to a patch: each patch numbers its own distinct
 (color, left-id, right-id) nodes, so ids are a pure function of the patch.
 They are exact: two subtrees of one patch have equal ids exactly when they
 are equal, never "probably equal".
+
+Patches are validated where they enter (`Patch(...)`, `leaf`, `from_levels`,
+`combine`, `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
+`truncate`, `subtree`) and the results of `engine.apply` and `engine.unsub`
+are valid by construction and skip the checks through `Patch._of`.
 """
 
 from __future__ import annotations
@@ -81,6 +86,13 @@ class Patch:
 
     # -- construction ------------------------------------------------------
 
+    @classmethod
+    def _of(cls, levels: tuple[str, ...]) -> "Patch":
+        """A patch over levels that are valid by construction, left unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "levels", levels)
+        return p
+
     @staticmethod
     def leaf(color) -> "Patch":
         return Patch((str(int(color)),))
@@ -118,14 +130,14 @@ class Patch:
 
     def window(self, level: int, index: int, n: int) -> "Patch":
         """Depth-n subtree rooted at rank `index` of generation `level`."""
-        if level + n > self.depth:
+        if not (0 <= level and 0 <= n and level + n <= self.depth and 0 <= index < 1 << level):
             raise AddressTooDeep(
-                f"window of depth {n} at level {level} exceeds depth {self.depth}"
+                f"no depth-{n} window at rank {index} of level {level} in depth {self.depth}"
             )
         rows = tuple(
             self.levels[level + l][index << l : (index + 1) << l] for l in range(n + 1)
         )
-        return Patch(rows)
+        return Patch._of(rows)
 
     def subtree(self, word: str) -> "Patch":
         """Shift by the letters of `word` in order: the subtree rooted at that site."""
@@ -137,7 +149,9 @@ class Patch:
     def truncate(self, depth: int) -> "Patch":
         if depth >= self.depth:
             return self
-        return Patch(self.levels[: depth + 1])
+        if depth < 0:
+            raise BadPatchFormat(f"a patch needs at least the root level, got depth {depth}")
+        return Patch._of(self.levels[: depth + 1])
 
     # -- subtree identity ----------------------------------------------------
 
@@ -150,7 +164,7 @@ class Patch:
         right-id) -> id table per patch, where a leaf has children 0.  A
         missing key takes the next id, so ids count from 1 in first-seen order.
         """
-        if n > self.depth:
+        if not 0 <= n <= self.depth:
             raise AddressTooDeep(f"no depth-{n} subtrees in a depth-{self.depth} patch")
         cache = self.__dict__.setdefault("_idtables", {})
         nodes = self.__dict__.setdefault("_nodes", defaultdict(count(1).__next__))

@@ -127,15 +127,11 @@ def f_iter(n: int) -> Fraction:
 
 def ones_count_line_2n(n: int) -> int:
     """Exact number of 1s on generation 2^n of the root-0 fixed tree."""
-    q = Fraction(1 << (1 << n)) / (1 + f_iter(n))
+    x = f_iter(n)  # raises NonPositive before a negative n reaches the shift
+    q = Fraction(1 << (1 << n)) / (1 + x)
     if q.denominator != 1:
         raise NonIntegerResult(f"count for n={n} came out {q}, expected an integer")
     return q.numerator
-
-
-def ones_proportion(u: int) -> Fraction:
-    """Density of 1s in the level-u doubling block (and in lines 2^u(2n+1))."""
-    return 1 / (1 + f_iter(u))
 
 
 def line_formula(m: int) -> str:

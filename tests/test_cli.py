@@ -1,13 +1,45 @@
+import argparse
 import json
 
 import pytest
 
-from substreetution.cli import main
+from substreetution.cli import build_parser, main
 from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.jacaranda import concrete, jacaranda_prefix
 from substreetution.preimages import preimages_classified
 from substreetution.systems import build_orbit_graph, nomeasure_tree
 from substreetution.trees import dump_patch, parse_patch
+
+
+# every integer flag at a negative value: (test id, argv, message)
+NEGATIVE_COUNTS = [
+    ("unsub", "unsub --patch {f} --times -2",
+     "unsubstitution count must be >= 0, got -2"),
+    ("fixpoint", "fixpoint --sub builtin:bbab --root 0 --depth -3",
+     "depth must be >= 0, got -3"),
+    ("verify-renorm", "verify-renorm --sub builtin:bbab --maxlen -2",
+     "maxlen must be >= 0, got -2"),
+    ("preimages", "preimages --patch {f} --n -1",
+     "ancestor distance must be >= 0, got -1"),
+    ("line", "line --patch {f} --level -1",
+     "no generation -1 in a depth-9 patch"),
+    ("chi", "chi --word 10 --pow -1",
+     "iteration count must be >= 0"),
+    ("verify-renorm-depth", "verify-renorm --sub builtin:bbab --depth -1",
+     "depth must be >= 0, got -1"),
+    ("verify-renorm-random", "verify-renorm --sub builtin:bbab --random -1",
+     "random patch count must be >= 0, got -1"),
+    ("complexity", "complexity --patch {f} --max-n -1",
+     "max-n must be >= 0, got -1"),
+    ("proportion", "proportion --n -1",
+     "iteration count must be >= 0"),
+    ("orbit-graph", "orbit-graph --example nomeasure --depth -1",
+     "identification depth must be at least 2"),
+    ("render-tiling-depth", "render-tiling --patch {f} --depth -1 --out {svg}",
+     "word limit must be nonnegative, got -1"),
+    ("render-tiling-res", "render-tiling --patch {f} --res -1 --out {svg}",
+     "resolution must be at least 1, got -1"),
+]
 
 
 def run(capsys, *argv):
@@ -238,17 +270,30 @@ class TestExitCodes:
         assert run(capsys, "line", "--patch", "/nonexistent", "--level", "0")[0] == 2
 
     @pytest.mark.parametrize(
-        "argv, message",
-        [
-            ("unsub --patch {f} --times -2", "unsubstitution count must be >= 0, got -2"),
-            ("fixpoint --sub builtin:bbab --root 0 --depth -3", "depth must be >= 0, got -3"),
-            ("verify-renorm --sub builtin:bbab --maxlen -2", "maxlen must be >= 0, got -2"),
-            ("preimages --patch {f} --n -1", "ancestor distance must be >= 0, got -1"),
-        ],
-        ids=["unsub", "fixpoint", "verify-renorm", "preimages"],
+        "argv, message", [pytest.param(argv, message, id=i) for i, argv, message in NEGATIVE_COUNTS]
     )
     def test_negative_count(self, capsys, tmp_path, argv, message):
         f = tmp_path / "j.patch"
         f.write_text(dump_patch(fixed_point_prefix(BBAB, 0, 9)))
-        code, out, err = run(capsys, *(a.format(f=f) for a in argv.split()))
+        svg = tmp_path / "t.svg"
+        code, out, err = run(capsys, *(a.format(f=f, svg=svg) for a in argv.split()))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not svg.exists()
+
+    def test_negative_count_covers_every_integer_flag(self):
+        # a new integer flag needs a row in NEGATIVE_COUNTS; --seed takes any integer
+        covered = set()
+        for _, argv, _ in NEGATIVE_COUNTS:
+            words = argv.split()
+            k = next(k for k, w in enumerate(words) if w[0] == "-" and w[1:].isdigit())
+            covered.add((words[0], words[k - 1]))
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        flags = {
+            (name, a.option_strings[0])
+            for name, cmd in commands.items()
+            for a in cmd._actions
+            if a.type is int and not a.choices
+        }
+        assert covered == flags - {("verify-renorm", "--seed")}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from substreetution import engine
 from substreetution.engine import (
     ABBA,
     BBAB,
@@ -13,7 +14,6 @@ from substreetution.engine import (
     Substreetution,
     apply,
     double,
-    dump_substreetution,
     fixed_point_prefix,
     parse_substreetution,
     resolve_system,
@@ -29,17 +29,18 @@ from substreetution.errors import (
     OddLength,
     Shallow,
 )
-from substreetution.trees import Patch, distance, random_patch
+from substreetution.jacaranda import jacaranda_prefix
+from substreetution.trees import Patch, distance, index_addr, random_patch
 from substreetution.words import chi_recursive
 
 
-MARKED = [
+ALL_SYSTEMS = [
     Substreetution(image0, image1, "".join(grammar))
     for image0 in itertools.product((0, 1), repeat=3)
     for image1 in itertools.product((0, 1), repeat=3)
     for grammar in itertools.product("AB", repeat=4)
-    if image0[0] != image1[0]
 ]
+MARKED = [system for system in ALL_SYSTEMS if system.marked]
 
 
 def patches(max_depth):
@@ -272,11 +273,97 @@ class TestRenormalization:
         maxlen = 2 * data.draw(st.integers(0, p.depth // 2))
         assert verify_renormalization(system, p, maxlen).ok
 
+    def test_matches_per_site_loop(self):
+        # same (ok, checked) as applying the source of every site anew: every
+        # system on a depth-4 patch to length 2; each grammar, which alone
+        # fixes the source map and so which sites share an image, on depth-4
+        # and depth-6 patches to their full depth; and gate 3's input
+        rng = random.Random(15)
+        cases = [(system, random_patch(4, rng), 2) for system in ALL_SYSTEMS]
+        for depth in (4, 6):
+            cases += [(system, random_patch(depth, rng), depth) for system in ALL_SYSTEMS[::65]]
+        cases.append((BBAB, jacaranda_prefix(9), 6))
+        assert len({system.grammar for system, _, maxlen in cases if maxlen == 6}) == 16
+        for system, p, maxlen in cases:
+            report = verify_renormalization(system, p, maxlen)
+            assert (report.ok, report.checked) == _renorm_per_site(system, p, maxlen)[:2]
+
+    def test_first_failure_matches_per_site_loop(self, monkeypatch):
+        # an apply that is wrong on the depth-3 subtrees: both loops stop at
+        # the first length-4 site, with the same site, sides and count
+        def broken(sub, p, out_depth=None):
+            image = apply(sub, p, out_depth)
+            if p.depth != 3:
+                return image
+            *rows, last = image.levels
+            return Patch((*rows, last[:-1] + "10"[int(last[-1])]))
+
+        monkeypatch.setattr(engine, "apply", broken)
+        p = fixed_point_prefix(BBAB, 0, 5)
+        report = verify_renormalization(BBAB, p, 4)
+        expected = _renorm_per_site(BBAB, p, 4)
+        assert (report.ok, report.checked, report.failure) == expected
+        assert expected[:2] == (False, 6) and expected[2][0] == "aaaa"
+
     def test_maxlen_guard(self):
         with pytest.raises(Shallow):
             verify_renormalization(BBAB, Patch.leaf(0), 2)
         with pytest.raises(OddLength):
             verify_renormalization(BBAB, fixed_point_prefix(BBAB, 0, 5), 3)
+
+
+def _renorm_per_site(sub, p, maxlen):
+    """(ok, checked, failure) of the renormalization check with one apply per site."""
+    big = engine.apply(sub, p)
+    checked = 0
+    for n in range(0, maxlen + 1, 2):
+        for letters in itertools.product("ab", repeat=n):
+            w = "".join(letters)
+            lhs = big.subtree(w)
+            rhs = engine.apply(sub, p.subtree(source(sub, w)))
+            d = min(lhs.depth, rhs.depth)
+            checked += 1
+            if lhs.truncate(d) != rhs.truncate(d):
+                return False, checked, (w, lhs, rhs)
+    return True, checked, None
+
+
+class TestTrustedPaths:
+    """Slices, images and preimages skip validation; each must still be valid."""
+
+    @staticmethod
+    def _outputs(system, p, rng):
+        m = rng.randrange(p.depth + 1)
+        n = rng.randrange(p.depth - m + 1)
+        i = rng.randrange(1 << m)
+        image = apply(system, p)
+        outs = [
+            p.window(m, i, n),
+            p.truncate(n),
+            p.subtree(index_addr(i, m)),
+            image,
+            apply(system, p, rng.randrange(image.depth + 1)),
+        ]
+        if system.marked:
+            for d in range(1, image.depth + 1):
+                try:
+                    outs.append(unsub(system, image.truncate(d)))
+                except NotInImage:  # a grammar that never places one subtree
+                    assert d >= 3 and len(set(system.grammar)) == 1
+        return outs
+
+    @settings(deadline=None)
+    @given(system=st.sampled_from(ALL_SYSTEMS), depth=st.integers(0, 5), seed=st.integers(0, 2**32))
+    def test_outputs_revalidate(self, system, depth, seed):
+        rng = random.Random(seed)
+        for q in self._outputs(system, random_patch(depth, rng), rng):
+            assert Patch(q.levels) == q
+
+    def test_every_system(self):
+        rng = random.Random(16)
+        for k, system in enumerate(ALL_SYSTEMS):
+            for q in self._outputs(system, random_patch(k % 5, rng), rng):
+                assert Patch(q.levels) == q
 
 
 class TestUnsub:
@@ -338,7 +425,8 @@ def _unsub_recursive(sub, p):
         raise NotInImage("only marked systems can be unsubstituted")
     if p.depth < 1:
         raise Shallow("need at least one generation to unsubstitute")
-    root = sub.root_preimage(p.get(""))
+    # the system is marked: exactly one color's image has the given root
+    root = 0 if sub.image0[0] == p.get("") else 1
     _, ia, ib = sub.image(root)
     if p.levels[1] != f"{ia}{ib}":
         raise NotInImage(f"generation 1 is {p.levels[1]}, image of {root} needs {ia}{ib}")
@@ -374,6 +462,14 @@ def _flips(p):
             rows = list(p.levels)
             rows[l] = row[:i] + "10"[int(c)] + row[i + 1 :]
             yield Patch(tuple(rows))
+
+
+def dump_substreetution(sub):
+    lines = []
+    for c, img in ((0, sub.image0), (1, sub.image1)):
+        lines.append(f"{c} -> {img[0]}({img[1]},{img[2]})")
+    lines.append(f"grammar {sub.grammar}")
+    return "\n".join(lines) + "\n"
 
 
 class TestTextFormat:

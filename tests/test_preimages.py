@@ -156,6 +156,13 @@ class TestCrosscheck:
         assert report.ok and not report.mismatches
         assert (report.occurrences, checked, report.undetermined_sites) == (258036, 355, 0)
 
+    def test_sweep_at_generation_18(self):
+        # the deepest prefix the siblings' bounded depth lets the sweep reach
+        # in tier-1 time; an unbounded sibling ran out of memory here
+        report, checked = crosscheck_sweep(jacaranda_prefix(18), 6)
+        assert report.ok and not report.mismatches
+        assert (report.occurrences, checked, report.undetermined_sites) == (516084, 389, 0)
+
     def test_siblings_no_deeper_than_patch(self):
         # a parent of a depth-d tree shows the sibling only to depth d
         jp16 = jacaranda_prefix(16)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,15 @@ from substreetution.render import (
     ROOT_COLOR,
     RenderConfig,
     classify_point,
-    hyperbolic_distance,
     make_generators,
     tiling_svg,
     tree_svg,
 )
 from substreetution.trees import Patch
+
+
+def hyperbolic_distance(z: complex, w: complex) -> float:
+    return math.atanh(abs(z - w) / abs(1 - w.conjugate() * z))
 
 
 def _tiling_svg_per_pixel(p, cfg):

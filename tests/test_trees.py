@@ -85,6 +85,20 @@ class TestPatchBasics:
         assert p.subtree("a") == patch("1")
         assert p.subtree("") == p
 
+    def test_slices_outside_the_patch_raise(self):
+        # window and truncate trust their rows, so their arguments are checked
+        p = jacaranda_prefix(3)
+        for level, index, n in ((0, 1, 1), (2, 4, 0), (2, -1, 1), (-1, 0, 1), (1, 0, -1), (2, 0, 2)):
+            with pytest.raises(AddressTooDeep):
+                p.window(level, index, n)
+        for depth in (-1, -4, -9):
+            with pytest.raises(BadPatchFormat):
+                p.truncate(depth)
+        for n in (-1, 4):
+            with pytest.raises(AddressTooDeep):
+                p.subtree_ids(n)
+        assert p.window(3, 7, 0) == patch("0") and p.truncate(0) == patch("0")
+
     def test_subtree_of_prefix(self):
         j = jacaranda_prefix(3)
         assert j.subtree("b").levels == ("0", "10", "1010")

@@ -20,7 +20,6 @@ from substreetution.words import (
     f_iter,
     line_formula,
     ones_count_line_2n,
-    ones_proportion,
     v2,
 )
 from substreetution.trees import addr_index, index_addr, random_patch
@@ -57,6 +56,11 @@ def v2_case_check(kmax: int = 8, mmax: int = 8) -> bool:
                 if kp <= k - 2 and val != kp + 1:
                     return False
     return True
+
+
+def ones_proportion(u: int) -> Fraction:
+    """Density of 1s in the level-u doubling block (and in lines 2^u(2n+1))."""
+    return 1 / (1 + f_iter(u))
 
 
 def proportion_check(word: str, u: int) -> bool:
