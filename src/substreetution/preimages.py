@@ -345,7 +345,6 @@ class CrosscheckReport:
     ok: bool
     occurrences: int
     mismatches: list = field(default_factory=list)
-    limit_only: list = field(default_factory=list)
     undetermined_sites: int = 0
 
 
@@ -412,32 +411,6 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
                 report.mismatches.append((index_addr(i, m), parent))
             matched |= hits
     return checked
-
-
-def crosscheck(desc: XDescriptor, jp: Patch, depth: int | None = None) -> CrosscheckReport:
-    """Validate the classified parents of one patch against the brute scan.
-
-    Every occurrence of the patch inside the prefix must have its actual
-    parent among the cases predicted for its site.  Predicted descriptors
-    never witnessed anywhere are reported as limit-only.
-    """
-    if desc.kind != "patch":
-        if depth is None:
-            depth = min(6, jp.depth - 1)
-        a = jacaranda_prefix(depth) if desc.kind == "J" else jprime_prefix(depth)
-    else:
-        a = desc.patch
-    if a.depth + 1 > jp.depth:
-        raise Shallow("prefix too shallow for a parent scan")
-    try:
-        primary = preimages_classified(desc, jp).members
-    except (Undetermined, TypeUndetermined):
-        primary = ()
-    report = CrosscheckReport(ok=True, occurrences=0)
-    matched: set = set()
-    _check_occurrences(jp, a.depth, {jp.locate(a): a}, report, matched)
-    report.limit_only = [m.serialize() for m in primary if (m.root, m.side) not in matched]
-    return report
 
 
 def crosscheck_sweep(jp: Patch, max_depth: int = 6):

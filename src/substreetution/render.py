@@ -4,8 +4,8 @@ Floating point lives only here.  A pixel's cell is found by pulling it back
 through the two disk isometries into the central Dirichlet cell; ties go to
 the shorter word.  The tiling is drawn one pixel row at a time, by spans:
   every comparison is a bisector of two isometry images, so walls are geodesics;
-  between two wall crossings a row keeps one label, so one pixel decides it;
-  pixels within two columns of a crossing are classified one by one, exactly.
+  between two wall bands a row keeps one label, so one pixel decides it;
+  a pixel whose centre lies inside a band is classified on its own, exactly.
 Output is deterministic: fixed formatting, row-major order, no concurrency.
 """
 
@@ -131,9 +131,9 @@ def classify_point(z, gens, depth_limit, tol=_TOL):
 
 
 # Euclidean half-width of the band around each wall that counts as crossing
-# it.  The 1e-9 tolerance and rounding move a decision by far less, so a row
-# that only grazes a wall still has its pixels there classified one by one;
-# the band is far narrower than a column.
+# it.  The 1e-9 tolerance and rounding move a decision by far less, so the
+# label cannot change between two bands, and a row that only grazes a wall
+# still meets its band; the band is far narrower than a column.
 _WALL_BAND = 1e-5
 
 
@@ -199,12 +199,32 @@ def _crossings(walls, y):
     return out
 
 
+def _row_walls(walls, res):
+    """For each pixel row, the walls whose band can reach its height.
+
+    A line wall reaches every row.  A circle wall reaches the rows within
+    R + band of its centre's height; row = ((1 - y) res - 1) / 2, and the
+    floor and ceil widen the range by up to a row, far more than rounding.
+    """
+    rows = [[] for _ in range(res)]
+    for wall in walls:
+        first, last = 0, res - 1
+        if wall[0] == "circle":
+            _, c, radius, _ = wall
+            reach = radius + _WALL_BAND
+            first = max(first, math.floor(((1 - c.imag - reach) * res - 1) / 2))
+            last = min(last, math.ceil(((1 - c.imag + reach) * res - 1) / 2))
+        for row in range(first, last + 1):
+            rows[row].append(wall)
+    return rows
+
+
 def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
     """Color the positive-word cells by the patch digits, one row at a time.
 
-    A row is cut at the wall bands; every pixel within two columns of a band
-    is classified on its own, and each stretch between them takes the label
-    of one of its pixels.
+    A row is cut at the wall bands that reach it.  A pixel whose centre lies
+    inside a band is classified on its own; each stretch between bands takes
+    the label of its first pixel.
     """
     res, depth_limit = cfg.resolution, cfg.depth_limit
     if res < 1:
@@ -237,12 +257,13 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
         if color != changes[-1][1]:
             changes.append((col, color))
 
-    for row in range(res):
+    for row, row_walls in enumerate(_row_walls(walls, res)):
         y = 1 - (2 * row + 1) / res
-        # Columns c with |c - c(x)| <= 2 for some x in a band, c(x) = ((x+1)res-1)/2.
+        # Columns c whose centre lies in a band, c = ((x+1)res-1)/2; a band
+        # between two centres gives an empty range that still cuts the row.
         exact = sorted(
-            (math.ceil(((xa + 1) * res - 1) / 2) - 2, math.floor(((xb + 1) * res - 1) / 2) + 2)
-            for xa, xb in _crossings(walls, y)
+            (math.ceil(((xa + 1) * res - 1) / 2), math.floor(((xb + 1) * res - 1) / 2))
+            for xa, xb in _crossings(row_walls, y)
         )
         changes = [(0, None)]
         col = 0  # first column not yet painted

@@ -1,8 +1,9 @@
 """The three auxiliary systems: sequence lift, additive digit law, line doubling.
 
 These exercise the engine from the outside: a fixed tree that projects to a
-classical binary sequence, a non-minimal system with a closed-form digit
-rule, and a periodic tree built by line rewriting rather than substitution.
+classical binary sequence, a system with a closed-form digit rule whose
+branch b a^n never meets color 0, and a periodic tree built by line
+rewriting rather than substitution.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ def abba_digit(root: int, word: str) -> int:
 def abba_nonminimal_witness(n_max: int, prefix: Patch | None = None) -> bool:
     """The b a^n digits are all 1, by formula and on a generated prefix.
 
-    A branch that never returns near the root-0 tree rules out almost
-    periodicity, hence minimality of the orbit closure.
+    So the branch b a^n of the root-0 ABBA tree never meets color 0.  This
+    is a fact about one branch and does not decide minimality of the orbit
+    closure: under the digit law every subtree is the tree of its root color.
     """
     from .engine import ABBA, fixed_point_prefix
 

@@ -11,8 +11,8 @@ Subtree ids are local to a patch: each patch numbers its own distinct
 They are exact: two subtrees of one patch have equal ids exactly when they
 are equal, never "probably equal".
 
-Patches are validated where they enter (`Patch(...)`, `leaf`, `from_levels`,
-`combine`, `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
+Patches are validated where they enter (`Patch(...)`, `leaf`, `combine`,
+`parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
 `truncate`, `subtree`) and the results of `engine.apply` and `engine.unsub`
 are valid by construction and skip the checks through `Patch._of`.
 """
@@ -96,10 +96,6 @@ class Patch:
     @staticmethod
     def leaf(color) -> "Patch":
         return Patch((str(int(color)),))
-
-    @staticmethod
-    def from_levels(rows) -> "Patch":
-        return Patch(tuple("".join(str(c) for c in row) for row in rows))
 
     @staticmethod
     def combine(color, left: "Patch", right: "Patch") -> "Patch":

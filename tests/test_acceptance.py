@@ -5,9 +5,10 @@ Gate 6 is asserted literally and is expected red at the moment: below depth
 closure, so the scan necessarily unions their parent sets and exceeds the
 per-tree bound of 3 (a depth-1 example with five parents can be read off
 the line structure by hand).  The per-tree statement itself is what gate 7
-verifies, per occurrence class, with zero mismatches; and the literal count
-bound does hold from depth 8 up.  The gate is kept as stated rather than
-weakened to the attainable form.
+verifies, per occurrence class, with zero mismatches.  Depth 8 does not end
+the aliasing: the gate's depth-14 prefix shows no depth-8 class above the
+bound, but a depth-18 prefix shows one with 4 one-step parents.  The gate is
+kept as stated rather than weakened to the attainable form.
 """
 
 import json

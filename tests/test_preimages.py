@@ -21,7 +21,6 @@ from substreetution.preimages import (
     _descriptor_matches,
     _SiteIndices,
     brute_parent_patches,
-    crosscheck,
     crosscheck_sweep,
     p_n,
     preimages_bruteforce,
@@ -29,6 +28,31 @@ from substreetution.preimages import (
 )
 from substreetution.trees import Patch, first_sites, index_addr, subpatch_representatives
 from substreetution.words import v2
+
+
+def crosscheck(desc, jp, depth=None):
+    """Validate the classified parents of one patch against the brute scan.
+
+    Every occurrence of the patch inside the prefix must have its actual
+    parent among the cases predicted for its site.  Returns the report and
+    the predicted members never witnessed anywhere (limit-only).
+    """
+    if desc.kind != "patch":
+        if depth is None:
+            depth = min(6, jp.depth - 1)
+        a = jacaranda_prefix(depth) if desc.kind == "J" else jprime_prefix(depth)
+    else:
+        a = desc.patch
+    if a.depth + 1 > jp.depth:
+        raise Shallow("prefix too shallow for a parent scan")
+    try:
+        primary = preimages_classified(desc, jp).members
+    except (Undetermined, TypeUndetermined):
+        primary = ()
+    report = CrosscheckReport(ok=True, occurrences=0)
+    matched: set = set()
+    preimages._check_occurrences(jp, a.depth, {jp.locate(a): a}, report, matched)
+    return report, [m.serialize() for m in primary if (m.root, m.side) not in matched]
 
 
 @pytest.fixture(scope="module")
@@ -187,15 +211,15 @@ class TestCrosscheck:
         # one occurrence per cell holding the patch below the root
         for site, depth in (("ba", 4), ("aabb", 3), ("a" * 9, 2), ("bab", 4)):
             patch = jp.subtree(site).truncate(depth)
-            report = crosscheck(concrete(patch, site), jp)
+            report, _ = crosscheck(concrete(patch, site), jp)
             cells = sum(row.count(jp.locate(patch)) for row in jp.subtree_ids(depth)[1:])
             assert report.ok and report.occurrences == cells
 
     def test_fixed_tree_descriptor_flags_missing_members(self, jp):
-        report = crosscheck(JAC, jp, depth=4)
+        report, limit_only = crosscheck(JAC, jp, depth=4)
         assert report.ok
         # whichever members the finite scan cannot witness are flagged, never lost
-        witnessed = report.occurrences - len(report.limit_only)
+        witnessed = report.occurrences - len(limit_only)
         assert witnessed >= 0
 
     def test_classified_agrees_with_provenance_free_detection(self, jp):
@@ -295,8 +319,8 @@ def _check_occurrences_per_site(jp, d, reps, report, matched):
     return checked
 
 
-def _fields(report):
-    return (report.ok, report.occurrences, report.mismatches, report.limit_only,
+def _fields(report, limit_only=()):
+    return (report.ok, report.occurrences, report.mismatches, list(limit_only),
             report.undetermined_sites)
 
 
@@ -338,7 +362,7 @@ class TestOccurrenceScanOracle:
             (got, got_counts), (want, want_counts) = self._both(
                 monkeypatch, crosscheck, desc, jp, depth
             )
-            assert _fields(got) == _fields(want) and got_counts == want_counts
+            assert _fields(*got) == _fields(*want) and got_counts == want_counts
 
     def test_mismatch_addresses(self):
         # real prefixes never mismatch, so stand each subtree id for another

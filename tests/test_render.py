@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from substreetution import render
 from substreetution.engine import THUE_MORSE, fixed_point_prefix
 from substreetution.errors import NonPositive, Shallow
 from substreetution.jacaranda import jacaranda_prefix
@@ -27,7 +29,8 @@ def hyperbolic_distance(z: complex, w: complex) -> float:
 
 def _tiling_svg_per_pixel(p, cfg):
     """The tiling classified pixel by pixel: the oracle for the span renderer."""
-    gens = make_generators()
+    # classify_point's descent, looked up once rather than once per pixel
+    classify = render._classifier(tuple(make_generators()), cfg.depth_limit)
     res = cfg.resolution
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
@@ -46,7 +49,7 @@ def _tiling_svg_per_pixel(p, cfg):
             if abs(z) >= 1:
                 color = None
             else:
-                word = classify_point(z, gens, cfg.depth_limit)
+                word = classify(z)
                 if word is None:
                     color = None
                 else:
@@ -206,12 +209,35 @@ class TestTilingSvg:
         p = jacaranda_prefix(2)
         assert tiling_svg(p, cfg) == tiling_svg(p, cfg)
 
-    @pytest.mark.parametrize("res", [64, 96, 128, 200, 256])
+    @pytest.mark.parametrize("res", [1, 2, 3, 33, 64, 96, 97, 128, 200, 256])
     def test_spans_match_per_pixel(self, res):
-        p = jacaranda_prefix(6)
-        for depth_limit in range(5):
+        # word limits 5 and 6 only up to 64 px, where the per-pixel oracle is cheap
+        p = jacaranda_prefix(8)
+        for depth_limit in range(7 if res <= 64 else 5):
             cfg = RenderConfig(resolution=res, depth_limit=depth_limit)
             assert tiling_svg(p, cfg) == _tiling_svg_per_pixel(p, cfg)
+
+    def test_512_px_classifies_band_pixels_only(self, monkeypatch):
+        # the perfbench tiling input: only pixels whose centres lie in a band,
+        # and the first pixel of each stretch between bands, are classified
+        calls = 0
+        classifier = render._classifier
+
+        def counting(*args):
+            classify = classifier(*args)
+
+            def counted(z):
+                nonlocal calls
+                calls += 1
+                return classify(z)
+
+            return counted
+
+        monkeypatch.setattr(render, "_classifier", counting)
+        svg = tiling_svg(jacaranda_prefix(18), RenderConfig(resolution=512, depth_limit=3))
+        assert calls <= 6000
+        digest = hashlib.blake2b(svg.encode("ascii"), digest_size=16).hexdigest()
+        assert digest == "436c1c22f171d3d92eb45bf100d3818d"
 
     @settings(deadline=None, max_examples=25)
     @given(

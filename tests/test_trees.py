@@ -25,6 +25,11 @@ def patch(*rows):
     return Patch(tuple(rows))
 
 
+def _from_levels(rows):
+    """A patch from rows of integer colors, validated by `Patch(...)`."""
+    return Patch(tuple("".join(str(c) for c in row) for row in rows))
+
+
 def patches(max_depth):
     """Random patches of depth 0..max_depth, one bit string per generation."""
     return st.integers(0, max_depth).flatmap(
@@ -63,7 +68,7 @@ class TestPatchBasics:
             lambda: patch("0", "10", "0\uff1110"),  # a fullwidth digit one
             lambda: Patch.leaf(2),
             lambda: Patch.combine(2, q, q),
-            lambda: Patch.from_levels([[0], [1, 2]]),
+            lambda: _from_levels([[0], [1, 2]]),
             lambda: parse_patch("depth 1\n0\n1-\n"),
         ]
         for make in bad:
