@@ -177,7 +177,7 @@ def c11_no_invariant_measure():
         return False, "orbit graph not periodic"
     if invariant_measure(g).feasible:
         return False, "expected infeasible"
-    loop = OrbitGraph(("s0",), {}, {"s0": "s0"}, {"s0": "s0"}, 3)
+    loop = OrbitGraph(("s0",), {"s0": "s0"}, {"s0": "s0"})
     res = invariant_measure(loop)
     if not res.feasible or res.assignment["s0"] != 1:
         return False, "self-loop graph should carry the point mass"

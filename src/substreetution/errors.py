@@ -72,10 +72,6 @@ class Undetermined(SubstreetutionError):
 class NotClosed(SubstreetutionError):
     """Orbit closure did not stabilize at the identification depth."""
 
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
 
 class NonConstantLevel(SubstreetutionError):
     """A projection to a sequence needs every level to be monochromatic."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedGraph
 from .systems import OrbitGraph
 
 
@@ -57,13 +56,8 @@ def _periodic(states, edges) -> set:
 
 def invariant_measure(g: OrbitGraph) -> MeasureResult:
     """Decide the balance system exactly; feasible results carry a witness."""
-    states, known = g.states, set(g.states)
-    if not states or len(known) != len(states):
-        raise MalformedGraph("empty graph or a repeated state")
+    states = g.states
     maps = {"a": g.a_edges, "b": g.b_edges}
-    for s in states:
-        if any(f.get(s) not in known for f in maps.values()):
-            raise MalformedGraph(f"state {s} lacks an edge into the state set")
     per = {c: _periodic(states, f) for c, f in maps.items()}
 
     root = {s: s for s in states}

@@ -57,20 +57,14 @@ def make_generators() -> tuple[DiskIsometry, DiskIsometry]:
     quarter-turn conjugate moving -i/2 to i/2 fixing +-i.
 
     Maps fixing +-1 form the one-parameter family z -> (z+t)/(tz+1); the
-    half-point condition solves to t = 4/5 exactly.
+    half-point condition (-1/2 + t) / (1 - t/2) = 1/2 reads t * 5/4 = 1, so
+    t = 4/5 exactly.
     """
-    t = _solve_half_shift()
+    t = Fraction(4, 5)
     h1 = DiskIsometry(complex(1), complex(t)).normalized()
     rot = DiskIsometry(cmath.exp(1j * math.pi / 4), 0)
     h2 = rot.compose(h1).compose(rot.inverse())
     return h1, h2
-
-
-def _solve_half_shift() -> Fraction:
-    # (-1/2 + t) / (1 - t/2) = 1/2  =>  t * 5/4 = 1
-    lhs_coeff = Fraction(1) + Fraction(1, 2) * Fraction(1, 2)
-    rhs = Fraction(1, 2) + Fraction(1, 2)
-    return rhs / lhs_coeff
 
 
 PALETTE = ("#9a9a9a", "#101010")  # fill of a color-0 and a color-1 node or cell
@@ -85,7 +79,7 @@ class RenderConfig:
 
 
 @lru_cache(maxsize=16)
-def _classifier(gens, depth_limit, tol=_TOL):
+def _classifier(gens, depth_limit):
     """The descent of `classify_point`, with the isometry set-up done once.
 
     Same arithmetic, operation for operation: the distance from z to t is
@@ -112,7 +106,7 @@ def _classifier(gens, depth_limit, tol=_TOL):
                 atanh(abs(z - t4) / abs(1 - c4 * z)),
             ]
             nearest = min(ds)
-            if atanh(abs(z)) <= nearest + tol:  # rounding is monotone: d0 <= d + tol for every d
+            if atanh(abs(z)) <= nearest + _TOL:  # rounding is monotone: d0 <= d + _TOL for every d
                 return word
             best = ds.index(nearest)
             if best % 2:
@@ -125,9 +119,9 @@ def _classifier(gens, depth_limit, tol=_TOL):
     return classify
 
 
-def classify_point(z, gens, depth_limit, tol=_TOL):
+def classify_point(z, gens, depth_limit):
     """Positive word whose cell contains z, or None (inverse side / too deep)."""
-    return _classifier(tuple(gens), depth_limit, tol)(z)
+    return _classifier(tuple(gens), depth_limit)(z)
 
 
 # Euclidean half-width of the band around each wall that counts as crossing

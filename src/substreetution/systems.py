@@ -4,6 +4,11 @@ These exercise the engine from the outside: a fixed tree that projects to a
 classical binary sequence, a system with a closed-form digit rule whose
 branch b a^n never meets color 0, and a periodic tree built by line
 rewriting rather than substitution.
+
+Orbit graphs close a tree under both shifts.  Their states are the depth-d
+subtree classes of a seed patch and their edges are read off its id tables
+at the first site of each depth-(d+1) class.  An `OrbitGraph` checks its
+states and edges once, when it is built; `measures` takes it as checked.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedGraph, NonConstantLevel, NotClosed, Shallow
-from .trees import Patch
+from .trees import Patch, first_sites
 
 
 def tm_project(p: Patch) -> str:
@@ -74,14 +79,31 @@ def nomeasure_tree(root: int, depth: int) -> Patch:
 
 @dataclass(frozen=True)
 class OrbitGraph:
-    """Finite a/b-edge graph over depth-truncated tree states."""
+    """Finite a/b-edge graph over depth-truncated tree states.
+
+    Checked once, when built: the states are distinct and each has one
+    a-edge and one b-edge into the state set.
+    """
 
     states: tuple[str, ...]
-    reprs: dict
     a_edges: dict
     b_edges: dict
-    depth_used: int
     warning: str | None = None
+
+    def __post_init__(self):
+        if not self.states:
+            raise MalformedGraph("graph has no states")
+        known = set()
+        for s in self.states:
+            if s in known:
+                raise MalformedGraph(f"repeated state {s} is declared twice")
+            known.add(s)
+        for s in self.states:
+            for edges, c in ((self.a_edges, "a"), (self.b_edges, "b")):
+                if s not in edges:
+                    raise MalformedGraph(f"state {s} has no {c}-edge")
+                if edges[s] not in known:
+                    raise MalformedGraph(f"edge {s} -{c}-> {edges[s]} leaves the state set")
 
     @property
     def periodic(self) -> bool:
@@ -113,54 +135,39 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
             edges[parts[1]] = parts[3]
         else:
             raise MalformedGraph(f"bad graph line {raw!r}")
-    if not states:
-        raise MalformedGraph("graph has no states")
-    if len(set(states)) != len(states):
-        raise MalformedGraph("a state is declared twice")
-    for s in states:
-        for edges, c in ((a_edges, "a"), (b_edges, "b")):
-            if s not in edges:
-                raise MalformedGraph(f"state {s} has no {c}-edge")
-            if edges[s] not in states:
-                raise MalformedGraph(f"edge {s} -{c}-> {edges[s]} leaves the state set")
-    return OrbitGraph(tuple(states), {}, a_edges, b_edges, depth_used=0)
+    return OrbitGraph(tuple(states), a_edges, b_edges)
 
 
-def _closure_at_depth(seed: Patch, d: int, bound: int):
+# More distinct states than this and the closure is treated as not closed.
+_MAX_STATES = 64
+
+
+def _closure_at_depth(seed: Patch, d: int):
     """State classes and edge maps at one identification depth.
 
-    States are depth-d truncations of subtrees.  The closure fails when a
-    class shows two different child classes somewhere (the identification
-    depth merges trees it should not) or when a class only ever appears at
-    the bottom, where its children cannot be resolved.
+    States are the depth-d subtree classes, at their first sites.  A
+    depth-(d+1) class fixes its truncation's depth-d children, so one site
+    per depth-(d+1) class gives every edge.  The closure fails when a class
+    gets two different child pairs (the identification depth merges trees it
+    should not) or when a class only ever appears at the bottom, where its
+    children cannot be resolved.
     """
     if seed.depth < d + 1:
         raise NotClosed(f"seed depth {seed.depth} cannot resolve depth-{d} states")
-    table = seed.subtree_ids(d)
-    bottom = seed.depth - d
-    first = {}
+    first = first_sites(seed, d)
+    if len(first) > _MAX_STATES:
+        raise NotClosed(f"more than {_MAX_STATES} states; treating as not closed")
+    ids = seed.subtree_ids(d)
     edges = {}
-    for m in range(bottom + 1):
-        for i, cid in enumerate(table[m]):
-            if cid not in first:
-                first[cid] = (m, i)
-                if len(first) > bound:
-                    raise NotClosed(f"more than {bound} states; treating as not closed", bound)
-            if m < bottom:
-                kids = (table[m + 1][2 * i], table[m + 1][2 * i + 1])
-                known = edges.get(cid)
-                if known is None:
-                    edges[cid] = kids
-                elif known != kids:
-                    raise NotClosed(
-                        f"identification depth {d} merges trees with different children"
-                    )
-    unresolved = [cid for cid in first if cid not in edges]
-    if unresolved:
+    for m, i in first_sites(seed, d + 1).values():
+        kids = (ids[m + 1][2 * i], ids[m + 1][2 * i + 1])
+        if edges.setdefault(ids[m][i], kids) != kids:
+            raise NotClosed(f"identification depth {d} merges trees with different children")
+    if len(edges) < len(first):
         raise NotClosed(
-            f"{len(unresolved)} state(s) appear only at the truncation frontier"
+            f"{len(first) - len(edges)} state(s) appear only at the truncation frontier"
         )
-    return first, edges, table
+    return first, edges
 
 
 def invariant_edges_expected(g: OrbitGraph) -> bool:
@@ -185,32 +192,29 @@ def invariant_edges_expected(g: OrbitGraph) -> bool:
     return len({s, mirror, looper0, cross0, looper1, cross1}) == 6
 
 
-def build_orbit_graph(seed: Patch, depth: int, bound: int = 64) -> OrbitGraph:
+def build_orbit_graph(seed: Patch, depth: int) -> OrbitGraph:
     """Close the seed under both shifts with depth-`depth` state identity.
 
-    Sweeps identification depths depth..depth+2 where the seed allows it; if
-    the counts disagree the deepest sweep wins and a warning is attached.
+    Then tries identification depths depth+1 and depth+2 until one does not
+    close; the deepest closure wins, with a warning if the counts disagree.
     """
     if depth < 2:
         raise MalformedGraph("identification depth must be at least 2")
-    results = []
-    for d in (depth, depth + 1, depth + 2):
+    first, edges = _closure_at_depth(seed, depth)
+    counts = {depth: len(first)}
+    for d in (depth + 1, depth + 2):
         try:
-            results.append((d, _closure_at_depth(seed, d, bound)))
+            first, edges = _closure_at_depth(seed, d)
         except NotClosed:
-            if d == depth:
-                raise
             break
-    counts = {d: len(first) for d, (first, _, _) in results}
+        counts[d] = len(first)
     warning = None
     if len(set(counts.values())) > 1:
         warning = f"state counts vary with identification depth: {counts}"
-    d, (first, edges, table) = results[-1]
-    order = sorted(first, key=first.get)
-    names = {cid: f"s{k}" for k, cid in enumerate(order)}
-    reprs = {names[cid]: seed.window(*first[cid], d) for cid in order}
-    a_edges = {names[cid]: names[edges[cid][0]] for cid in order}
-    b_edges = {names[cid]: names[edges[cid][1]] for cid in order}
+    names = {cid: f"s{k}" for k, cid in enumerate(first)}  # in site order
     return OrbitGraph(
-        tuple(names[cid] for cid in order), reprs, a_edges, b_edges, d, warning
+        tuple(names.values()),
+        {names[cid]: names[edges[cid][0]] for cid in first},
+        {names[cid]: names[edges[cid][1]] for cid in first},
+        warning,
     )

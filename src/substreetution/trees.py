@@ -202,12 +202,19 @@ def distinct_subpatches(p: Patch, n: int) -> frozenset[int]:
 
 
 def first_sites(p: Patch, n: int) -> dict[int, tuple[int, int]]:
-    """Each depth-n subtree id of p -> (generation, rank) of its first site."""
+    """Each depth-n subtree id of p -> (generation, rank) of its first site.
+
+    Keys are in site order.  Within a row, distinct ids in first-seen order
+    have rising first ranks, so each search resumes where the last stopped
+    and a row is scanned once.
+    """
     first: dict[int, tuple[int, int]] = {}
     for m, row in enumerate(p.subtree_ids(n)):
-        for cid in dict.fromkeys(row):  # distinct ids in first-seen order
+        i = 0
+        for cid in dict.fromkeys(row):
             if cid not in first:
-                first[cid] = (m, row.index(cid))
+                i = row.index(cid, i)
+                first[cid] = (m, i)
     return first
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.jacaranda import concrete, jacaranda_prefix
 from substreetution.preimages import preimages_classified
 from substreetution.systems import build_orbit_graph, nomeasure_tree
-from substreetution.trees import dump_patch, parse_patch
+from substreetution.trees import dump_patch, parse_patch, random_patch
 
 
 # every integer flag at a negative value: (test id, argv, message)
@@ -189,6 +190,26 @@ class TestGraphCommands:
         code, out, err = run(capsys, "measure-check", "--graph", str(gfile))
         assert code == 0 and out == "infeasible\n"
         assert err == "# state s1 is not b-periodic\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("state s0\nstate s1\nstate s0\nedge s0 a s0\nedge s0 b s0\n"
+         "edge s1 a s1\nedge s1 b s1\n", "repeated state s0 is declared twice"),
+        ("state s0\nstate s1\nedge s0 a s1\nedge s0 b s0\nedge s1 a s0\n",
+         "state s1 has no b-edge"),
+    ], ids=["repeated-state", "missing-edge"])
+    def test_measure_rejects_malformed_graph(self, capsys, tmp_path, text, message):
+        gfile = tmp_path / "bad.graph"
+        gfile.write_text(text)
+        code, out, err = run(capsys, "measure-check", "--graph", str(gfile))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_orbit_graph_of_random_patch_not_closed(self, capsys, tmp_path):
+        pfile = tmp_path / "noise.patch"
+        pfile.write_text(dump_patch(random_patch(12, random.Random(4))))
+        code, out, err = run(capsys, "orbit-graph", "--patch", str(pfile))
+        assert code == 2 and out == ""
+        assert err == "error: more than 64 states; treating as not closed\n"
 
     def test_measure_feasible(self, capsys, tmp_path):
         gfile = tmp_path / "loop.graph"

@@ -11,7 +11,7 @@ from substreetution.systems import OrbitGraph, build_orbit_graph, nomeasure_tree
 
 
 def graph(states, a_edges, b_edges):
-    return OrbitGraph(tuple(states), {}, a_edges, b_edges, depth_used=3)
+    return OrbitGraph(tuple(states), a_edges, b_edges)
 
 
 def maps(n):
@@ -221,16 +221,13 @@ class TestProperties:
 
 class TestValidation:
     def test_missing_edge(self):
-        g = graph(["s0", "s1"], {"s0": "s1"}, {"s0": "s0", "s1": "s1"})
-        with pytest.raises(MalformedGraph):
-            invariant_measure(g)
+        with pytest.raises(MalformedGraph, match="s1 has no a-edge"):
+            graph(["s0", "s1"], {"s0": "s1"}, {"s0": "s0", "s1": "s1"})
 
     def test_edge_leaves_state_set(self):
-        g = graph(["s0"], {"s0": "s0"}, {"s0": "s9"})
-        with pytest.raises(MalformedGraph):
-            invariant_measure(g)
+        with pytest.raises(MalformedGraph, match="leaves the state set"):
+            graph(["s0"], {"s0": "s0"}, {"s0": "s9"})
 
     def test_repeated_state(self):
-        g = graph(["s0", "s0"], {"s0": "s0"}, {"s0": "s0"})
         with pytest.raises(MalformedGraph, match="repeated state"):
-            invariant_measure(g)
+            graph(["s0", "s0"], {"s0": "s0"}, {"s0": "s0"})

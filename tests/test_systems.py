@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from substreetution.engine import ABBA, THUE_MORSE, fixed_point_prefix
+from substreetution.engine import ABBA, THUE_MORSE, Substreetution, fixed_point_prefix
 from substreetution.errors import MalformedGraph, NonConstantLevel, NotClosed
 from substreetution.jacaranda import jacaranda_prefix
 from substreetution.systems import (
+    OrbitGraph,
     abba_digit,
     abba_nonminimal_witness,
     build_orbit_graph,
@@ -12,7 +16,7 @@ from substreetution.systems import (
     parse_orbit_graph,
     tm_project,
 )
-from substreetution.trees import Patch
+from substreetution.trees import Patch, random_patch
 
 
 def thue_morse_word(n: int) -> str:
@@ -81,6 +85,89 @@ class TestLineDoubling:
         assert p.subtree("bb").truncate(6) == nomeasure_tree(1, 6)
 
 
+def closure_by_sites(seed, d):
+    """Oracle: the closure at depth d read off every site and its two children."""
+    if seed.depth < d + 1:
+        raise NotClosed("seed too shallow")
+    table = seed.subtree_ids(d)
+    bottom = seed.depth - d
+    first, edges = {}, {}
+    for m in range(bottom + 1):
+        for i, cid in enumerate(table[m]):
+            first.setdefault(cid, (m, i))
+            if m < bottom:
+                kids = (table[m + 1][2 * i], table[m + 1][2 * i + 1])
+                if edges.setdefault(cid, kids) != kids:
+                    raise NotClosed("merges trees with different children")
+    if len(first) > 64 or len(edges) < len(first):
+        raise NotClosed("too many states, or states only at the frontier")
+    return first, edges
+
+
+def graph_by_sites(seed, depth):
+    """Oracle: the deepest of the closures at depth..depth+2 that succeed in a row."""
+    results = []
+    for d in (depth, depth + 1, depth + 2):
+        try:
+            results.append((d, closure_by_sites(seed, d)))
+        except NotClosed:
+            if d == depth:
+                raise
+            break
+    counts = {d: len(first) for d, (first, _) in results}
+    warning = None
+    if len(set(counts.values())) > 1:
+        warning = f"state counts vary with identification depth: {counts}"
+    first, edges = results[-1][1]
+    names = {cid: f"s{k}" for k, cid in enumerate(sorted(first, key=first.get))}
+    return OrbitGraph(
+        tuple(names.values()),
+        {names[cid]: names[edges[cid][0]] for cid in first},
+        {names[cid]: names[edges[cid][1]] for cid in first},
+        warning,
+    )
+
+
+def lifted_patch(depth, rng):
+    """A random depth-4 patch continued to `depth` by giving each node two
+    children of its own color: few distinct subtrees, so closures often succeed."""
+    base = random_patch(4, rng)
+    rows = list(base.levels)
+    while len(rows) <= depth:
+        rows.append("".join(c * 2 for c in rows[-1]))
+    return Patch(tuple(rows))
+
+
+def sweep_seeds():
+    rng = random.Random(11)
+    seeds = [nomeasure_tree(r, d) for r in (0, 1) for d in (3, 8, 12)]
+    seeds += [jacaranda_prefix(12), Patch(tuple("0" * (1 << l) for l in range(9)))]
+    for x, y, u, v in itertools.product((0, 1), repeat=4):
+        grammar = "".join(rng.choice("AB") for _ in range(4))
+        seeds.append(fixed_point_prefix(Substreetution((0, x, y), (1, u, v), grammar), 0, 10))
+    seeds += [lifted_patch(9, rng) for _ in range(6)] + [random_patch(8, rng) for _ in range(4)]
+    return seeds
+
+
+class TestClosureOracle:
+    def test_matches_per_site_closure(self):
+        closed = failed = 0
+        for seed in sweep_seeds():
+            for d in range(2, min(seed.depth, 9) + 1):
+                try:
+                    want = graph_by_sites(seed, d)
+                except NotClosed:
+                    with pytest.raises(NotClosed):
+                        build_orbit_graph(seed, d)
+                    failed += 1
+                    continue
+                got = build_orbit_graph(seed, d)
+                assert got.serialize() == want.serialize()
+                assert got.warning == want.warning
+                closed += 1
+        assert closed > 50 and failed > 50  # both outcomes are exercised
+
+
 class TestOrbitGraphs:
     def test_six_states_stable(self):
         seed = nomeasure_tree(0, 14)
@@ -124,7 +211,7 @@ class TestOrbitGraphs:
     def test_parse_rejects_partial(self):
         with pytest.raises(MalformedGraph):
             parse_orbit_graph("state s0\nedge s0 a s0\n")
-        with pytest.raises(MalformedGraph, match="declared twice"):
+        with pytest.raises(MalformedGraph, match="repeated state s0 is declared twice"):
             parse_orbit_graph("state s0\nstate s0\nedge s0 a s0\nedge s0 b s0\n")
         with pytest.raises(MalformedGraph, match="two a-edges"):
             parse_orbit_graph("state s0\nedge s0 a s0\nedge s0 a s0\nedge s0 b s0\n")

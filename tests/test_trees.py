@@ -13,6 +13,7 @@ from substreetution.trees import (
     distance,
     distinct_subpatches,
     dump_patch,
+    first_sites,
     index_addr,
     parse_patch,
     random_patch,
@@ -244,6 +245,29 @@ class TestIdNumbering:
             assert located[0] == p.subtree_ids(4)[1][1] and len(nodes) == size
             if p.depth == 12:
                 assert located[1:] == [None, None]
+
+
+def first_sites_by_scan(p, n):
+    """Oracle: every site in order, keeping the first of each id."""
+    first = {}
+    for m, row in enumerate(p.subtree_ids(n)):
+        for i, cid in enumerate(row):
+            first.setdefault(cid, (m, i))
+    return first
+
+
+class TestFirstSites:
+    def check(self, p):
+        for n in range(p.depth + 1):
+            assert list(first_sites(p, n).items()) == list(first_sites_by_scan(p, n).items())
+
+    def test_random_patches(self):
+        rng = random.Random(8)
+        for depth in (0, 1, 5, 9, 11):
+            self.check(random_patch(depth, rng))
+
+    def test_fixed_tree_prefix(self):
+        self.check(jacaranda_prefix(12))
 
 
 class TestDistinctSubpatches:

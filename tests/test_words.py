@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -85,6 +86,12 @@ with open("/proc/self/status") as fh:
 """
 
 
+# every grammar, each on the BBAB images: chi depends on the grammar alone
+ALL_GRAMMARS = [
+    Substreetution((0, 1, 0), (1, 1, 0), "".join(g)) for g in itertools.product("AB", repeat=4)
+]
+
+
 class TestAddressSets:
     def test_examples(self):
         assert ones_addresses("0010") == {"ba"}
@@ -130,15 +137,18 @@ class TestChi:
         for u in range(3):
             assert len(chi_pow(BBAB, w, u)) == 1 << (2 * (1 << u))
 
+    # theta of a letter a grammar never uses is empty, and warns
+    @pytest.mark.filterwarnings("ignore:grammar .* never uses letter")
     @settings(deadline=None)
     @given(
-        system=st.sampled_from([BBAB, ABBA, THUE_MORSE]),
+        system=st.sampled_from([BBAB, ABBA, THUE_MORSE] + ALL_GRAMMARS),
         word=st.integers(0, 8).flatmap(
             lambda l: st.text("01", min_size=1 << l, max_size=1 << l)
         ),
     )
     def test_recursion_matches_definition(self, system, word):
         assert chi_recursive(system, word) == chi_via_theta(system, word)
+        assert chi(system, word) == chi_recursive(system, word)
 
     def test_unused_letter_contributes_nothing(self):
         # theta of an a-address is empty under this grammar, so only the
