@@ -14,6 +14,7 @@ states and edges once, when it is built; `measures` takes it as checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import MalformedGraph, NonConstantLevel, NotClosed, Shallow
 from .trees import Patch, first_sites
@@ -56,8 +57,10 @@ def abba_nonminimal_witness(n_max: int, prefix: Patch | None = None) -> bool:
 
 # -- the line-doubling periodic tree -------------------------------------------
 
-_T1 = {"0": "01", "1": "10"}
-_T2 = {"01": "0001", "10": "1110"}
+# odd lines rewrite each digit to a pair; even lines rewrite each "01"/"10"
+# pair of the line above, which its first digit names
+_T1 = str.maketrans({"0": "01", "1": "10"})
+_T2 = str.maketrans({"0": "0001", "1": "1110"})
 
 
 def nomeasure_tree(root: int, depth: int) -> Patch:
@@ -65,12 +68,7 @@ def nomeasure_tree(root: int, depth: int) -> Patch:
     rows = [str(int(root))]
     for l in range(1, depth + 1):
         prev = rows[-1]
-        if l % 2:
-            rows.append("".join(_T1[c] for c in prev))
-        else:
-            rows.append(
-                "".join(_T2[prev[i : i + 2]] for i in range(0, len(prev), 2))
-            )
+        rows.append(prev.translate(_T1) if l % 2 else prev[::2].translate(_T2))
     return Patch(tuple(rows))
 
 
@@ -82,15 +80,17 @@ class OrbitGraph:
     """Finite a/b-edge graph over depth-truncated tree states.
 
     Checked once, when built: the states are distinct and each has one
-    a-edge and one b-edge into the state set.
+    a-edge and one b-edge into the state set.  The edge maps are kept as
+    read-only copies, so the check keeps holding.
     """
 
     states: tuple[str, ...]
-    a_edges: dict
-    b_edges: dict
-    warning: str | None = None
+    a_edges: MappingProxyType
+    b_edges: MappingProxyType
 
     def __post_init__(self):
+        object.__setattr__(self, "a_edges", MappingProxyType(dict(self.a_edges)))
+        object.__setattr__(self, "b_edges", MappingProxyType(dict(self.b_edges)))
         if not self.states:
             raise MalformedGraph("graph has no states")
         known = set()
@@ -195,26 +195,16 @@ def invariant_edges_expected(g: OrbitGraph) -> bool:
 def build_orbit_graph(seed: Patch, depth: int) -> OrbitGraph:
     """Close the seed under both shifts with depth-`depth` state identity.
 
-    Then tries identification depths depth+1 and depth+2 until one does not
-    close; the deepest closure wins, with a warning if the counts disagree.
+    A deeper identification depth that also closes gives the same graph:
+    two depth-(d+1) classes over one depth-d class would give it two child
+    pairs, so the classes match one to one, in the same site order.
     """
     if depth < 2:
         raise MalformedGraph("identification depth must be at least 2")
     first, edges = _closure_at_depth(seed, depth)
-    counts = {depth: len(first)}
-    for d in (depth + 1, depth + 2):
-        try:
-            first, edges = _closure_at_depth(seed, d)
-        except NotClosed:
-            break
-        counts[d] = len(first)
-    warning = None
-    if len(set(counts.values())) > 1:
-        warning = f"state counts vary with identification depth: {counts}"
     names = {cid: f"s{k}" for k, cid in enumerate(first)}  # in site order
     return OrbitGraph(
         tuple(names.values()),
         {names[cid]: names[edges[cid][0]] for cid in first},
         {names[cid]: names[edges[cid][1]] for cid in first},
-        warning,
     )

@@ -9,7 +9,9 @@ keeps all family-block reasoning plain index arithmetic.
 Subtree ids are local to a patch: each patch numbers its own distinct
 (color, left-id, right-id) nodes, so ids are a pure function of the patch.
 They are exact: two subtrees of one patch have equal ids exactly when they
-are equal, never "probably equal".
+are equal, never "probably equal".  Each depth's ids form one contiguous
+range, so the distinct subtrees of a depth are read off the node table
+without a pass over the id table.
 
 Patches are validated where they enter (`Patch(...)`, `leaf`, `combine`,
 `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
@@ -23,7 +25,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import count, islice, repeat
 
 from .errors import AddressTooDeep, BadPatchFormat, DepthMismatch
 
@@ -158,18 +160,32 @@ class Patch:
         generation m, for every m <= depth - n.  Tables are cached per patch
         and built upward from depth 0; ids come from one (color, left-id,
         right-id) -> id table per patch, where a leaf has children 0.  A
-        missing key takes the next id, so ids count from 1 in first-seen order.
+        missing key takes the next id, so ids count from 1 in first-seen order:
+        the root's color is leaf 1 and the other color, if it occurs, leaf 2.
+        A depth-k key has depth-(k-1) children, so each depth takes a new,
+        contiguous id range; `_ends[k + 1]` is the table's size after depth k.
         """
         if not 0 <= n <= self.depth:
             raise AddressTooDeep(f"no depth-{n} subtrees in a depth-{self.depth} patch")
-        cache = self.__dict__.setdefault("_idtables", {})
+        cache = self.__dict__.setdefault("_idtables", [])
         nodes = self.__dict__.setdefault("_nodes", defaultdict(count(1).__next__))
+        ends = self.__dict__.setdefault("_ends", [0])
+        if not cache:
+            root = self.levels[0]
+            other = "10"[int(root)]
+            leaf = {root: nodes[root, 0, 0], other: 0}
+            if any(other in row for row in self.levels):
+                leaf[other] = nodes[other, 0, 0]
+            table = bytes.maketrans(b"01", bytes((leaf["0"], leaf["1"])))
+            cache.append([list(row.encode().translate(table)) for row in self.levels])
+            ends.append(len(nodes))
         for k in range(len(cache), n + 1):
-            below = map(iter, cache[k - 1][1:]) if k else repeat(repeat(0))
-            cache[k] = [
+            below = map(iter, cache[k - 1][1:])
+            cache.append([
                 list(map(nodes.__getitem__, zip(row, it, it)))
                 for row, it in zip(self.levels[: self.depth - k + 1], below)
-            ]
+            ])
+            ends.append(len(nodes))
         return cache[n]
 
     def locate(self, a: "Patch") -> int | None:
@@ -197,8 +213,14 @@ def distance(p: Patch, q: Patch):
 
 
 def distinct_subpatches(p: Patch, n: int) -> frozenset[int]:
-    """Ids (local to p) of all distinct depth-n subtrees rooted anywhere in p."""
-    return frozenset(chain.from_iterable(p.subtree_ids(n)))
+    """Ids (local to p) of all distinct depth-n subtrees rooted anywhere in p.
+
+    These are the id range depth n took in p's node table, taken from the
+    table's values so that the id table's int objects are shared, not copied.
+    """
+    p.subtree_ids(n)
+    ends = p.__dict__["_ends"]
+    return frozenset(islice(p.__dict__["_nodes"].values(), ends[n], ends[n + 1]))
 
 
 def first_sites(p: Patch, n: int) -> dict[int, tuple[int, int]]:

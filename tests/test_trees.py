@@ -1,4 +1,6 @@
 import random
+from collections import defaultdict
+from itertools import chain, count, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,65 @@ class TestIdNumbering:
             assert located[0] == p.subtree_ids(4)[1][1] and len(nodes) == size
             if p.depth == 12:
                 assert located[1:] == [None, None]
+
+
+def per_node_ids(p):
+    """Oracle: every id table built one node-table step per site, the leaf
+    level too (its keys have children 0); returns the tables and node table."""
+    nodes = defaultdict(count(1).__next__)
+    tables = []
+    for k in range(p.depth + 1):
+        below = map(iter, tables[-1][1:]) if k else repeat(repeat(0))
+        tables.append([
+            list(map(nodes.__getitem__, zip(row, it, it)))
+            for row, it in zip(p.levels[: p.depth - k + 1], below)
+        ])
+        if not k:
+            leaf_nodes = list(nodes.items())
+    return tables, leaf_nodes, list(nodes.items())
+
+
+def one_color_patches(depth):
+    """All 0, all 1, and a root of the other color over one-color levels."""
+    for root, rest in (("0", "0"), ("1", "1"), ("1", "0"), ("0", "1")):
+        yield Patch((root,) + tuple(rest * (1 << l) for l in range(1, depth + 1)))
+
+
+class TestLeafLevel:
+    """The leaf level is one translate per row; the per-node build is the oracle."""
+
+    def check(self, p):
+        tables, leaf_nodes, nodes = per_node_ids(p)
+        fresh = Patch(p.levels)
+        assert fresh.subtree_ids(0) == tables[0]
+        assert list(fresh.__dict__["_nodes"].items()) == leaf_nodes
+        assert [fresh.subtree_ids(k) for k in range(p.depth + 1)] == tables
+        assert list(fresh.__dict__["_nodes"].items()) == nodes
+
+    @settings(deadline=None)
+    @given(p=patches(8))
+    def test_random_patches(self, p):
+        self.check(p)
+
+    def test_one_color_patches(self):
+        for depth in range(6):
+            for p in one_color_patches(depth):
+                self.check(p)
+
+    def test_depth0_patches(self):
+        for c in "01":
+            self.check(Patch((c,)))
+            assert Patch((c,)).subtree_ids(0) == [[1]]
+
+    @settings(deadline=None)
+    @given(p=st.one_of(patches(8), st.sampled_from(list(one_color_patches(5)))), data=st.data())
+    def test_distinct_is_the_depth_id_range(self, p, data):
+        p = Patch(p.levels)  # no tables yet
+        d = data.draw(st.integers(0, p.depth))
+        m = data.draw(st.integers(0, p.depth - d))
+        assert p.locate(p.window(m, data.draw(st.integers(0, (1 << m) - 1)), d)) is not None
+        for n in data.draw(st.permutations(range(p.depth + 1))):
+            assert distinct_subpatches(p, n) == frozenset(chain.from_iterable(p.subtree_ids(n)))
 
 
 def first_sites_by_scan(p, n):
