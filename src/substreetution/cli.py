@@ -163,7 +163,7 @@ def _run(args) -> int:
     elif cmd == "theta":
         system = resolve_system(args.sub)
         sites = sorted(theta(system, args.addr))
-        print(" ".join(sites) if sites else "{}")
+        print(" ".join(s or "e" for s in sites) if sites else "{}")
     elif cmd == "source":
         system = resolve_system(args.sub)
         print(source(system, args.addr) or "e")
@@ -235,7 +235,7 @@ def _run(args) -> int:
         cfg = RenderConfig(resolution=args.res, depth_limit=args.depth)
         _write(tiling_svg(load_patch(args.patch), cfg), args.out)
     elif cmd == "verify-paper":
-        results = acceptance.run_all(verbose=True, as_json=args.json)
+        results = acceptance.run_all(as_json=args.json)
         return 0 if all(ok for _, ok, _ in results) else 3
     return 0
 

@@ -82,9 +82,7 @@ def detect_type(p: Patch) -> TypeReport:
             ):
                 even_candidates.add(u)
             u += 1
-    inf_ok = even_ok and (
-        p == jacaranda_prefix(p.depth) or p == jprime_prefix(p.depth)
-    )
+    inf_ok = even_ok and any(p == x.prefix(p.depth) for x in (JAC, JAC_PRIME))
 
     if odd_ok and even_ok:
         return TypeReport(
@@ -128,6 +126,14 @@ class XDescriptor:
         if (self.kind == "patch") != (self.patch is not None):
             raise ValueError("exactly the concrete descriptors carry a patch")
 
+    def prefix(self, depth: int) -> Patch:
+        """The tree to `depth` for a fixed tree; a concrete descriptor's own patch."""
+        if self.kind == "J":
+            return jacaranda_prefix(depth)
+        if self.kind == "J'":
+            return jprime_prefix(depth)
+        return self.patch
+
 
 JAC = XDescriptor("J")
 JAC_PRIME = XDescriptor("J'")
@@ -148,7 +154,7 @@ def brother(p: Patch, u: int | None = None) -> Patch:
     the input data can certify.
     """
     if p.get("") != 0:
-        raise ValueError("the sibling construction starts from a root-0 tree")
+        raise Inconsistent("the sibling construction starts from a root-0 tree")
     if u is None:
         report = detect_type(p)
         if report.inf_consistent:

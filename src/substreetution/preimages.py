@@ -22,12 +22,13 @@ from itertools import chain, repeat
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined, Undetermined
 from .jacaranda import (
     INF,
+    JAC,
+    JAC_PRIME,
     XDescriptor,
     brother_best_effort,
+    concrete,
     detect_type,
     h_power,
-    jacaranda_prefix,
-    jprime_prefix,
     parent_class,
     unsub_best_effort,
 )
@@ -41,27 +42,19 @@ class PreimageDescriptor:
 
     root: int
     side: str  # 'a': parent = (root, A, sibling); 'b': parent = (root, sibling, A)
-    sibling_kind: str  # "patch" | "J" | "J'"
-    sibling: Patch | None
+    sibling: XDescriptor
     case_tag: str
 
-    def sibling_prefix(self, depth: int) -> Patch:
-        if self.sibling_kind == "J":
-            return jacaranda_prefix(depth)
-        if self.sibling_kind == "J'":
-            return jprime_prefix(depth)
-        return self.sibling
-
     def serialize(self) -> str:
-        if self.sibling_kind == "patch":
+        sib = self.sibling.kind
+        if sib == "patch":
             # depth plus a digest of the levels: a pure function of the sibling;
             # hashlib loads OpenSSL, so only serialized output pays for importing it
             import hashlib
 
-            levels = "\n".join(self.sibling.levels).encode("ascii")
-            sib = f"d{self.sibling.depth}:{hashlib.blake2b(levels, digest_size=8).hexdigest()}"
-        else:
-            sib = self.sibling_kind
+            patch = self.sibling.patch
+            levels = "\n".join(patch.levels).encode("ascii")
+            sib = f"d{patch.depth}:{hashlib.blake2b(levels, digest_size=8).hexdigest()}"
         return f"case={self.case_tag} root={self.root} side={self.side} sibling={sib}"
 
 
@@ -79,18 +72,12 @@ class PreimageSet:
         return "\n".join(lines) + "\n"
 
 
-def _desc(root, side, sibling, tag) -> PreimageDescriptor:
-    if sibling in ("J", "J'"):
-        return PreimageDescriptor(root, side, sibling, None, tag)
-    return PreimageDescriptor(root, side, "patch", sibling, tag)
-
-
 JAC_PREIMAGES = (
-    _desc(0, "a", "J", "jac"),
-    _desc(1, "a", "J", "jac"),
-    _desc(0, "b", "J'", "jac"),
+    PreimageDescriptor(0, "a", JAC, "jac"),
+    PreimageDescriptor(1, "a", JAC, "jac"),
+    PreimageDescriptor(0, "b", JAC_PRIME, "jac"),
 )
-JAC_PRIME_PREIMAGES = (_desc(0, "a", "J", "jacp"),)
+JAC_PRIME_PREIMAGES = (PreimageDescriptor(0, "a", JAC, "jacp"),)
 
 
 # -- classification -----------------------------------------------------------
@@ -120,8 +107,9 @@ _PARENTS = {
 
 
 def _cases(tags, sibs) -> list:
+    sibs = {role: concrete(sib) for role, sib in sibs.items()}
     return [
-        (tag, [_desc(root, side, sibs[role], tag) for root, side, role in _PARENTS[tag]])
+        (tag, [PreimageDescriptor(r, side, sibs[role], tag) for r, side, role in _PARENTS[tag]])
         for tag in tags
     ]
 
@@ -133,10 +121,8 @@ def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> Pre
     class; without provenance the class is detected from the patch alone and
     TypeUndetermined or Undetermined is raised when several cases stay open.
     """
-    if desc.kind == "J":
-        return PreimageSet(JAC_PREIMAGES, "exact")
-    if desc.kind == "J'":
-        return PreimageSet(JAC_PRIME_PREIMAGES, "exact")
+    if desc.kind != "patch":
+        return PreimageSet(JAC_PREIMAGES if desc.kind == "J" else JAC_PRIME_PREIMAGES, "exact")
     if desc.provenance == "":
         raise Inconsistent("a root-site descriptor should be passed symbolically")
     if desc.provenance is not None:
@@ -317,8 +303,8 @@ def preimages_bruteforce(a: Patch, jp: Patch) -> PreimageSet:
     members = []
     for parent in brute_parent_patches(a, jp):
         side = "a" if parent.subtree("a") == a else "b"
-        other = "b" if side == "a" else "a"
-        members.append(_desc(parent.get(""), side, parent.subtree(other), "scan"))
+        sibling = concrete(parent.subtree("b" if side == "a" else "a"))
+        members.append(PreimageDescriptor(parent.get(""), side, sibling, "scan"))
     return PreimageSet(tuple(members), "lower-bound")
 
 
@@ -355,7 +341,7 @@ def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bo
     if parent.subtree(desc.side) != a:
         return False
     sib = parent.subtree(other)
-    ref = desc.sibling_prefix(sib.depth)
+    ref = desc.sibling.prefix(sib.depth)
     d = min(sib.depth, ref.depth)
     return sib.truncate(d) == ref.truncate(d)
 

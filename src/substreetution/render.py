@@ -67,6 +67,8 @@ def make_generators() -> tuple[DiskIsometry, DiskIsometry]:
     return h1, h2
 
 
+H1, H2 = make_generators()  # read by the descent and the walls; built once
+
 PALETTE = ("#9a9a9a", "#101010")  # fill of a color-0 and a color-1 node or cell
 BACKGROUND = "#ffffff"
 ROOT_COLOR = "#e6c800"  # the root glyph of the tree picture
@@ -79,16 +81,15 @@ class RenderConfig:
 
 
 @lru_cache(maxsize=16)
-def _classifier(gens, depth_limit):
+def _classifier(depth_limit):
     """The descent of `classify_point`, with the isometry set-up done once.
 
     Same arithmetic, operation for operation: the distance from z to t is
     atanh(|z - t| / |1 - conj(t) z|), atanh(|z|) for t = 0; inverse maps are
     their Moebius coefficients; the argmin is the first index of the minimum.
     """
-    h1, h2 = gens
-    inv1, inv2 = h1.inverse(), h2.inverse()
-    t1, t2, t3, t4 = (h(0) for h in (h1, inv1, h2, inv2))
+    inv1, inv2 = H1.inverse(), H2.inverse()
+    t1, t2, t3, t4 = (h(0) for h in (H1, inv1, H2, inv2))
     c1, c2, c3, c4 = (t.conjugate() for t in (t1, t2, t3, t4))
     pulls = [
         (inv.alpha, inv.beta, inv.beta.conjugate(), inv.alpha.conjugate()) for inv in (inv1, inv2)
@@ -119,9 +120,9 @@ def _classifier(gens, depth_limit):
     return classify
 
 
-def classify_point(z, gens, depth_limit):
+def classify_point(z, depth_limit):
     """Positive word whose cell contains z, or None (inverse side / too deep)."""
-    return _classifier(tuple(gens), depth_limit)(z)
+    return _classifier(depth_limit)(z)
 
 
 # Euclidean half-width of the band around each wall that counts as crossing
@@ -149,21 +150,20 @@ def _bisector(p: complex, q: complex):
     return ("circle", c, math.sqrt(abs(c) ** 2 - 1), c.real**2 - 1)
 
 
-def _walls(gens, depth_limit):
+def _walls(depth_limit):
     """Every comparison the descent can make, plus the unit circle.
 
     At a word W the descent compares distances from W^-1(z) to 0 and the
     four generator images of 0; W is an isometry, so each comparison is the
     bisector of the W-images of a pair of those five points.
     """
-    h1, h2 = gens
-    base = [complex(0)] + [h(0) for h in (h1, h1.inverse(), h2, h2.inverse())]
+    base = [complex(0)] + [h(0) for h in (H1, H1.inverse(), H2, H2.inverse())]
     walls = [("circle", complex(0), 1.0, 1.0)]
     words = [DiskIsometry(complex(1), complex(0))]
     for _ in range(depth_limit + 1):
         for w in words:
             walls += [_bisector(p, q) for p, q in itertools.combinations(map(w, base), 2)]
-        words = [w.compose(h) for w in words for h in (h1, h2)]
+        words = [w.compose(h) for w in words for h in (H1, H2)]
     return walls
 
 
@@ -227,9 +227,8 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
         raise NonPositive(f"word limit must be nonnegative, got {depth_limit}")
     if p.depth < depth_limit:
         raise Shallow(f"patch depth {p.depth} below word limit {depth_limit}")
-    gens = make_generators()
-    classify = _classifier(gens, depth_limit)
-    walls = _walls(gens, depth_limit)
+    classify = _classifier(depth_limit)
+    walls = _walls(depth_limit)
     xs = [(2 * col + 1) / res - 1 for col in range(res)]
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '

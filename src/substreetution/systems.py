@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import MalformedGraph, NonConstantLevel, NotClosed, Shallow
+from .errors import MalformedGraph, NonConstantLevel, NotClosed
 from .trees import Patch, first_sites
 
 
@@ -35,7 +35,7 @@ def abba_digit(root: int, word: str) -> int:
     return (root + word.count("b")) % 2
 
 
-def abba_nonminimal_witness(n_max: int, prefix: Patch | None = None) -> bool:
+def abba_nonminimal_witness(n_max: int) -> bool:
     """The b a^n digits are all 1, by formula and on a generated prefix.
 
     So the branch b a^n of the root-0 ABBA tree never meets color 0.  This
@@ -44,10 +44,7 @@ def abba_nonminimal_witness(n_max: int, prefix: Patch | None = None) -> bool:
     """
     from .engine import ABBA, fixed_point_prefix
 
-    if prefix is None:
-        prefix = fixed_point_prefix(ABBA, 0, n_max + 1)
-    if prefix.depth < n_max + 1:
-        raise Shallow(f"need a prefix of depth {n_max + 1}")
+    prefix = fixed_point_prefix(ABBA, 0, n_max + 1)
     for n in range(1, n_max + 1):
         site = "b" + "a" * n
         if abba_digit(0, site) != 1 or prefix.get(site) != 1:

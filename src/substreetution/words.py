@@ -17,7 +17,7 @@ from .trees import index_addr
 def _level_of(word: str) -> int:
     n = len(word)
     l = n.bit_length() - 1
-    if n != 1 << l:
+    if n == 0 or n != 1 << l:
         raise NotPowerOfTwo(f"line words have power-of-two length, got {n}")
     return l
 

@@ -73,6 +73,9 @@ class TestWordCommands:
         code, out, _ = run(capsys, "theta", "--addr", "b", "--sub", "builtin:bbab")
         assert code == 0 and out.split() == ["aa", "ab", "bb"]
 
+    def test_theta_prints_empty_site_as_e(self, capsys):
+        assert run(capsys, "theta", "--addr", "", "--sub", "builtin:bbab") == (0, "e\n", "")
+
 
 class TestPatchCommands:
     def test_fixpoint_and_line(self, capsys, tmp_path):
@@ -289,6 +292,18 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "line", "--patch", "/nonexistent", "--level", "0")[0] == 2
+
+    def test_empty_word(self, capsys):
+        assert run(capsys, "chi", "--word", "", "--pow", "1") == (
+            2, "", "error: line words have power-of-two length, got 0\n"
+        )
+
+    def test_brother_of_root1_patch(self, capsys, tmp_path):
+        f = tmp_path / "j1.patch"
+        f.write_text(dump_patch(fixed_point_prefix(BBAB, 1, 4)))
+        assert run(capsys, "brother", "--patch", str(f)) == (
+            2, "", "error: the sibling construction starts from a root-0 tree\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, message", [pytest.param(argv, message, id=i) for i, argv, message in NEGATIVE_COUNTS]

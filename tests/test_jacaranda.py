@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
-from substreetution.errors import NonPositive, NotInImage, Shallow, TypeUndetermined
+from substreetution.errors import Inconsistent, NonPositive, NotInImage, Shallow, TypeUndetermined
 from substreetution.jacaranda import (
     JAC,
     JAC_PRIME,
@@ -101,6 +101,18 @@ class TestUnsubPow:
             unsub_pow(jacaranda_prefix(9), -1)
 
 
+class TestDescriptorPrefix:
+    def test_fixed_trees_generate_their_prefix(self):
+        assert JAC.prefix(5) == jacaranda_prefix(5)
+        assert JAC_PRIME.prefix(5) == jprime_prefix(5)
+        assert JAC_PRIME.prefix(0).levels == ("1",)
+
+    def test_concrete_is_its_patch(self):
+        patch = jacaranda_prefix(9).subtree("ab")
+        for depth in (0, 3, 12):
+            assert concrete(patch, "ab").prefix(depth) is patch
+
+
 class TestBrother:
     def test_odd_case_is_right_double(self):
         j = jacaranda_prefix(9)
@@ -121,7 +133,7 @@ class TestBrother:
             assert pred.truncate(d) == actual.truncate(d)
 
     def test_requires_root_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(Inconsistent):
             brother(jprime_prefix(4), 1)
 
     def test_fixed_tree_is_undetermined(self):
@@ -158,7 +170,7 @@ class TestClassifyEven:
 
     def test_fixed_trees(self):
         def parents(desc):
-            return [(m.root, m.side, m.sibling_kind) for m in preimages_classified(desc).members]
+            return [(m.root, m.side, m.sibling.kind) for m in preimages_classified(desc).members]
 
         assert parents(JAC) == [(0, "a", "J"), (1, "a", "J"), (0, "b", "J'")]
         assert parents(JAC_PRIME) == [(0, "a", "J")]

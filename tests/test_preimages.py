@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from substreetution.errors import (
     TypeUndetermined,
     Undetermined,
 )
-from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix, jprime_prefix
+from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix
 from substreetution.preimages import (
     CrosscheckReport,
     _classify,
@@ -37,12 +38,9 @@ def crosscheck(desc, jp, depth=None):
     parent among the cases predicted for its site.  Returns the report and
     the predicted members never witnessed anywhere (limit-only).
     """
-    if desc.kind != "patch":
-        if depth is None:
-            depth = min(6, jp.depth - 1)
-        a = jacaranda_prefix(depth) if desc.kind == "J" else jprime_prefix(depth)
-    else:
-        a = desc.patch
+    if depth is None and desc.kind != "patch":
+        depth = min(6, jp.depth - 1)
+    a = desc.prefix(depth)
     if a.depth + 1 > jp.depth:
         raise Shallow("prefix too shallow for a parent scan")
     try:
@@ -64,18 +62,41 @@ class TestClassifiedFixedTrees:
     def test_root0_set(self):
         got = preimages_classified(JAC)
         assert got.completeness == "exact" and len(got) == 3
-        shapes = {(d.root, d.side, d.sibling_kind) for d in got.members}
+        shapes = {(d.root, d.side, d.sibling.kind) for d in got.members}
         assert shapes == {(0, "a", "J"), (1, "a", "J"), (0, "b", "J'")}
 
     def test_root1_set(self):
         got = preimages_classified(JAC_PRIME)
         assert len(got) == 1
         (d,) = got.members
-        assert (d.root, d.side, d.sibling_kind) == (0, "a", "J")
+        assert (d.root, d.side, d.sibling.kind) == (0, "a", "J")
 
     def test_serialization(self):
         text = preimages_classified(JAC).serialize()
         assert "completeness=exact" in text and "sibling=J'" in text
+
+
+def test_serialization_golden(jp):
+    # every depth-1..7 class of the prefix at its first site, classified with
+    # and without the site and by the scan, then both fixed trees, with each
+    # error as its class and message: every serialized byte, as one digest
+    out = []
+    for d in range(1, 8):
+        for m, i in sorted(first_sites(jp, d).values()):
+            patch, site = jp.window(m, i, d), index_addr(i, m)
+            for run in (
+                lambda: preimages_classified(concrete(patch, site), jp),
+                lambda: preimages_classified(concrete(patch)),
+                lambda: preimages_bruteforce(patch, jp),
+            ):
+                try:
+                    out.append(run().serialize())
+                except SubstreetutionError as exc:
+                    out.append(f"{type(exc).__name__}: {exc}\n")
+    out += [preimages_classified(JAC).serialize(), preimages_classified(JAC_PRIME).serialize()]
+    assert len(out) == 236
+    digest = hashlib.blake2b("".join(out).encode("ascii"), digest_size=16).hexdigest()
+    assert digest == "2920722c1d2b7cba9ad9b955835b5966"
 
 
 _QUERY = """
@@ -202,9 +223,9 @@ class TestCrosscheck:
                     except SubstreetutionError:
                         continue
                     for member in members:
-                        if member.sibling is not None:
+                        if member.sibling.patch is not None:
                             seen += 1
-                            assert member.sibling.depth <= d, (site, prov, member.serialize())
+                            assert member.sibling.patch.depth <= d, (site, prov, member.serialize())
         assert seen > 0
 
     def test_single_descriptor(self, jp):

@@ -30,7 +30,7 @@ def hyperbolic_distance(z: complex, w: complex) -> float:
 def _tiling_svg_per_pixel(p, cfg):
     """The tiling classified pixel by pixel: the oracle for the span renderer."""
     # classify_point's descent, looked up once rather than once per pixel
-    classify = render._classifier(tuple(make_generators()), cfg.depth_limit)
+    classify = render._classifier(cfg.depth_limit)
     res = cfg.resolution
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
@@ -108,19 +108,19 @@ class TestGenerators:
 
 
 class TestClassification:
-    def test_center_is_root_cell(self, gens):
-        assert classify_point(0, gens, 3) == ""
+    def test_center_is_root_cell(self):
+        assert classify_point(0, 3) == ""
 
     def test_generator_orbit_points(self, gens):
         h1, h2 = gens
-        assert classify_point(h1(0), gens, 3) == "a"
-        assert classify_point(h2(0), gens, 3) == "b"
-        assert classify_point(h1(h2(0)), gens, 3) == "ab"
-        assert classify_point(h2(h1(0)), gens, 3) == "ba"
+        assert classify_point(h1(0), 3) == "a"
+        assert classify_point(h2(0), 3) == "b"
+        assert classify_point(h1(h2(0)), 3) == "ab"
+        assert classify_point(h2(h1(0)), 3) == "ba"
 
     def test_inverse_side_unclaimed(self, gens):
         h1, _ = gens
-        assert classify_point(h1.inverse()(0), gens, 3) is None
+        assert classify_point(h1.inverse()(0), 3) is None
 
     def test_cells_disjoint(self, gens):
         h1, h2 = gens
