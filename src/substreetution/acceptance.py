@@ -19,7 +19,7 @@ from .jacaranda import brother, jacaranda_prefix, jprime_prefix
 from .measures import invariant_measure
 from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep, parent_map, parents_of
 from .render import RenderConfig, make_generators, tiling_svg, tree_svg
-from .systems import OrbitGraph, build_orbit_graph, invariant_edges_expected, nomeasure_tree, tm_project
+from .systems import NOMEASURE_GRAPH, OrbitGraph, build_orbit_graph, nomeasure_tree, tm_project
 from .trees import distinct_subpatches, index_addr, random_patch
 from .words import chi_pow, chi_recursive, chi_via_theta, is_rep, line_formula, ones_count_line_2n, v2
 
@@ -171,10 +171,8 @@ def c11_no_invariant_measure():
     g = build_orbit_graph(nomeasure_tree(0, 12), 6)
     if len(g.states) != 6:
         return False, f"{len(g.states)} states"
-    if not invariant_edges_expected(g):
+    if g != NOMEASURE_GRAPH:
         return False, "edge structure differs from the expected 6-state graph"
-    if not g.periodic:
-        return False, "orbit graph not periodic"
     if invariant_measure(g).feasible:
         return False, "expected infeasible"
     loop = OrbitGraph(("s0",), {"s0": "s0"}, {"s0": "s0"})

@@ -30,6 +30,11 @@ from .trees import distinct_subpatches, dump_patch, load_patch, random_patch
 from .words import chi_pow, ones_count_line_2n
 
 
+# The line-2^n count for n = 14 has 4,933 digits, past the 4,300 that Python
+# converts to text by default, and the work grows with 2^n beyond that.
+_MAX_PROPORTION_N = 13
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -212,6 +217,8 @@ def _run(args) -> int:
         for n in range(args.max_n + 1):
             print(f"{n} {len(distinct_subpatches(patch, n))}")
     elif cmd == "proportion":
+        if args.n > _MAX_PROPORTION_N:
+            raise SubstreetutionError(f"n must be <= {_MAX_PROPORTION_N}, got {args.n}")
         print(f"{ones_count_line_2n(args.n)}/{1 << (1 << args.n)}")
     elif cmd == "orbit-graph":
         if args.example == "nomeasure":

@@ -1,19 +1,24 @@
 """Exact decision of invariant-probability existence on an orbit graph.
 
-A probability mu with a_*mu = mu and b_*mu = mu exists iff some class of the
-relation "same a-cycle or same b-cycle" lies inside Per(a) and Per(b).
+A probability mu with a_*mu = mu and b_*mu = mu exists iff some nonempty set
+S of states lies inside both a(S) and b(S).
 
-Proof.  For a map f of n states, f^n sends every state onto a cycle, so
-mu = f^n_*mu lives on Per(f); there f is a bijection and f_*mu = mu reads
-mu(f(x)) = mu(x), so mu is constant on each cycle.  Hence mu is constant on
-each class and zero off Per(a) and Per(b): a class carrying mass lies inside
-both.  Conversely a and b each permute such a class, so the uniform measure
-on it is invariant.  The decision is a union-find over the cycles of the two
-maps; an infeasible result names, for each class, a state that escapes.
+Proof.  Let S be the support of mu.  A state x outside a(S) has all its
+a-preimages off S, so mu(x) = mu(a^-1(x)) = 0: S lies in a(S), and likewise
+in b(S).  On a finite S that forces a(S) = S = b(S), so a and b are
+bijections of S and permute each a/b-orbit inside it.  Conversely the uniform
+measure on such an orbit is invariant.  Unions of such sets are such sets, so
+there is a greatest one, K.  One pruning pass finds it: a state goes when no
+kept state maps onto it by a or by b.  K survives the pass, as it maps onto
+itself, and what is left maps onto itself, so it is K.  Counting the kept
+preimages of each state per letter makes the pass linear.  An infeasible
+result is the removal trail, in the order removed; a feasible one carries the
+uniform measure on the orbit of the first kept state.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,53 +43,38 @@ class MeasureResult:
         return "\n".join(lines) + "\n"
 
 
-def _periodic(states, edges) -> set:
-    """Per(f) for the map `edges`: each walk runs to the first state already
-    seen; if this walk saw it first, the walk has closed a cycle there."""
-    walk, per = {}, set()
-    for start in states:
-        x = start
-        while x not in walk:
-            walk[x] = start
-            x = edges[x]
-        if walk[x] == start:
-            while x not in per:
-                per.add(x)
-                x = edges[x]
-    return per
-
-
 def invariant_measure(g: OrbitGraph) -> MeasureResult:
     """Decide the balance system exactly; feasible results carry a witness."""
-    states = g.states
     maps = {"a": g.a_edges, "b": g.b_edges}
-    per = {c: _periodic(states, f) for c, f in maps.items()}
+    # per letter, how many kept states that letter maps onto each state
+    onto = {c: Counter(f.values()) for c, f in maps.items()}
+    kept = set(g.states)
+    trail = []
+    todo = [(s, c) for s in g.states for c in "ab" if not onto[c][s]]
+    for s, c in todo:  # the list grows while it is read, so it is a queue
+        if s not in kept:
+            continue
+        kept.remove(s)
+        trail.append(f"state {s} is not the {c}-child of any kept state")
+        for d, f in maps.items():
+            onto[d][f[s]] -= 1
+            if not onto[d][f[s]]:
+                todo.append((f[s], d))
+    if not kept:
+        return MeasureResult("infeasible", None, tuple(trail))
 
-    root = {s: s for s in states}
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for c, f in maps.items():
-        for x in per[c]:
-            root[find(x)] = find(f[x])
-    classes = {}
-    for s in states:
-        classes.setdefault(find(s), []).append(s)
-
-    escapes = []
-    for members in classes.values():
-        escape = next(((s, c) for s in members for c in "ab" if s not in per[c]), None)
-        if escape is None:
-            assignment = dict.fromkeys(states, Fraction(0))
-            assignment.update(dict.fromkeys(members, Fraction(1, len(members))))
-            _verify(g, assignment)
-            return MeasureResult("feasible", assignment, ())
-        escapes.append(f"state {escape[0]} is not {escape[1]}-periodic")
-    return MeasureResult("infeasible", None, tuple(escapes))
+    first = next(s for s in g.states if s in kept)
+    orbit, frontier = {first}, [first]
+    while frontier:
+        s = frontier.pop()
+        for f in maps.values():
+            if f[s] not in orbit:
+                orbit.add(f[s])
+                frontier.append(f[s])
+    assignment = dict.fromkeys(g.states, Fraction(0))
+    assignment.update(dict.fromkeys(orbit, Fraction(1, len(orbit))))
+    _verify(g, assignment)
+    return MeasureResult("feasible", assignment, ())
 
 
 def _verify(g: OrbitGraph, mu: dict) -> None:

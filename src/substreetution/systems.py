@@ -102,11 +102,6 @@ class OrbitGraph:
                 if edges[s] not in known:
                     raise MalformedGraph(f"edge {s} -{c}-> {edges[s]} leaves the state set")
 
-    @property
-    def periodic(self) -> bool:
-        incoming = set(self.a_edges.values()) | set(self.b_edges.values())
-        return all(s in incoming for s in self.states)
-
     def serialize(self) -> str:
         lines = [f"state {s}" for s in self.states]
         lines += [f"edge {s} a {self.a_edges[s]}" for s in self.states]
@@ -167,26 +162,17 @@ def _closure_at_depth(seed: Patch, d: int):
     return first, edges
 
 
-def invariant_edges_expected(g: OrbitGraph) -> bool:
-    """Does the graph have the 6-state shape of the line-doubled tree's orbit?
-
-    Seed state s: a-child is a both-ways return state, b-child leads to the
-    mirrored seed, whose own children behave symmetrically.
-    """
-    s = g.states[0]
-    a, b = g.a_edges, g.b_edges
-    looper0, cross0 = a[s], b[s]
-    if a[looper0] != s or b[looper0] != s:
-        return False
-    if a[cross0] != s:
-        return False
-    mirror = b[cross0]
-    looper1, cross1 = a[mirror], b[mirror]
-    if a[looper1] != mirror or b[looper1] != mirror:
-        return False
-    if a[cross1] != mirror or b[cross1] != s:
-        return False
-    return len({s, mirror, looper0, cross0, looper1, cross1}) == 6
+# The orbit graph of the line-doubled tree from either root, at every
+# identification depth from 2 to 8.  s0 is the seed and s3 its mirror, the
+# tree of the other root.  Each has a looper (s1, s4) as its a-child and a
+# cross state (s2, s5) as its b-child.  A looper sends both letters back to
+# its parent; a cross state sends a back to its parent and b across to the
+# other one of seed and mirror.
+NOMEASURE_GRAPH = OrbitGraph(
+    tuple(f"s{k}" for k in range(6)),
+    {"s0": "s1", "s1": "s0", "s2": "s0", "s3": "s4", "s4": "s3", "s5": "s3"},
+    {"s0": "s2", "s1": "s0", "s2": "s3", "s3": "s5", "s4": "s3", "s5": "s0"},
+)
 
 
 def build_orbit_graph(seed: Patch, depth: int) -> OrbitGraph:

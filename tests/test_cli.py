@@ -192,7 +192,14 @@ class TestGraphCommands:
         assert code == 0
         code, out, err = run(capsys, "measure-check", "--graph", str(gfile))
         assert code == 0 and out == "infeasible\n"
-        assert err == "# state s1 is not b-periodic\n"
+        assert err == (
+            "# state s1 is not the b-child of any kept state\n"
+            "# state s2 is not the a-child of any kept state\n"
+            "# state s4 is not the b-child of any kept state\n"
+            "# state s5 is not the a-child of any kept state\n"
+            "# state s0 is not the a-child of any kept state\n"
+            "# state s3 is not the b-child of any kept state\n"
+        )
 
     @pytest.mark.parametrize("text, message", [
         ("state s0\nstate s1\nstate s0\nedge s0 a s0\nedge s0 b s0\n"
@@ -315,6 +322,12 @@ class TestExitCodes:
         code, out, err = run(capsys, *(a.format(f=f, svg=svg) for a in argv.split()))
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not svg.exists()
+
+    def test_proportion_above_its_bound(self, capsys):
+        # line 2^14's count has 4,933 digits; the bound rejects it before any work
+        assert run(capsys, "proportion", "--n", "14") == (2, "", "error: n must be <= 13, got 14\n")
+        code, out, _ = run(capsys, "proportion", "--n", "13")
+        assert code == 0 and out.endswith(f"/{1 << (1 << 13)}\n")
 
     def test_negative_count_covers_every_integer_flag(self):
         # a new integer flag needs a row in NEGATIVE_COUNTS; --seed takes any integer

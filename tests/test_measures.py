@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -72,7 +73,7 @@ def classes(g):
     return out
 
 
-ESCAPE = re.compile(r"state (\S+) is not ([ab])-periodic")
+REMOVED = re.compile(r"state (\S+) is not the ([ab])-child of any kept state")
 
 
 @pytest.fixture(scope="module")
@@ -146,20 +147,24 @@ class TestInfeasibleGraphs:
         assert any(s not in incoming_a for s in six_state.states)
         res = invariant_measure(six_state)
         assert res.status == "infeasible"
-        named = [ESCAPE.fullmatch(line).groups() for line in res.certificate]
-        found = classes(six_state)
-        assert len(named) == len(found)
-        for (state, letter), members in zip(named, found):
-            assert state in members
-            assert not periodic(getattr(six_state, f"{letter}_edges"), state, 6)
-        assert res.certificate == ("state s1 is not b-periodic",)
+        assert res.certificate == (
+            "state s1 is not the b-child of any kept state",
+            "state s2 is not the a-child of any kept state",
+            "state s4 is not the b-child of any kept state",
+            "state s5 is not the a-child of any kept state",
+            "state s0 is not the a-child of any kept state",
+            "state s3 is not the b-child of any kept state",
+        )
 
     def test_drift(self):
         # a drifts x to y, b drifts y back to x: each state escapes one map
         g = graph(["x", "y"], {"x": "y", "y": "y"}, {"x": "x", "y": "x"})
         res = invariant_measure(g)
         assert res.status == "infeasible" and res.assignment is None
-        assert res.certificate == ("state x is not a-periodic", "state y is not b-periodic")
+        assert res.certificate == (
+            "state x is not the a-child of any kept state",
+            "state y is not the b-child of any kept state",
+        )
 
     def test_stable_under_relabeling(self, six_state):
         order = sorted(six_state.states, reverse=True)
@@ -193,15 +198,34 @@ class TestProperties:
     @settings(deadline=None)
     @given(g=random_graphs())
     def test_certificate_names_escaping_states(self, g):
+        # the trail removes every state once, and each line is true of the
+        # states still kept when it is read
         res = invariant_measure(g)
         if not res.feasible:
-            found = classes(g)
-            assert len(res.certificate) == len(found)
-            for line, members in zip(res.certificate, found):
-                state, letter = ESCAPE.fullmatch(line).groups()
+            named = [REMOVED.fullmatch(line).groups() for line in res.certificate]
+            assert sorted(state for state, _ in named) == sorted(g.states)
+            kept = set(g.states)
+            for state, letter in named:
                 edges = g.a_edges if letter == "a" else g.b_edges
-                assert state in members
-                assert not periodic(edges, state, len(g.states))
+                assert all(edges[x] != state for x in kept)
+                kept.remove(state)
+
+    def test_matches_closure_oracle_on_small_graphs(self):
+        # every graph on at most 3 states: the witness is the uniform measure
+        # on the first class inside Per(a) and Per(b), if there is one
+        for n in (1, 2, 3):
+            names = [f"s{i}" for i in range(n)]
+            for a, b in itertools.product(itertools.product(names, repeat=n), repeat=2):
+                g = graph(names, dict(zip(names, a)), dict(zip(names, b)))
+                inside = [
+                    c for c in classes(g)
+                    if all(periodic(f, x, n) for f in (g.a_edges, g.b_edges) for x in c)
+                ]
+                res = invariant_measure(g)
+                assert res.feasible == bool(inside)
+                if inside:
+                    want = {x: Fraction(int(x in inside[0]), len(inside[0])) for x in names}
+                    assert res.assignment == want
 
     @settings(deadline=None)
     @given(g=random_graphs(), data=st.data())
