@@ -19,7 +19,15 @@ from .jacaranda import brother, jacaranda_prefix, jprime_prefix
 from .measures import invariant_measure
 from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep, parent_map, parents_of
 from .render import RenderConfig, make_generators, tiling_svg, tree_svg
-from .systems import NOMEASURE_GRAPH, OrbitGraph, build_orbit_graph, nomeasure_tree, tm_project
+from .systems import (
+    NOMEASURE_GRAPH,
+    OrbitGraph,
+    abba_digit,
+    abba_nonminimal_witness,
+    build_orbit_graph,
+    nomeasure_tree,
+    tm_project,
+)
 from .trees import distinct_subpatches, index_addr, random_patch
 from .words import chi_pow, chi_recursive, chi_via_theta, is_rep, line_formula, ones_count_line_2n, v2
 
@@ -155,8 +163,6 @@ def c09_sequence_lift():
 
 def c10_additive_digit_law():
     prefix = fixed_point_prefix(ABBA, 0, 12)
-    from .systems import abba_digit, abba_nonminimal_witness
-
     for m in range(13):
         row = prefix.line(m)
         for i, c in enumerate(row):

@@ -34,6 +34,9 @@ from .words import chi_pow, ones_count_line_2n
 # converts to text by default, and the work grows with 2^n beyond that.
 _MAX_PROPORTION_N = 13
 
+# The example seed's last line has 2^(depth + 4) digits; its graph is NOMEASURE_GRAPH to here.
+_MAX_EXAMPLE_DEPTH = 14
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -199,9 +202,12 @@ def _run(args) -> int:
     elif cmd == "brother":
         _write(dump_patch(brother(load_patch(args.patch))), args.out)
     elif cmd == "preimages":
+        classified = args.classified or args.site is not None
+        if classified and args.n != 1:
+            raise SubstreetutionError(f"--n must be 1 with --classified or --site, got {args.n}")
         patch = load_patch(args.patch)
         jp = load_patch(args.jprefix) if args.jprefix else jacaranda_prefix(14)
-        if args.classified or args.site is not None:
+        if classified:
             if args.site is not None:
                 _check_occurrence(patch, args.site, jp)
             result = preimages_classified(concrete(patch, args.site), jp)
@@ -222,6 +228,8 @@ def _run(args) -> int:
         print(f"{ones_count_line_2n(args.n)}/{1 << (1 << args.n)}")
     elif cmd == "orbit-graph":
         if args.example == "nomeasure":
+            if args.depth > _MAX_EXAMPLE_DEPTH:
+                raise SubstreetutionError(f"depth must be <= {_MAX_EXAMPLE_DEPTH}, got {args.depth}")
             seed = nomeasure_tree(args.root, max(args.depth + 4, 12))
         elif args.patch:
             seed = load_patch(args.patch)

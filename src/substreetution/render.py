@@ -82,11 +82,11 @@ class RenderConfig:
 
 @lru_cache(maxsize=16)
 def _classifier(depth_limit):
-    """The descent of `classify_point`, with the isometry set-up done once.
+    """The cell descent behind `classify_point`, set up once per word limit.
 
-    Same arithmetic, operation for operation: the distance from z to t is
-    atanh(|z - t| / |1 - conj(t) z|), atanh(|z|) for t = 0; inverse maps are
-    their Moebius coefficients; the argmin is the first index of the minimum.
+    The distance from z to t is atanh(|z - t| / |1 - conj(t) z|), atanh(|z|)
+    for t = 0; inverse maps are their Moebius coefficients; the argmin is the
+    first index of the minimum.
     """
     inv1, inv2 = H1.inverse(), H2.inverse()
     t1, t2, t3, t4 = (h(0) for h in (H1, inv1, H2, inv2))
@@ -167,58 +167,64 @@ def _walls(depth_limit):
     return walls
 
 
-def _crossings(walls, y):
-    """The x-intervals where the walls' bands meet the row at height y."""
-    d = _WALL_BAND
-    out = []
-    for wall in walls:
-        if wall[0] == "line":
-            n = wall[1]
-            if abs(n.real) > 1e-12:
-                xa = (-n.imag * y - d) / n.real
-                xb = (-n.imag * y + d) / n.real
-                out.append((min(xa, xb), max(xa, xb)))
-            elif abs(n.imag * y) <= d:
-                out.append((-1.0, 1.0))
-            continue
-        # (x - cx)^2 = s on the wall, with k = R^2 - cy^2 kept free of
-        # cancellation; the band widens s by 2 R d + d^2.
-        _, c, radius, k = wall
-        s = k + y * (2 * c.imag - y)
-        hi2 = s + 2 * radius * d + d * d
-        if hi2 >= 0:
-            hi = math.sqrt(hi2)
-            lo = math.sqrt(max(s - 2 * radius * d, 0.0))
-            out += [(c.real - hi, c.real - lo), (c.real + lo, c.real + hi)]
-    return out
+def _band_columns(walls, res):
+    """For each pixel row, the columns to classify on their own.
 
-
-def _row_walls(walls, res):
-    """For each pixel row, the walls whose band can reach its height.
-
-    A line wall reaches every row.  A circle wall reaches the rows within
-    R + band of its centre's height; row = ((1 - y) res - 1) / 2, and the
-    floor and ceil widen the range by up to a row, far more than rounding.
+    Those are column 0, every column whose centre lies in a wall band, and
+    the first column after each band, whose label holds up to the next band.
+    Column c has centre x = (2c + 1) / res - 1, so a band [xa, xb] holds
+    columns c0 = ceil(((xa + 1) res - 1) / 2) to c1 = floor(((xb + 1) res - 1) / 2);
+    a band between two centres gives c0 = c1 + 1 and still cuts the row.
+    A row may name a column twice: a list per row takes half a set's memory.
     """
-    rows = [[] for _ in range(res)]
+    d = _WALL_BAND
+    rows = [[0] for _ in range(res)]
+    columns = list(range(res))
+
+    def add(row, xa, xb):
+        c0 = math.ceil(((xa + 1) * res - 1) / 2)
+        c1 = math.floor(((xb + 1) * res - 1) / 2)
+        # a slice stops at res by itself; a negative end would count from it
+        rows[row] += columns[max(c0, 0) : max(c1 + 2, 0)]
+
     for wall in walls:
-        first, last = 0, res - 1
-        if wall[0] == "circle":
-            _, c, radius, _ = wall
-            reach = radius + _WALL_BAND
-            first = max(first, math.floor(((1 - c.imag - reach) * res - 1) / 2))
-            last = min(last, math.ceil(((1 - c.imag + reach) * res - 1) / 2))
+        if wall[0] == "line":  # a line wall reaches every row
+            n = wall[1]
+            for row in range(res):
+                y = 1 - (2 * row + 1) / res
+                if abs(n.real) > 1e-12:
+                    xa = (-n.imag * y - d) / n.real
+                    xb = (-n.imag * y + d) / n.real
+                    add(row, min(xa, xb), max(xa, xb))
+                elif abs(n.imag * y) <= d:
+                    add(row, -1.0, 1.0)
+            continue
+        # A circle wall reaches the rows within R + band of its centre's
+        # height; row = ((1 - y) res - 1) / 2, and the floor and ceil widen
+        # the range by up to a row, far more than rounding.
+        _, c, radius, k = wall
+        reach = radius + d
+        first = max(0, math.floor(((1 - c.imag - reach) * res - 1) / 2))
+        last = min(res - 1, math.ceil(((1 - c.imag + reach) * res - 1) / 2))
         for row in range(first, last + 1):
-            rows[row].append(wall)
+            y = 1 - (2 * row + 1) / res
+            # (x - cx)^2 = s on the wall, with k = R^2 - cy^2 kept free of
+            # cancellation; the band widens s by 2 R d + d^2.
+            s = k + y * (2 * c.imag - y)
+            hi2 = s + 2 * radius * d + d * d
+            if hi2 >= 0:
+                hi = math.sqrt(hi2)
+                lo = math.sqrt(max(s - 2 * radius * d, 0.0))
+                add(row, c.real - hi, c.real - lo)
+                add(row, c.real + lo, c.real + hi)
     return rows
 
 
 def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
     """Color the positive-word cells by the patch digits, one row at a time.
 
-    A row is cut at the wall bands that reach it.  A pixel whose centre lies
-    inside a band is classified on its own; each stretch between bands takes
-    the label of its first pixel.
+    Each row classifies the columns that `_band_columns` names, left to
+    right; a classified column's color holds up to the next one.
     """
     res, depth_limit = cfg.resolution, cfg.depth_limit
     if res < 1:
@@ -228,46 +234,26 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
     if p.depth < depth_limit:
         raise Shallow(f"patch depth {p.depth} below word limit {depth_limit}")
     classify = _classifier(depth_limit)
-    walls = _walls(depth_limit)
-    xs = [(2 * col + 1) / res - 1 for col in range(res)]
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{res}" height="{res}" '
         f'viewBox="0 0 {res} {res}">',
         f'<rect width="{res}" height="{res}" fill="{BACKGROUND}"/>',
     ]
     cache: dict = {}
-
-    def paint(changes, col, y):
-        """Classify one pixel; record (col, color) if the color changes there."""
-        z = complex(xs[col], y)
-        color = None
-        if abs(z) < 1:
-            word = classify(z)
-            if word is not None:
-                color = cache.get(word)
-                if color is None:
-                    color = cache[word] = PALETTE[p.get(word)]
-        if color != changes[-1][1]:
-            changes.append((col, color))
-
-    for row, row_walls in enumerate(_row_walls(walls, res)):
+    for row, cols in enumerate(_band_columns(_walls(depth_limit), res)):
         y = 1 - (2 * row + 1) / res
-        # Columns c whose centre lies in a band, c = ((x+1)res-1)/2; a band
-        # between two centres gives an empty range that still cuts the row.
-        exact = sorted(
-            (math.ceil(((xa + 1) * res - 1) / 2), math.floor(((xb + 1) * res - 1) / 2))
-            for xa, xb in _crossings(row_walls, y)
-        )
-        changes = [(0, None)]
-        col = 0  # first column not yet painted
-        for c0, c1 in exact:
-            if col < min(c0, res):
-                paint(changes, col, y)  # the stretch up to this band has one label
-            for c in range(max(col, c0), min(c1 + 1, res)):
-                paint(changes, c, y)
-            col = max(col, c1 + 1)
-        if col < res:
-            paint(changes, col, y)
+        changes = [(0, None)]  # (first column, color) of each run
+        for col in sorted(set(cols)):
+            z = complex((2 * col + 1) / res - 1, y)
+            color = None
+            if abs(z) < 1:
+                word = classify(z)
+                if word is not None:
+                    color = cache.get(word)
+                    if color is None:
+                        color = cache[word] = PALETTE[p.get(word)]
+            if color != changes[-1][1]:
+                changes.append((col, color))
         ends = [c for c, _ in changes[1:]] + [res]
         for (x0, color), x1 in zip(changes, ends):
             if color is not None:

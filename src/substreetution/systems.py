@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from .engine import ABBA, fixed_point_prefix
 from .errors import MalformedGraph, NonConstantLevel, NotClosed
 from .trees import Patch, first_sites
 
@@ -42,8 +43,6 @@ def abba_nonminimal_witness(n_max: int) -> bool:
     is a fact about one branch and does not decide minimality of the orbit
     closure: under the digit law every subtree is the tree of its root color.
     """
-    from .engine import ABBA, fixed_point_prefix
-
     prefix = fixed_point_prefix(ABBA, 0, n_max + 1)
     for n in range(1, n_max + 1):
         site = "b" + "a" * n
@@ -163,7 +162,7 @@ def _closure_at_depth(seed: Patch, d: int):
 
 
 # The orbit graph of the line-doubled tree from either root, at every
-# identification depth from 2 to 8.  s0 is the seed and s3 its mirror, the
+# identification depth from 2 to 14.  s0 is the seed and s3 its mirror, the
 # tree of the other root.  Each has a looper (s1, s4) as its a-child and a
 # cross state (s2, s5) as its b-child.  A looper sends both letters back to
 # its parent; a cross state sends a back to its parent and b across to the

@@ -8,7 +8,7 @@ from substreetution.cli import build_parser, main
 from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.jacaranda import concrete, jacaranda_prefix
 from substreetution.preimages import preimages_classified
-from substreetution.systems import build_orbit_graph, nomeasure_tree
+from substreetution.systems import NOMEASURE_GRAPH, build_orbit_graph, nomeasure_tree
 from substreetution.trees import dump_patch, parse_patch, random_patch
 
 
@@ -156,6 +156,16 @@ class TestPatchCommands:
                 capsys, "preimages", "--patch", str(f), "--classified", "--site", site
             )
             assert code == 2 and message in err and out == ""
+
+    @pytest.mark.parametrize("flag", [["--site", "ab"], ["--classified"]], ids=["site", "classified"])
+    @pytest.mark.parametrize("n", ["-1", "3"])
+    def test_preimages_classified_rejects_other_n(self, capsys, tmp_path, flag, n):
+        # the classified set is the one-step set, so --n other than 1 is refused
+        f = tmp_path / "p.patch"
+        f.write_text(dump_patch(fixed_point_prefix(BBAB, 0, 8).subtree("ab").truncate(3)))
+        assert run(capsys, "preimages", "--patch", str(f), *flag, "--n", n) == (
+            2, "", f"error: --n must be 1 with --classified or --site, got {n}\n"
+        )
 
     def test_preimages_at_generation_16(self, capsys, tmp_path):
         # the class-2^4 sibling is built only as deep as the depth-1 patch
@@ -328,6 +338,14 @@ class TestExitCodes:
         assert run(capsys, "proportion", "--n", "14") == (2, "", "error: n must be <= 13, got 14\n")
         code, out, _ = run(capsys, "proportion", "--n", "13")
         assert code == 0 and out.endswith(f"/{1 << (1 << 13)}\n")
+
+    def test_orbit_graph_example_above_its_bound(self, capsys):
+        # the example's seed doubles with each depth; the bound rejects it before any work
+        assert run(capsys, "orbit-graph", "--example", "nomeasure", "--depth", "15") == (
+            2, "", "error: depth must be <= 14, got 15\n"
+        )
+        code, out, _ = run(capsys, "orbit-graph", "--example", "nomeasure", "--depth", "14")
+        assert (code, out) == (0, NOMEASURE_GRAPH.serialize())
 
     def test_negative_count_covers_every_integer_flag(self):
         # a new integer flag needs a row in NEGATIVE_COUNTS; --seed takes any integer

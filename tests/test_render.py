@@ -217,9 +217,13 @@ class TestTilingSvg:
             cfg = RenderConfig(resolution=res, depth_limit=depth_limit)
             assert tiling_svg(p, cfg) == _tiling_svg_per_pixel(p, cfg)
 
-    def test_512_px_classifies_band_pixels_only(self, monkeypatch):
-        # the perfbench tiling input: only pixels whose centres lie in a band,
-        # and the first pixel of each stretch between bands, are classified
+    @pytest.mark.parametrize(
+        "res, depth_limit, expected",
+        [(512, 3, 5022), (256, 2, 2440), (97, 4, 1069)],
+    )
+    def test_classifies_band_pixels_only(self, monkeypatch, res, depth_limit, expected):
+        # only pixels whose centres lie in a band, and the first pixel of each
+        # stretch between bands, are classified; (512, 3) is the perfbench input
         calls = 0
         classifier = render._classifier
 
@@ -234,10 +238,12 @@ class TestTilingSvg:
             return counted
 
         monkeypatch.setattr(render, "_classifier", counting)
-        svg = tiling_svg(jacaranda_prefix(18), RenderConfig(resolution=512, depth_limit=3))
-        assert calls <= 6000
-        digest = hashlib.blake2b(svg.encode("ascii"), digest_size=16).hexdigest()
-        assert digest == "436c1c22f171d3d92eb45bf100d3818d"
+        p = jacaranda_prefix(18)
+        svg = tiling_svg(p, RenderConfig(resolution=res, depth_limit=depth_limit))
+        assert calls == expected
+        if res == 512:
+            digest = hashlib.blake2b(svg.encode("ascii"), digest_size=16).hexdigest()
+            assert digest == "436c1c22f171d3d92eb45bf100d3818d"
 
     @settings(deadline=None, max_examples=25)
     @given(
