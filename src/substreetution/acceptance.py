@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from .engine import ABBA, BBAB, THUE_MORSE, apply, fixed_point_prefix, unsub, verify_renormalization
@@ -136,21 +137,27 @@ def c08_rigidity_roundtrips():
     tested = 0
     skipped = 0
     for m in range(jp.depth - 1):
-        for i in range(1 << m):
-            if jp.levels[m + 1][2 * i] != "1" or jp.levels[m + 1][2 * i + 1] != "0":
+        n = jp.depth - m - 1
+        ids = jp.subtree_ids(n)[m + 1]
+        # an id names a depth-n window, so the sites with one (b-sibling,
+        # a-sibling) pair of ids are one class, checked at its first site and
+        # counted per site; classes come in the order of their first sites
+        pairs = list(zip(ids[1::2], ids[0::2]))
+        for key, sites in Counter(pairs).items():
+            i = pairs.index(key)
+            if jp.levels[m + 1][2 * i : 2 * i + 2] != "10":
                 continue
-            u = v2(m + 1)
-            b = jp.window(m + 1, 2 * i + 1, jp.depth - m - 1)
+            b = jp.window(m + 1, 2 * i + 1, n)
             try:
-                pred = brother(b, u)
+                pred = brother(b, v2(m + 1))
             except Shallow:
-                skipped += 1
+                skipped += sites
                 continue
-            actual = jp.window(m + 1, 2 * i, jp.depth - m - 1)
+            actual = jp.window(m + 1, 2 * i, n)
             d = min(pred.depth, actual.depth)
             if pred.truncate(d) != actual.truncate(d):
                 return False, f"sibling mismatch at level {m} index {i}"
-            tested += 1
+            tested += sites
     if tested < 100:
         return False, f"only {tested} sibling sites tested"
     return True, f"100 round trips; {tested} sibling sites reproduced ({skipped} too shallow)"
@@ -190,8 +197,9 @@ def c11_no_invariant_measure():
 
 def c12_word_properties():
     for length in (1, 2, 4, 8, 16):
+        spec = f"0{length}b"
         for code in range(1 << length):
-            word = format(code, f"0{length}b")
+            word = format(code, spec)
             if chi_recursive(BBAB, word) != chi_via_theta(BBAB, word):
                 return False, f"definitions disagree on {word}"
     for u in range(1, 5):

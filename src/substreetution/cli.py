@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import warnings
 
 from . import acceptance
 from .engine import (
@@ -255,6 +256,10 @@ def _run(args) -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -262,7 +267,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _run(args)
+        with warnings.catch_warnings():
+            # a library warning reads like an error line, not like a traceback
+            warnings.showwarning = _warning_line
+            return _run(args)
     except SubstreetutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,6 +90,15 @@ class Substreetution:
         return {}
 
     @cached_property
+    def _theta_masks(self) -> dict[int, list[int]]:
+        """Per level, theta's bitmask of each address rank (0 until built).
+
+        Filled on use by words.chi_via_theta, which keeps levels up to
+        words._MASK_CACHE_LEVEL here.
+        """
+        return {}
+
+    @cached_property
     def _image_blocks(self) -> tuple[dict[str, str], dict[str, str]]:
         """Per color: its image root, and its image's two children as one block."""
         return (
@@ -158,6 +167,8 @@ def double(sub: Substreetution, line) -> str:
         if image is None:
             blocks = [chunk[j : j + width] for j in range(0, step, width)]
             image = table[count, chunk] = _glue(sub, blocks)
+        if step == len(joined):  # one chunk: its image is the line's
+            return image
         parts.append(image)
     return _glue(sub, parts)
 
@@ -165,9 +176,9 @@ def double(sub: Substreetution, line) -> str:
 def _glue(sub: Substreetution, parts: list[str]) -> str:
     """Bottom-up slot recursion on 2^m equal-length parts."""
     glue = sub.slot_format.format
-    while len(parts) > 1:
+    while len(parts) > 2:
         parts = list(map(glue, parts[0::2], parts[1::2]))
-    return parts[0]
+    return glue(*parts) if len(parts) == 2 else parts[0]
 
 
 def fixed_point_prefix(sub: Substreetution, root: int, depth: int) -> Patch:

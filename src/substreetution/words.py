@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .engine import BBAB, Substreetution, double, theta
 from .errors import BadPatchFormat, NonIntegerResult, NonPositive, NotPowerOfTwo
@@ -27,14 +28,9 @@ def _level_of(word: str) -> int:
 # grows as 8^l (about 128 MB at l = 10).
 _MASK_CACHE_LEVEL = 8
 
-
-@lru_cache(maxsize=None)
-def _theta_masks(sub: Substreetution, level: int) -> list[int | None]:
-    """Per address rank of a level, its theta mask; filled on first use."""
-    return [None] * (1 << level)
-
-
 _RANK_DIGITS = str.maketrans("ab", "01")
+# a line word's characters as compress selectors: 1 keeps an address rank
+_ONES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _theta_mask(sub: Substreetution, addr: str) -> int:
@@ -59,21 +55,24 @@ def chi_via_theta(sub: Substreetution, word: str) -> str:
     """Word whose 1-addresses are the theta-images of the input's 1-addresses.
 
     This is the defining form and works for any grammar; images that collide
-    simply merge.  Each address's image is theta's bitmask, kept per system
-    and level up to `_MASK_CACHE_LEVEL`, so a word is the OR of its
-    1-addresses' masks.
+    simply merge.  Each address's image is theta's bitmask, kept in the
+    system's `_theta_masks` up to `_MASK_CACHE_LEVEL`, so a word is the OR of
+    its 1-addresses' masks.
     """
     l = _level_of(word)
-    masks = _theta_masks(sub, l) if l <= _MASK_CACHE_LEVEL else None
+    masks = sub._theta_masks.get(l)
+    if masks is None:
+        masks = [0] * len(word)
+        if l <= _MASK_CACHE_LEVEL:
+            sub._theta_masks[l] = masks
     image = 0
-    for i, c in enumerate(word):
-        if c == "1":
-            mask = masks[i] if masks is not None else None
-            if not mask:  # 0 is an empty image: rebuilt, so theta warns on every call
-                mask = _theta_mask(sub, index_addr(i, l))
-                if masks is not None:
-                    masks[i] = mask
-            image |= mask
+    for i in compress(range(len(word)), word.encode().translate(_ONES)):
+        mask = masks[i]
+        if not mask:  # 0 is an empty image: rebuilt, so theta warns on every call
+            mask = _theta_mask(sub, index_addr(i, l))
+            if l <= _MASK_CACHE_LEVEL:
+                masks[i] = mask
+        image |= mask
     return format(image, f"0{1 << (2 * l)}b")
 
 

@@ -15,6 +15,11 @@ import json
 
 import pytest
 
+from substreetution import acceptance
+from substreetution.errors import Shallow
+from substreetution.jacaranda import brother, jacaranda_prefix
+from substreetution.words import v2
+
 
 @pytest.fixture(scope="module")
 def results(verify_paper_json):
@@ -82,3 +87,43 @@ def test_criterion_12_word_properties(results):
 
 def test_criterion_13_render_determinism(results):
     _gate(results, "13")
+
+
+def _sibling_sites_oracle(jp):
+    """Gate 8's check site by site: (tested, skipped), or None at a mismatch."""
+    tested = skipped = 0
+    for m in range(jp.depth - 1):
+        for i in range(1 << m):
+            if jp.levels[m + 1][2 * i] != "1" or jp.levels[m + 1][2 * i + 1] != "0":
+                continue
+            b = jp.window(m + 1, 2 * i + 1, jp.depth - m - 1)
+            try:
+                pred = brother(b, v2(m + 1))
+            except Shallow:
+                skipped += 1
+                continue
+            actual = jp.window(m + 1, 2 * i, jp.depth - m - 1)
+            d = min(pred.depth, actual.depth)
+            if pred.truncate(d) != actual.truncate(d):
+                return None
+            tested += 1
+    return tested, skipped
+
+
+def test_gate_08_checks_each_sibling_class_once(monkeypatch):
+    # the 6,544 sibling sites of the depth-14 prefix fall into 18 classes of
+    # (b-sibling, a-sibling) windows, and the gate calls brother once per class
+    tested, skipped = _sibling_sites_oracle(jacaranda_prefix(14))
+    assert (tested, skipped) == (5737, 807)
+    calls = []
+
+    def counting_brother(p, u=None):
+        calls.append(u)
+        return brother(p, u)
+
+    monkeypatch.setattr(acceptance, "brother", counting_brother)
+    assert acceptance.c08_rigidity_roundtrips() == (
+        True,
+        f"100 round trips; {tested} sibling sites reproduced ({skipped} too shallow)",
+    )
+    assert len(calls) == 18

@@ -76,6 +76,16 @@ class TestWordCommands:
     def test_theta_prints_empty_site_as_e(self, capsys):
         assert run(capsys, "theta", "--addr", "", "--sub", "builtin:bbab") == (0, "e\n", "")
 
+    def test_theta_of_unused_letter_warns_in_one_line(self, capsys, tmp_path):
+        f = tmp_path / "allb.sub"
+        f.write_text("0 -> 0(1,0)\n1 -> 1(1,0)\ngrammar BBBB\n")
+        assert run(capsys, "theta", "--addr", "ba", "--sub", str(f)) == (
+            0,
+            "{}\n",
+            "warning: grammar BBBB never uses letter 'a'; theta('ba') is empty "
+            "and the source map is not onto\n",
+        )
+
 
 class TestPatchCommands:
     def test_fixpoint_and_line(self, capsys, tmp_path):
@@ -259,6 +269,17 @@ class TestRenderCommands:
         out_file = tmp_path / "tree.svg"
         code, _, _ = run(capsys, "render-tree", "--patch", str(f), "--out", str(out_file))
         assert code == 0 and out_file.read_text().startswith("<svg")
+
+    def test_render_tree_warns_in_one_line(self, capsys, tmp_path):
+        f = tmp_path / "j13.patch"
+        f.write_text(dump_patch(jacaranda_prefix(13)))
+        out_file = tmp_path / "tree.svg"
+        assert run(capsys, "render-tree", "--patch", str(f), "--out", str(out_file)) == (
+            0,
+            "",
+            "warning: depth 13 will not render readably\n",
+        )
+        assert out_file.read_text().startswith("<svg")
 
     def test_render_tiling_threads_flag(self, capsys, tmp_path):
         # renders are pure functions of their flags; --threads no longer exists

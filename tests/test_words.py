@@ -1,8 +1,10 @@
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,25 @@ class TestChi:
         assert chi_via_theta(allb, "01") == "1111"
         with pytest.warns(UserWarning, match="never uses letter 'a'"):
             assert chi_via_theta(allb, "0110") == "0" * 16
+
+    def test_empty_image_warns_on_every_call(self):
+        # the first call caches the mask of bb; the empty image of ab stays
+        # unbuilt, so every call meets it again and warns
+        allb = Substreetution((0, 1, 0), (1, 1, 0), "BBBB")
+        for _ in range(3):
+            with pytest.warns(UserWarning, match=r"theta\('ab'\) is empty"):
+                assert chi_via_theta(allb, "0101") == "1" * 16
+            assert allb._theta_masks[2] == [0, 0, 0, (1 << 16) - 1]
+
+    def test_masks_do_not_keep_a_system_alive(self):
+        # the masks live on the system, so dropping it frees them with it
+        sub = Substreetution((0, 1, 0), (1, 1, 0), "BABA")
+        chi_via_theta(sub, "0110")
+        assert sub._theta_masks[2][1]
+        ref = weakref.ref(sub)
+        del sub
+        gc.collect()
+        assert ref() is None
 
     def test_long_words_keep_memory_bounded(self):
         # level-10 masks are built per call and dropped: a table of all of
