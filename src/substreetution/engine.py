@@ -181,22 +181,24 @@ def _glue(sub: Substreetution, parts: list[str]) -> str:
     return glue(*parts) if len(parts) == 2 else parts[0]
 
 
+def apply_pow(sub: Substreetution, p: Patch, u: int, depth: int) -> Patch:
+    """u-fold image of `p`, truncated to `depth` while it is built."""
+    for _ in range(u):
+        p = apply(sub, p, depth)
+    return p
+
+
 def fixed_point_prefix(sub: Substreetution, root: int, depth: int) -> Patch:
     """Depth-`depth` truncation of the unique fixed tree with the given root.
 
-    Iterates the substitution from a single node, truncating along the way;
-    agreement doubles each round, so the loop stops once the prefix is fixed.
+    The image of the fixed tree's depth-d prefix is its depth-(2d + 1)
+    prefix, so depth.bit_length() images of the root reach `depth`.
     """
     if depth < 0:
         raise NonPositive(f"depth must be >= 0, got {depth}")
     if not sub.fixable_at(root):
         raise NotFixable(f"{sub.name or sub.grammar}: image of {root} does not start with {root}")
-    p = Patch.leaf(root)
-    while True:
-        q = apply(sub, p, min(2 * p.depth + 1, depth))
-        if q == p:
-            return p
-        p = q
+    return apply_pow(sub, Patch.leaf(root), depth.bit_length(), depth)
 
 
 # -- source and its multivalued inverse --------------------------------------

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .engine import BBAB, apply, fixed_point_prefix, unsub
+from .engine import BBAB, apply_pow, fixed_point_prefix, unsub
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
 from .trees import Patch
-from .words import chi_pow, is_rep, v2
+from .words import doubling_block, v2
 
 INF = math.inf
 
@@ -65,23 +65,18 @@ class TypeReport:
 def detect_type(p: Patch) -> TypeReport:
     if p.depth < 2:
         raise Shallow("type detection needs depth >= 2")
-    odd_ok = all(is_rep(p.levels[l], "10") for l in range(2, p.depth + 1, 2))
-    even_ok = all(is_rep(p.levels[l], "10") for l in range(1, p.depth + 1, 2))
+    odd_ok = all(_in_block_line(p.levels[l], 0) for l in range(2, p.depth + 1, 2))
+    even_ok = all(_in_block_line(p.levels[l], 0) for l in range(1, p.depth + 1, 2))
     if not odd_ok and not even_ok:
         raise Inconsistent("neither parity fits the visible lines")
 
     even_candidates = set()
     if even_ok:
-        u = 1
-        while (1 << (u + 1)) <= p.depth:
-            block = chi_pow(BBAB, "10", u)
+        # class 2^u repeats the level-u block on lines 2^(u+1) N
+        for u in range(1, p.depth.bit_length() - 1):
             period = 1 << (u + 1)
-            if all(
-                is_rep(p.levels[l], block)
-                for l in range(period, p.depth + 1, period)
-            ):
+            if all(_in_block_line(p.levels[l], u) for l in range(period, p.depth + 1, period)):
                 even_candidates.add(u)
-            u += 1
     inf_ok = even_ok and any(p == x.prefix(p.depth) for x in (JAC, JAC_PRIME))
 
     if odd_ok and even_ok:
@@ -177,9 +172,9 @@ def brother_best_effort(p: Patch, u: int) -> Patch:
     """
     core = unsub_best_effort(p, u)
     if core.depth < 1:
-        return h_power(Patch.leaf(1), u, p.depth)
+        return apply_pow(BBAB, Patch.leaf(1), u, p.depth)
     right = core.subtree("b")
-    return h_power(Patch.combine(1, right, right), u, p.depth)
+    return apply_pow(BBAB, Patch.combine(1, right, right), u, p.depth)
 
 
 def unsub_best_effort(p: Patch, u: int) -> Patch:
@@ -189,13 +184,6 @@ def unsub_best_effort(p: Patch, u: int) -> Patch:
     return p
 
 
-def h_power(core: Patch, u: int, depth: int) -> Patch:
-    """u-fold image of `core`, truncated to `depth` while it is built."""
-    for _ in range(u):
-        core = apply(BBAB, core, depth)
-    return core
-
-
 # -- the parent class of an odd tree ------------------------------------------
 
 
@@ -203,9 +191,14 @@ def _in_block_line(row: str, z: int, deeper: bool = False) -> bool:
     """Is `row` an aligned window of a line repeating the level-z doubling block?
 
     With `deeper`, of a line at level z or above: chunks of a deeper block
-    the size of the level-z block are that block or all zero.
+    the size of the level-z block are that block or all zero.  By the same
+    law, a row that fits in the level-(z-1) block tests the same at z - 1.
     """
-    block = chi_pow(BBAB, "10", z)
+    while deeper and z and len(row) <= len(doubling_block(z - 1)):
+        z -= 1
+    block = doubling_block(z)
+    if not deeper and len(row) >= len(block):  # whole copies: one comparison
+        return row == block * (len(row) // len(block))
     c = min(len(row), len(block))
     pieces = {block[j : j + c] for j in range(0, len(block), c)}
     if deeper:

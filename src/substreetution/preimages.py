@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
+from .engine import BBAB, apply_pow
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined, Undetermined
 from .jacaranda import (
     INF,
@@ -28,7 +29,6 @@ from .jacaranda import (
     brother_best_effort,
     concrete,
     detect_type,
-    h_power,
     parent_class,
     unsub_best_effort,
 )
@@ -220,8 +220,8 @@ def _classify(p: Patch, ix) -> list:
         c = _child(unsub_best_effort(p, u), "a")
         v = ix.inner(c, u)
         sibs = {
-            "main": h_power(Patch.combine(0, brother_best_effort(c, v), c), u, p.depth),
-            "prime": h_power(Patch.combine(0, c, c), u, p.depth),
+            "main": apply_pow(BBAB, Patch.combine(0, brother_best_effort(c, v), c), u, p.depth),
+            "prime": apply_pow(BBAB, Patch.combine(0, c, c), u, p.depth),
         }
         return _cases(("even1-v1" if v == 1 else "even1-vdeep",), sibs)
     if root == 1:

@@ -36,7 +36,7 @@ def abba_digit(root: int, word: str) -> int:
     return (root + word.count("b")) % 2
 
 
-def abba_nonminimal_witness(n_max: int) -> bool:
+def abba_escape_branch(n_max: int) -> bool:
     """The b a^n digits are all 1, by formula and on a generated prefix.
 
     So the branch b a^n of the root-0 ABBA tree never meets color 0.  This
@@ -129,10 +129,6 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
     return OrbitGraph(tuple(states), a_edges, b_edges)
 
 
-# More distinct states than this and the closure is treated as not closed.
-_MAX_STATES = 64
-
-
 def _closure_at_depth(seed: Patch, d: int):
     """State classes and edge maps at one identification depth.
 
@@ -146,8 +142,6 @@ def _closure_at_depth(seed: Patch, d: int):
     if seed.depth < d + 1:
         raise NotClosed(f"seed depth {seed.depth} cannot resolve depth-{d} states")
     first = first_sites(seed, d)
-    if len(first) > _MAX_STATES:
-        raise NotClosed(f"more than {_MAX_STATES} states; treating as not closed")
     ids = seed.subtree_ids(d)
     edges = {}
     for m, i in first_sites(seed, d + 1).values():

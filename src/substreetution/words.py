@@ -132,17 +132,26 @@ def ones_count_line_2n(n: int) -> int:
     return q.numerator
 
 
+@lru_cache(maxsize=None)
+def doubling_block(z: int) -> str:
+    """B(z) = chi^z("10") under BBAB, the block that line m repeats when z = v2(m).
+
+    Built from B(z - 1), so the cache holds B(0) to the deepest z asked for.
+    """
+    if z < 0:
+        raise NonPositive(f"block level must be >= 0, got {z}")
+    return "10" if z == 0 else chi(BBAB, doubling_block(z - 1))
+
+
 def line_formula(m: int) -> str:
     """Closed form for generation m of the root-0 fixed tree of the BBAB system.
 
     With u the dyadic valuation of m, the line is the u-th doubling block of
-    "10" repeated 2^m / 2^(2^u) times; odd lines are plain "10" repetitions.
+    "10" repeated 2^m / 2^(2^u) times (2^u <= m, so the count is whole); odd
+    lines are plain "10" repetitions.
     """
     if m < 1:
         raise NonPositive("generations are indexed from 1 here")
-    block = chi_pow(BBAB, "10", v2(m))
-    reps, rem = divmod(1 << m, len(block))
-    if rem:
-        raise NonIntegerResult(f"line {m} does not tile by a block of {len(block)}")
-    return block * reps
+    block = doubling_block(v2(m))
+    return block * ((1 << m) // len(block))
 

@@ -239,7 +239,7 @@ class TestGraphCommands:
         pfile.write_text(dump_patch(random_patch(12, random.Random(4))))
         code, out, err = run(capsys, "orbit-graph", "--patch", str(pfile))
         assert code == 2 and out == ""
-        assert err == "error: more than 64 states; treating as not closed\n"
+        assert err == "error: 64 state(s) appear only at the truncation frontier\n"
 
     def test_measure_feasible(self, capsys, tmp_path):
         gfile = tmp_path / "loop.graph"

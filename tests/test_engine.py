@@ -174,7 +174,31 @@ class TestDouble:
             assert len(sub._chunk_images) <= 2 * (2 + 4 + 16 + 256)
 
 
+def _fixed_point_oracle(sub: Substreetution, root: int, depth: int) -> Patch:
+    """Iterate the substitution from the root until two rounds agree."""
+    p = Patch.leaf(root)
+    while True:
+        q = apply(sub, p, min(2 * p.depth + 1, depth))
+        if q == p:
+            return p
+        p = q
+
+
 class TestFixedPoints:
+    def test_counted_rounds_match_compare_until_fixed(self):
+        pairs = 0
+        for images in itertools.product((0, 1), repeat=6):
+            for grammar in map("".join, itertools.product("AB", repeat=4)):
+                sub = Substreetution(images[:3], images[3:], grammar)
+                for root in (0, 1):
+                    if not sub.fixable_at(root):
+                        continue
+                    pairs += 1
+                    for depth in range(7):
+                        want = _fixed_point_oracle(sub, root, depth)
+                        assert fixed_point_prefix(sub, root, depth) == want
+        assert pairs == 1024
+
     def test_jacaranda_lines(self):
         j = fixed_point_prefix(BBAB, 0, 2)
         assert j.levels == ("0", "10", "0010")

@@ -1,13 +1,19 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
 
+import substreetution
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
 from substreetution.errors import Inconsistent, NonPositive, NotInImage, Shallow, TypeUndetermined
 from substreetution.jacaranda import (
     JAC,
     JAC_PRIME,
+    _in_block_line,
     brother,
     concrete,
     detect_type,
@@ -17,8 +23,8 @@ from substreetution.jacaranda import (
     unsub_pow,
 )
 from substreetution.preimages import preimages_classified
-from substreetution.trees import Patch, random_patch
-from substreetution.words import chi_pow, v2
+from substreetution.trees import Patch, dump_patch, first_sites, random_patch
+from substreetution.words import chi_pow, is_rep, v2
 
 
 class TestPrefixes:
@@ -41,6 +47,11 @@ class TestPrefixes:
             for i in range(0, len(row), 16):
                 window = row[i : i + 16]
                 assert window in ("0" * 16, block)
+        # and block by block: the |B(z-1)|-chunks of B(z) are B(z-1) or zero
+        for z in range(1, 5):
+            low, high = chi_pow(BBAB, "10", z - 1), chi_pow(BBAB, "10", z)
+            c = len(low)
+            assert {high[i : i + c] for i in range(0, len(high), c)} == {low, "0" * c}
 
 
 class TestDetectType:
@@ -81,6 +92,94 @@ class TestDetectType:
     def test_shallow(self):
         with pytest.raises(Shallow):
             detect_type(Patch(("0", "10")))
+
+
+def _in_block_line_oracle(row: str, z: int, deeper: bool = False) -> bool:
+    """The window test as first written: every call builds the level-z block."""
+    block = chi_pow(BBAB, "10", z)
+    c = min(len(row), len(block))
+    pieces = {block[j : j + c] for j in range(0, len(block), c)}
+    if deeper:
+        pieces.add("0" * c)
+    return all(row[j : j + c] in pieces for j in range(0, len(row), c))
+
+
+def _type_oracle(p: Patch):
+    """detect_type's (parity, candidates, determined) from is_rep sweeps; None if inconsistent."""
+    odd_ok = all(is_rep(p.levels[l], "10") for l in range(2, p.depth + 1, 2))
+    even_ok = all(is_rep(p.levels[l], "10") for l in range(1, p.depth + 1, 2))
+    if not odd_ok and not even_ok:
+        return None
+    even = set()
+    u = 1
+    while even_ok and (1 << (u + 1)) <= p.depth:
+        block = chi_pow(BBAB, "10", u)
+        period = 1 << (u + 1)
+        if all(is_rep(p.levels[l], block) for l in range(period, p.depth + 1, period)):
+            even.add(u)
+        u += 1
+    if odd_ok and even_ok:
+        return "undetermined", {0} | even, None
+    if odd_ok:
+        return "odd", {0}, 0
+    inf_ok = p in (jacaranda_prefix(p.depth), jprime_prefix(p.depth))
+    return "even", even, min(even) if len(even) == 1 and not inf_ok else None
+
+
+class TestBlockTable:
+    """The window test and type detection against the block-building oracles."""
+
+    def test_window_test_matches_oracle(self):
+        rng = random.Random(19)
+        rows = {"0" * (1 << k) for k in range(15)}
+        rows |= {
+            "".join(rng.choice("01") for _ in range(1 << k)) for k in range(12) for _ in range(4)
+        }
+        # lines of the prefix, the level-4 block, and rows of level-(z-1)
+        # blocks and zero chunks in random order, which pass the deeper test
+        lines = [*jacaranda_prefix(14).levels[1:], chi_pow(BBAB, "10", 4)]
+        for z in range(1, 5):
+            low = chi_pow(BBAB, "10", z - 1)
+            lines += ["".join(rng.choice((low, "0" * len(low))) for _ in range(4)) for _ in range(3)]
+        for row in lines:
+            for k in range(len(row).bit_length()):
+                w = 1 << k
+                rows.update(row[i : i + w] for i in range(0, len(row), w))
+        fits = 0
+        for row in rows:
+            for z in range(5):
+                for deeper in (False, True):
+                    want = _in_block_line_oracle(row, z, deeper)
+                    assert _in_block_line(row, z, deeper) == want, (row, z, deeper)
+                    fits += want
+        assert (len(rows), fits) == (125, 410)
+
+    def test_detect_type_matches_oracle(self):
+        rng = random.Random(19)
+        windows = [
+            q.window(m, i, d)
+            for q in (jacaranda_prefix(14), jprime_prefix(14))
+            for d in range(2, 11)
+            for m, i in first_sites(q, d).values()
+        ]
+        patches = windows + [random_patch(rng.randint(2, 8), rng) for _ in range(300)]
+        for _ in range(600):  # one flipped site: near the closure but mostly off it
+            rows = list(rng.choice(windows).levels)
+            l = rng.randrange(len(rows))
+            i = rng.randrange(len(rows[l]))
+            rows[l] = rows[l][:i] + "10"[int(rows[l][i])] + rows[l][i + 1 :]
+            patches.append(Patch(tuple(rows)))
+        outcomes = set()
+        for p in patches:
+            want = _type_oracle(p)
+            outcomes.add(want and want[0])
+            try:
+                rep = detect_type(p)
+            except Inconsistent:
+                assert want is None
+                continue
+            assert (rep.parity, rep.candidates, rep.determined) == want
+        assert outcomes == {None, "odd", "even", "undetermined"}
 
 
 class TestUnsubPow:
@@ -222,6 +321,59 @@ class TestClassifyEven:
                         returned += 1
                         assert v == v2(m), (m, i, d, letter)
         assert returned > 0
+
+
+# -- an odd tree next to a class-5 line -----------------------------------------
+
+_PARENT_CLASS = """
+import sys
+from substreetution.jacaranda import parent_class
+from substreetution.trees import load_patch
+from substreetution.words import doubling_block
+v = parent_class(load_patch(sys.argv[1]))
+size = doubling_block.cache_info().currsize  # B(0) to B(size - 1)
+print(v, max(len(doubling_block(z)) for z in range(size)))
+"""
+
+
+def _run_limited(tmp_path, *args):
+    """Run Python on the depth-15 patch below under a 1.5 GB address-space limit.
+
+    Its line 15 sits on line 32 of the fixed tree, whose block B(5) has 2^32
+    characters: code that builds it fails here with a MemoryError instead of
+    filling the machine's memory.
+    """
+    rows = ["1"]
+    for l in range(1, 15):
+        block = chi_pow(BBAB, "10", v2(17 + l))
+        rows.append((block * (2 + (1 << l) // len(block)))[: 1 << l])
+    rows.append("0" * (1 << 15))
+    f = tmp_path / "depth15.patch"
+    f.write_text(dump_patch(Patch(tuple(rows))))
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 1_500_000_000 if hard == resource.RLIM_INFINITY else min(hard, 1_500_000_000)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    src = os.path.dirname(os.path.dirname(substreetution.__file__))
+    return subprocess.run(
+        [sys.executable, *args, str(f)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, preexec_fn=limit,
+    )
+
+
+class TestDepth15OddPatch:
+    def test_parent_class_builds_no_block_past_level_4(self, tmp_path):
+        done = _run_limited(tmp_path, "-c", _PARENT_CLASS)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "4 65536\n", "")
+
+    def test_classified_preimages_exit_2(self, tmp_path):
+        done = _run_limited(
+            tmp_path, "-m", "substreetution.cli", "preimages", "--classified", "--patch"
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
 # -- empirical minimality probes -----------------------------------------------

@@ -11,7 +11,7 @@ from substreetution.systems import (
     NOMEASURE_GRAPH,
     OrbitGraph,
     abba_digit,
-    abba_nonminimal_witness,
+    abba_escape_branch,
     build_orbit_graph,
     nomeasure_tree,
     parse_orbit_graph,
@@ -58,8 +58,8 @@ class TestDigitLaw:
                 assert int(c) == abba_digit(0, site)
 
     def test_witness(self):
-        assert abba_nonminimal_witness(10)
-        assert abba_nonminimal_witness(1)
+        assert abba_escape_branch(10)
+        assert abba_escape_branch(1)
 
     def test_shift_relations(self):
         p0 = fixed_point_prefix(ABBA, 0, 9)

@@ -20,6 +20,7 @@ from substreetution.words import (
     chi_pow,
     chi_recursive,
     chi_via_theta,
+    doubling_block,
     f_iter,
     line_formula,
     ones_count_line_2n,
@@ -255,6 +256,12 @@ class TestLineFormula:
     def test_guard(self):
         with pytest.raises(NonPositive):
             line_formula(0)
+        with pytest.raises(NonPositive):
+            doubling_block(-1)
+
+    def test_doubling_block_is_chi_pow(self):
+        for z in range(5):
+            assert doubling_block(z) == chi_pow(BBAB, "10", z)
 
     def test_block_halves_have_ones(self):
         for u in range(1, 5):
