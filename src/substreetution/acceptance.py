@@ -13,6 +13,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import compress, count, product, repeat, starmap
+from operator import ne, or_
 
 from .engine import ABBA, BBAB, THUE_MORSE, apply, fixed_point_prefix, unsub, verify_renormalization
 from .errors import Shallow
@@ -196,12 +198,18 @@ def c11_no_invariant_measure():
 
 
 def c12_word_properties():
-    for length in (1, 2, 4, 8, 16):
-        spec = f"0{length}b"
-        for code in range(1 << length):
-            word = format(code, spec)
-            if chi_recursive(BBAB, word) != chi_via_theta(BBAB, word):
-                return False, f"definitions disagree on {word}"
+    # chi runs on every word; by theta's definition an image is the OR of its unit words'
+    # images: ORs over each half's subsets (positions < n/2 first), paired, are in code order.
+    for n in (1, 2, 4, 8, 16):
+        spec, halves = f"0{n}b", [[0], [0]]
+        for k in range(n):
+            unit = int(chi_via_theta(BBAB, format(1 << (n - 1 - k), spec)), 2)
+            halves[2 * k >= n] = [u | m for u in halves[2 * k >= n] for m in (0, unit)]
+        defined = map(format, starmap(or_, product(*halves)), repeat(f"0{n * n}b"))
+        images = map(chi_recursive, repeat(BBAB), map(format, range(1 << n), repeat(spec)))
+        bad = next(compress(count(), map(ne, images, defined)), None)
+        if bad is not None:
+            return False, f"definitions disagree on {format(bad, spec)}"
     for u in range(1, 5):
         block = chi_pow(BBAB, "10", u)
         half = len(block) // 2

@@ -38,6 +38,10 @@ _MAX_PROPORTION_N = 13
 # The example seed's last line has 2^(depth + 4) digits; its graph is NOMEASURE_GRAPH to here.
 _MAX_EXAMPLE_DEPTH = 14
 
+# No command builds a line past 2^24 characters (16 MB): fixpoint's at --depth, chi's
+# (2^(l * 2^pow) for a length-2^l word) and verify-renorm's image line 2 * depth + 1.
+_MAX_LINE_LEVEL = 24
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -161,17 +165,20 @@ def build_parser() -> _Parser:
 def _run(args) -> int:
     cmd = args.command
     if cmd == "fixpoint":
+        if args.depth > _MAX_LINE_LEVEL:
+            raise SubstreetutionError(f"depth must be <= {_MAX_LINE_LEVEL}, got {args.depth}")
         system = resolve_system(args.sub)
         patch = fixed_point_prefix(system, args.root, args.depth)
         _write(dump_patch(patch), args.out)
     elif cmd == "line":
         print(load_patch(args.patch).line(args.level))
     elif cmd == "chi":
-        system = resolve_system(args.sub)
-        print(chi_pow(system, args.word, args.pow))
+        max_pow = (_MAX_LINE_LEVEL // max(len(args.word).bit_length() - 1, 1)).bit_length() - 1
+        if args.pow > max_pow:
+            raise SubstreetutionError(f"pow must be <= {max_pow} for this word, got {args.pow}")
+        print(chi_pow(resolve_system(args.sub), args.word, args.pow))
     elif cmd == "theta":
-        system = resolve_system(args.sub)
-        sites = sorted(theta(system, args.addr))
+        sites = sorted(theta(resolve_system(args.sub), args.addr))
         print(" ".join(s or "e" for s in sites) if sites else "{}")
     elif cmd == "source":
         system = resolve_system(args.sub)
@@ -179,19 +186,17 @@ def _run(args) -> int:
     elif cmd == "verify-renorm":
         if args.random < 0:
             raise NonPositive(f"random patch count must be >= 0, got {args.random}")
+        if 2 * args.depth + 1 > _MAX_LINE_LEVEL:
+            raise SubstreetutionError(f"depth must be <= {(_MAX_LINE_LEVEL - 1) // 2}, got {args.depth}")
         system = resolve_system(args.sub)
-        reports = []
         if args.patch:
-            reports.append(verify_renormalization(system, load_patch(args.patch), args.maxlen))
+            patch = load_patch(args.patch)
         else:
-            root = 0 if system.fixable_at(0) else 1
-            prefix = fixed_point_prefix(system, root, args.depth)
-            reports.append(verify_renormalization(system, prefix, args.maxlen))
+            patch = fixed_point_prefix(system, 0 if system.fixable_at(0) else 1, args.depth)
+        reports = [verify_renormalization(system, patch, args.maxlen)]
         rng = random.Random(args.seed)
         for _ in range(args.random):
-            reports.append(
-                verify_renormalization(system, random_patch(args.maxlen, rng), args.maxlen)
-            )
+            reports.append(verify_renormalization(system, random_patch(args.maxlen, rng), args.maxlen))
         ok = all(r.ok for r in reports)
         print(f"{'pass' if ok else 'FAIL'} ({sum(r.checked for r in reports)} sites checked)")
         return 0 if ok else 2
@@ -271,10 +276,7 @@ def main(argv=None) -> int:
             # a library warning reads like an error line, not like a traceback
             warnings.showwarning = _warning_line
             return _run(args)
-    except SubstreetutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SubstreetutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

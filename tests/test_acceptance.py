@@ -18,7 +18,7 @@ import pytest
 from substreetution import acceptance
 from substreetution.errors import Shallow
 from substreetution.jacaranda import brother, jacaranda_prefix
-from substreetution.words import v2
+from substreetution.words import chi_recursive, chi_via_theta, v2
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +127,42 @@ def test_gate_08_checks_each_sibling_class_once(monkeypatch):
         f"100 round trips; {tested} sibling sites reproduced ({skipped} too shallow)",
     )
     assert len(calls) == 18
+
+
+def _recorded(fn, calls, bad_word=None):
+    """`fn` that appends each word to `calls` and flips the first character of bad_word's image."""
+
+    def wrapped(sub, word):
+        calls.append(word)
+        image = fn(sub, word)
+        return image if word != bad_word else "10"[int(image[0])] + image[1:]
+
+    return wrapped
+
+
+def test_gate_12_names_the_first_word_on_the_theta_side(monkeypatch):
+    # the theta side reads chi_via_theta on the 31 unit words only, so a wrong
+    # unit image spoils every word that holds the unit; the first of them in
+    # code order is the unit word itself
+    calls = []
+    monkeypatch.setattr(acceptance, "chi_via_theta", _recorded(chi_via_theta, calls, "0000000010000000"))
+    assert acceptance.c12_word_properties() == (False, "definitions disagree on 0000000010000000")
+    assert len(calls) == 31 and all(w.count("1") == 1 for w in calls)
+
+
+def test_gate_12_names_the_word_on_the_recursive_side(monkeypatch):
+    words = []
+    monkeypatch.setattr(acceptance, "chi_recursive", _recorded(chi_recursive, words, "0000000000000011"))
+    assert acceptance.c12_word_properties() == (False, "definitions disagree on 0000000000000011")
+    # every word of lengths 1 to 8, then length 16 in code order up to the bad word
+    assert len(words) == 2 + 4 + 16 + 256 + 4
+    assert words[-4:] == ["0000000000000000", "0000000000000001", "0000000000000010", "0000000000000011"]
+
+
+def test_gate_12_runs_the_recursive_map_on_every_word(monkeypatch):
+    words = []
+    monkeypatch.setattr(acceptance, "chi_recursive", _recorded(chi_recursive, words))
+    assert acceptance.c12_word_properties() == (
+        True, "definitions agree on 65814 words; halves and densities as claimed"
+    )
+    assert len(words) == len(set(words)) == 65814

@@ -10,6 +10,7 @@ from substreetution.jacaranda import concrete, jacaranda_prefix
 from substreetution.preimages import preimages_classified
 from substreetution.systems import NOMEASURE_GRAPH, build_orbit_graph, nomeasure_tree
 from substreetution.trees import dump_patch, parse_patch, random_patch
+from substreetution.words import doubling_block
 
 
 # every integer flag at a negative value: (test id, argv, message)
@@ -367,6 +368,32 @@ class TestExitCodes:
         )
         code, out, _ = run(capsys, "orbit-graph", "--example", "nomeasure", "--depth", "14")
         assert (code, out) == (0, NOMEASURE_GRAPH.serialize())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a 2^25-character deepest line
+            ("fixpoint --sub {sub} --root 0 --depth 25", "depth must be <= 24, got 25"),
+            # 2^32 characters: a length-2^l word's u-th image has 2^(l * 2^u)
+            ("chi --word 10 --pow 5 --sub {sub}", "pow must be <= 4 for this word, got 5"),
+            ("chi --word 00100010 --pow 4 --sub {sub}", "pow must be <= 3 for this word, got 4"),
+            # a length-1 word stays one character, but each iteration is a call
+            ("chi --word 1 --pow 1000000000 --sub {sub}", "pow must be <= 4 for this word, got 1000000000"),
+            # the image of a depth-12 prefix has the 2^25-character line 25
+            ("verify-renorm --sub {sub} --depth 12", "depth must be <= 11, got 12"),
+        ],
+    )
+    def test_line_size_above_its_bound(self, capsys, tmp_path, argv, message):
+        # the bound is checked before any work, even before the system file is read
+        sub = tmp_path / "missing.sub"
+        assert run(capsys, *argv.format(sub=sub).split()) == (2, "", f"error: {message}\n")
+
+    def test_line_sizes_in_use_stay_allowed(self, capsys):
+        code, out, _ = run(capsys, "fixpoint", "--sub", "builtin:bbab", "--root", "0", "--depth", "20")
+        assert code == 0 and parse_patch(out) == fixed_point_prefix(BBAB, 0, 20)
+        code, out, _ = run(capsys, "chi", "--word", "10", "--pow", "4")
+        assert (code, out) == (0, doubling_block(4) + "\n")
+        assert run(capsys, "verify-renorm", "--sub", "builtin:bbab") == (0, "pass (21 sites checked)\n", "")
 
     def test_negative_count_covers_every_integer_flag(self):
         # a new integer flag needs a row in NEGATIVE_COUNTS; --seed takes any integer

@@ -31,7 +31,7 @@ from substreetution.errors import (
 )
 from substreetution.jacaranda import jacaranda_prefix
 from substreetution.trees import Patch, distance, index_addr, random_patch
-from substreetution.words import chi_recursive
+from substreetution.words import chi_recursive, chi_via_theta
 
 
 ALL_SYSTEMS = [
@@ -160,14 +160,16 @@ class TestDouble:
             assert cold._chunk_images.items() <= warm._chunk_images.items()
 
     def test_table_stays_small(self):
-        # gate 12's word sweep, then apply and unsub on depth 0..7 patches
+        # gate 12's 65,814 words, each through both definitions (the gate itself
+        # calls chi_via_theta on unit words only), then apply and unsub on
+        # depth 0..7 patches
         rng = random.Random(14)
         for system in (BBAB, ABBA, THUE_MORSE):
             sub = Substreetution(system.image0, system.image1, system.grammar)
             if system is BBAB:
                 for l in range(5):
-                    for bits in itertools.product("01", repeat=1 << l):
-                        chi_recursive(sub, "".join(bits))
+                    for word in map("".join, itertools.product("01", repeat=1 << l)):
+                        assert chi_via_theta(sub, word) == chi_recursive(sub, word), word
             for depth in range(8):
                 p = random_patch(depth, rng)
                 assert unsub(sub, apply(sub, p)) == p
