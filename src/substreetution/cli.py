@@ -186,12 +186,14 @@ def _run(args) -> int:
     elif cmd == "verify-renorm":
         if args.random < 0:
             raise NonPositive(f"random patch count must be >= 0, got {args.random}")
-        if 2 * args.depth + 1 > _MAX_LINE_LEVEL:
-            raise SubstreetutionError(f"depth must be <= {(_MAX_LINE_LEVEL - 1) // 2}, got {args.depth}")
+        cap = (_MAX_LINE_LEVEL - 1) // 2  # the image's deepest line is 2 * depth + 1
+        if args.depth > cap:
+            raise SubstreetutionError(f"depth must be <= {cap}, got {args.depth}")
+        patch = load_patch(args.patch) if args.patch else None
+        if patch is not None and patch.depth > cap:
+            raise SubstreetutionError(f"patch depth must be <= {cap}, got {patch.depth}")
         system = resolve_system(args.sub)
-        if args.patch:
-            patch = load_patch(args.patch)
-        else:
+        if patch is None:
             patch = fixed_point_prefix(system, 0 if system.fixable_at(0) else 1, args.depth)
         reports = [verify_renormalization(system, patch, args.maxlen)]
         rng = random.Random(args.seed)

@@ -32,7 +32,7 @@ from .jacaranda import (
     parent_class,
     unsub_best_effort,
 )
-from .trees import Patch, addr_index, first_sites, index_addr, subpatch_representatives
+from .trees import Patch, addr_index, classes, decode, index_addr, subpatch_representatives
 from .words import v2
 
 
@@ -271,17 +271,15 @@ def _classify(p: Patch, ix) -> list:
 # -- brute force over a generated prefix --------------------------------------
 
 
-def parent_map(jp: Patch, d: int) -> dict[int, dict[int, tuple[int, int]]]:
+def parent_map(jp: Patch, d: int) -> dict[int, set[int]]:
     """Every depth-d subtree id of jp -> the ids of its depth-(d+1) parents.
 
-    Each parent id maps to (generation, rank) of its first site in jp.  A
-    parent id fixes both children, so that one site per parent suffices.
+    A parent's node key holds both its children, so the map inverts the keys.
     """
-    child = jp.subtree_ids(d)
-    out: dict[int, dict[int, tuple[int, int]]] = {}
-    for pid, (m, i) in first_sites(jp, d + 1).items():
-        for kid in child[m + 1][2 * i : 2 * i + 2]:
-            out.setdefault(kid, {})[pid] = (m, i)
+    out: dict[int, set[int]] = {}
+    for pid, (_, a, b) in classes(jp, d + 1).items():
+        out.setdefault(a, set()).add(pid)
+        out.setdefault(b, set()).add(pid)
     return out
 
 
@@ -290,21 +288,17 @@ def parents_of(frontier, pmap) -> set[int]:
     return {pid for cid in frontier for pid in pmap.get(cid, ())}
 
 
-def brute_parent_patches(a: Patch, jp: Patch) -> list[Patch]:
-    """Distinct depth-(d+1) subtrees of jp having `a` as one of their children."""
+def preimages_bruteforce(a: Patch, jp: Patch) -> PreimageSet:
+    """One parent per depth-(d+1) class of jp with `a` as a child, in first-site order."""
     d = a.depth
     if d + 1 > jp.depth:
         raise Shallow(f"need prefix depth >= {d + 1}, have {jp.depth}")
-    sites = parent_map(jp, d).get(jp.locate(a), {})
-    return [jp.window(m, i, d + 1) for m, i in sites.values()]
-
-
-def preimages_bruteforce(a: Patch, jp: Patch) -> PreimageSet:
-    members = []
-    for parent in brute_parent_patches(a, jp):
-        side = "a" if parent.subtree("a") == a else "b"
-        sibling = concrete(parent.subtree("b" if side == "a" else "a"))
-        members.append(PreimageDescriptor(parent.get(""), side, sibling, "scan"))
+    cid, found = jp.locate(a), []
+    for c, x, y in classes(jp, d + 1).values():
+        if cid in (x, y):
+            found.append((int(c), "a", y) if x == cid else (int(c), "b", x))
+    siblings = decode(jp, {sib for _, _, sib in found})
+    members = [PreimageDescriptor(c, side, concrete(siblings[sib]), "scan") for c, side, sib in found]
     return PreimageSet(tuple(members), "lower-bound")
 
 

@@ -147,7 +147,8 @@ def _bisector(p: complex, q: complex):
     if abs(alpha) <= 1e-6 * abs(beta):  # that flat, the circle is in the diameter's band
         return ("line", beta / abs(beta))
     c = beta / alpha
-    return ("circle", c, math.sqrt(abs(c) ** 2 - 1), c.real**2 - 1)
+    # orthogonal to the unit circle, |c| > 1; rounding can put deep images' |c| just below it
+    return ("circle", c, math.sqrt(max(abs(c) ** 2 - 1, 0)), c.real**2 - 1)
 
 
 def _walls(depth_limit):

@@ -6,9 +6,9 @@ branch b a^n never meets color 0, and a periodic tree built by line
 rewriting rather than substitution.
 
 Orbit graphs close a tree under both shifts.  Their states are the depth-d
-subtree classes of a seed patch and their edges are read off its id tables
-at the first site of each depth-(d+1) class.  An `OrbitGraph` checks its
-states and edges once, when it is built; `measures` takes it as checked.
+subtree classes of a seed patch and their edges are read off its node table,
+from the key of each depth-(d+1) class.  An `OrbitGraph` checks its states
+and edges once, when it is built; `measures` takes it as checked.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .engine import ABBA, fixed_point_prefix
 from .errors import MalformedGraph, NonConstantLevel, NotClosed
-from .trees import Patch, first_sites
+from .trees import Patch, classes, truncations
 
 
 def tm_project(p: Patch) -> str:
@@ -34,21 +33,6 @@ def tm_project(p: Patch) -> str:
 def abba_digit(root: int, word: str) -> int:
     """Digit law of the ABBA fixed trees: root plus the number of b's, mod 2."""
     return (root + word.count("b")) % 2
-
-
-def abba_escape_branch(n_max: int) -> bool:
-    """The b a^n digits are all 1, by formula and on a generated prefix.
-
-    So the branch b a^n of the root-0 ABBA tree never meets color 0.  This
-    is a fact about one branch and does not decide minimality of the orbit
-    closure: under the digit law every subtree is the tree of its root color.
-    """
-    prefix = fixed_point_prefix(ABBA, 0, n_max + 1)
-    for n in range(1, n_max + 1):
-        site = "b" + "a" * n
-        if abba_digit(0, site) != 1 or prefix.get(site) != 1:
-            return False
-    return True
 
 
 # -- the line-doubling periodic tree -------------------------------------------
@@ -129,32 +113,6 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
     return OrbitGraph(tuple(states), a_edges, b_edges)
 
 
-def _closure_at_depth(seed: Patch, d: int):
-    """State classes and edge maps at one identification depth.
-
-    States are the depth-d subtree classes, at their first sites.  A
-    depth-(d+1) class fixes its truncation's depth-d children, so one site
-    per depth-(d+1) class gives every edge.  The closure fails when a class
-    gets two different child pairs (the identification depth merges trees it
-    should not) or when a class only ever appears at the bottom, where its
-    children cannot be resolved.
-    """
-    if seed.depth < d + 1:
-        raise NotClosed(f"seed depth {seed.depth} cannot resolve depth-{d} states")
-    first = first_sites(seed, d)
-    ids = seed.subtree_ids(d)
-    edges = {}
-    for m, i in first_sites(seed, d + 1).values():
-        kids = (ids[m + 1][2 * i], ids[m + 1][2 * i + 1])
-        if edges.setdefault(ids[m][i], kids) != kids:
-            raise NotClosed(f"identification depth {d} merges trees with different children")
-    if len(edges) < len(first):
-        raise NotClosed(
-            f"{len(first) - len(edges)} state(s) appear only at the truncation frontier"
-        )
-    return first, edges
-
-
 # The orbit graph of the line-doubled tree from either root, at every
 # identification depth from 2 to 14.  s0 is the seed and s3 its mirror, the
 # tree of the other root.  Each has a looper (s1, s4) as its a-child and a
@@ -171,16 +129,29 @@ NOMEASURE_GRAPH = OrbitGraph(
 def build_orbit_graph(seed: Patch, depth: int) -> OrbitGraph:
     """Close the seed under both shifts with depth-`depth` state identity.
 
+    States are the depth-`depth` subtree classes, named in site order.  A
+    class one level deeper has its children in its node key and is over the
+    state its truncation names, so the keys give every edge.  The closure
+    fails when a state gets two different child pairs (the identification
+    depth merges trees it should not) or when a state only ever appears at
+    the bottom, where its children cannot be resolved.
+
     A deeper identification depth that also closes gives the same graph:
     two depth-(d+1) classes over one depth-d class would give it two child
     pairs, so the classes match one to one, in the same site order.
     """
     if depth < 2:
         raise MalformedGraph("identification depth must be at least 2")
-    first, edges = _closure_at_depth(seed, depth)
-    names = {cid: f"s{k}" for k, cid in enumerate(first)}  # in site order
-    return OrbitGraph(
-        tuple(names.values()),
-        {names[cid]: names[edges[cid][0]] for cid in first},
-        {names[cid]: names[edges[cid][1]] for cid in first},
-    )
+    if seed.depth < depth + 1:
+        raise NotClosed(f"seed depth {seed.depth} cannot resolve depth-{depth} states")
+    names = {cid: f"s{k}" for k, cid in enumerate(classes(seed, depth))}
+    up, edges = truncations(seed, depth + 1), {}
+    for pid, (_, a, b) in classes(seed, depth + 1).items():
+        kids = names[a], names[b]
+        if edges.setdefault(names[up[pid]], kids) != kids:
+            raise NotClosed(f"identification depth {depth} merges trees with different children")
+    if len(edges) < len(names):
+        missing = len(names) - len(edges)
+        raise NotClosed(f"{missing} state(s) appear only at the truncation frontier")
+    states = tuple(names.values())
+    return OrbitGraph(states, {s: edges[s][0] for s in states}, {s: edges[s][1] for s in states})

@@ -10,8 +10,9 @@ Subtree ids are local to a patch: each patch numbers its own distinct
 (color, left-id, right-id) nodes, so ids are a pure function of the patch.
 They are exact: two subtrees of one patch have equal ids exactly when they
 are equal, never "probably equal".  Each depth's ids form one contiguous
-range, so the distinct subtrees of a depth are read off the node table
-without a pass over the id table.
+range, so the classes of a depth, each with its node key (color, a-child
+id, b-child id), are read off the node table without a pass over the id
+table.
 
 Patches are validated where they enter (`Patch(...)`, `leaf`, `combine`,
 `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
@@ -212,37 +213,47 @@ def distance(p: Patch, q: Patch):
     return EQUAL_TO_DEPTH
 
 
-def distinct_subpatches(p: Patch, n: int) -> frozenset[int]:
-    """Ids (local to p) of all distinct depth-n subtrees rooted anywhere in p.
+def classes(p: Patch, n: int) -> dict[int, tuple[str, int, int]]:
+    """Each depth-n subtree id of p -> its node key (color, a-child id, b-child id).
 
-    These are the id range depth n took in p's node table, taken from the
-    table's values so that the id table's int objects are shared, not copied.
+    These are the id range depth n took in p's node table.  Ids are handed out
+    in site order, so the keys come in the order of the classes' first sites.
+    A depth-0 key has children 0.
     """
     p.subtree_ids(n)
-    ends = p.__dict__["_ends"]
-    return frozenset(islice(p.__dict__["_nodes"].values(), ends[n], ends[n + 1]))
+    nodes, (start, stop) = p.__dict__["_nodes"], p.__dict__["_ends"][n : n + 2]
+    return dict(zip(islice(nodes.values(), start, stop), islice(nodes, start, stop)))
 
 
-def first_sites(p: Patch, n: int) -> dict[int, tuple[int, int]]:
-    """Each depth-n subtree id of p -> (generation, rank) of its first site.
+def distinct_subpatches(p: Patch, n: int) -> frozenset[int]:
+    """Ids (local to p) of all distinct depth-n subtrees rooted anywhere in p."""
+    return frozenset(classes(p, n))
 
-    Keys are in site order.  Within a row, distinct ids in first-seen order
-    have rising first ranks, so each search resumes where the last stopped
-    and a row is scanned once.
-    """
-    first: dict[int, tuple[int, int]] = {}
-    for m, row in enumerate(p.subtree_ids(n)):
-        i = 0
-        for cid in dict.fromkeys(row):
-            if cid not in first:
-                i = row.index(cid, i)
-                first[cid] = (m, i)
-    return first
+
+def truncations(p: Patch, n: int) -> dict[int, int]:
+    """Each id of depth <= n in p -> the id of its truncation by one level (depth 0: 0)."""
+    up, nodes = dict.fromkeys(classes(p, 0), 0), p.__dict__["_nodes"]
+    for k in range(1, n + 1):
+        up.update((cid, nodes[c, up[a], up[b]]) for cid, (c, a, b) in classes(p, k).items())
+    return up
+
+
+def decode(p: Patch, ids) -> dict[int, Patch]:
+    """The subtree each given id of p stands for, from its key and its descendants' keys."""
+    keys, levels = list(p.__dict__["_nodes"]), {0: ()}  # id k has key keys[k - 1]
+
+    def walk(cid):
+        if cid not in levels:
+            c, a, b = keys[cid - 1]
+            levels[cid] = (c, *map(str.__add__, walk(a), walk(b)))
+        return levels[cid]
+
+    return {cid: Patch._of(walk(cid)) for cid in ids}
 
 
 def subpatch_representatives(p: Patch, n: int) -> dict[int, Patch]:
-    """One concrete depth-n patch per distinct subtree id of p."""
-    return {cid: p.window(m, i, n) for cid, (m, i) in first_sites(p, n).items()}
+    """One concrete depth-n patch per distinct subtree id of p, in first-site order."""
+    return decode(p, classes(p, n))
 
 
 def random_patch(depth: int, rng: random.Random) -> Patch:

@@ -16,3 +16,18 @@ def verify_paper_json():
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify-paper", "--json"])
     return code, out.getvalue()
+
+
+def _first_sites_by_scan(p, n):
+    """Every site in order, keeping the first of each depth-n id: id -> (generation, rank)."""
+    first = {}
+    for m, row in enumerate(p.subtree_ids(n)):
+        for i, cid in enumerate(row):
+            first.setdefault(cid, (m, i))
+    return first
+
+
+@pytest.fixture(scope="session")
+def first_sites_by_scan():
+    """The scan oracle for the node table's class order, and the provenance sites of tests."""
+    return _first_sites_by_scan

@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,9 @@ NEGATIVE_COUNTS = [
     ("render-tiling-res", "render-tiling --patch {f} --res -1 --out {svg}",
      "resolution must be at least 1, got -1"),
 ]
+
+
+EXPECTED_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run(capsys, *argv):
@@ -260,7 +264,10 @@ class TestVerifyPaper:
         assert [e["gate"].split()[0] for e in entries] == [str(k) for k in range(1, 14)]
         assert [e["gate"] for e in entries if not e["ok"]] == ["6 backward bound (literal)"]
         assert all(e["seconds"] >= 0 for e in entries)
-        assert entries[10]["detail"] == "6-state graph infeasible; self-loop feasible with mass 1"
+        # every (gate, ok, detail), byte for byte, is the table the benchmark checks against
+        with open(EXPECTED_JSON, encoding="utf-8") as fh:
+            want = json.load(fh)["paper-gates"]["table"]
+        assert [[e["gate"], e["ok"], e["detail"]] for e in entries] == want
 
 
 class TestRenderCommands:
@@ -299,6 +306,16 @@ class TestRenderCommands:
         code, _, err = run(capsys, *args, "--out", str(tmp_path / "t.svg"), "--threads", "4")
         assert code == 1 and "unrecognized arguments: --threads 4" in err
         assert not (tmp_path / "t.svg").exists()
+
+    @pytest.mark.parametrize("depth", ["9", "10"])
+    def test_render_tiling_deep_word_limits(self, capsys, tmp_path, depth):
+        # deep isometry images put bisector centres within rounding of the unit circle
+        f = tmp_path / "j10.patch"
+        f.write_text(dump_patch(jacaranda_prefix(10)))
+        out_file = tmp_path / "tiling.svg"
+        args = ["render-tiling", "--patch", str(f), "--depth", depth, "--res", "64"]
+        assert run(capsys, *args, "--out", str(out_file)) == (0, "", "")
+        assert out_file.read_text().startswith("<svg")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -394,6 +411,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "chi", "--word", "10", "--pow", "4")
         assert (code, out) == (0, doubling_block(4) + "\n")
         assert run(capsys, "verify-renorm", "--sub", "builtin:bbab") == (0, "pass (21 sites checked)\n", "")
+
+    def test_verify_renorm_patch_depth_bound(self, capsys, tmp_path):
+        # a depth-12 patch's image has the 2^25-character line 25; rejected before --sub is read
+        deep = tmp_path / "j12.patch"
+        deep.write_text(dump_patch(jacaranda_prefix(12)))
+        missing = str(tmp_path / "missing.sub")
+        assert run(capsys, "verify-renorm", "--sub", missing, "--patch", str(deep)) == (
+            2, "", "error: patch depth must be <= 11, got 12\n"
+        )
+        deepest = tmp_path / "j11.patch"
+        deepest.write_text(dump_patch(jacaranda_prefix(11)))
+        assert run(capsys, "verify-renorm", "--sub", "builtin:bbab", "--patch", str(deepest)) == (
+            0, "pass (21 sites checked)\n", ""
+        )
 
     def test_negative_count_covers_every_integer_flag(self):
         # a new integer flag needs a row in NEGATIVE_COUNTS; --seed takes any integer

@@ -23,7 +23,7 @@ from substreetution.jacaranda import (
     unsub_pow,
 )
 from substreetution.preimages import preimages_classified
-from substreetution.trees import Patch, dump_patch, first_sites, random_patch
+from substreetution.trees import Patch, dump_patch, random_patch, subpatch_representatives
 from substreetution.words import chi_pow, is_rep, v2
 
 
@@ -157,10 +157,10 @@ class TestBlockTable:
     def test_detect_type_matches_oracle(self):
         rng = random.Random(19)
         windows = [
-            q.window(m, i, d)
+            window
             for q in (jacaranda_prefix(14), jprime_prefix(14))
             for d in range(2, 11)
-            for m, i in first_sites(q, d).values()
+            for window in subpatch_representatives(q, d).values()
         ]
         patches = windows + [random_patch(rng.randint(2, 8), rng) for _ in range(300)]
         for _ in range(600):  # one flipped site: near the closure but mostly off it

@@ -18,16 +18,17 @@ from substreetution.errors import (
 from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix
 from substreetution.preimages import (
     CrosscheckReport,
+    PreimageDescriptor,
     _classify,
     _descriptor_matches,
     _SiteIndices,
-    brute_parent_patches,
     crosscheck_sweep,
     p_n,
+    parent_map,
     preimages_bruteforce,
     preimages_classified,
 )
-from substreetution.trees import Patch, first_sites, index_addr, subpatch_representatives
+from substreetution.trees import Patch, index_addr, subpatch_representatives
 from substreetution.words import v2
 
 
@@ -76,13 +77,13 @@ class TestClassifiedFixedTrees:
         assert "completeness=exact" in text and "sibling=J'" in text
 
 
-def test_serialization_golden(jp):
+def test_serialization_golden(jp, first_sites_by_scan):
     # every depth-1..7 class of the prefix at its first site, classified with
     # and without the site and by the scan, then both fixed trees, with each
     # error as its class and message: every serialized byte, as one digest
     out = []
     for d in range(1, 8):
-        for m, i in sorted(first_sites(jp, d).values()):
+        for m, i in sorted(first_sites_by_scan(jp, d).values()):
             patch, site = jp.window(m, i, d), index_addr(i, m)
             for run in (
                 lambda: preimages_classified(concrete(patch, site), jp),
@@ -145,8 +146,25 @@ class TestBruteForce:
 
     def test_parent_windows_contain_target(self, jp):
         a = jp.truncate(3)
-        for parent in brute_parent_patches(a, jp):
-            assert a in (parent.subtree("a"), parent.subtree("b"))
+        parents = subpatch_representatives(jp, 4)
+        for pid in parent_map(jp, 3)[jp.locate(a)]:
+            assert a in (parents[pid].subtree("a"), parents[pid].subtree("b"))
+
+    def test_matches_window_scan(self, jp, first_sites_by_scan):
+        # the node keys against the windows at the first site of each parent class
+        for d in range(1, 8):
+            parents = [jp.window(m, i, d + 1) for m, i in first_sites_by_scan(jp, d + 1).values()]
+            pmap = parent_map(jp, d)
+            for m, i in first_sites_by_scan(jp, d).values():
+                a, want, pids = jp.window(m, i, d), [], set()
+                for q in parents:
+                    if a in (q.subtree("a"), q.subtree("b")):
+                        side, other = ("a", "b") if q.subtree("a") == a else ("b", "a")
+                        sibling = concrete(q.subtree(other))
+                        want.append(PreimageDescriptor(q.get(""), side, sibling, "scan"))
+                        pids.add(jp.locate(q))
+                assert preimages_bruteforce(a, jp).members == tuple(want)
+                assert pmap.get(jp.locate(a), set()) == pids
 
     def test_lower_bound_flag(self, jp):
         assert preimages_bruteforce(jp.truncate(2), jp).completeness == "lower-bound"
@@ -182,10 +200,10 @@ class TestIteratedCounts:
             p_n(jp.truncate(2), 1, jp)
 
     def test_chain_consistency(self, jp):
-        reps = subpatch_representatives(jp, 8)
-        for patch in list(reps.values())[:6]:
-            parents = brute_parent_patches(patch, jp)
-            assert p_n(patch, 2, jp) <= sum(p_n(q, 1, jp) for q in parents)
+        reps, parents = subpatch_representatives(jp, 8), subpatch_representatives(jp, 9)
+        pmap = parent_map(jp, 8)
+        for cid, patch in list(reps.items())[:6]:
+            assert p_n(patch, 2, jp) <= sum(p_n(parents[pid], 1, jp) for pid in pmap.get(cid, ()))
 
 
 class TestCrosscheck:
@@ -208,12 +226,12 @@ class TestCrosscheck:
         assert report.ok and not report.mismatches
         assert (report.occurrences, checked, report.undetermined_sites) == (516084, 389, 0)
 
-    def test_siblings_no_deeper_than_patch(self):
+    def test_siblings_no_deeper_than_patch(self, first_sites_by_scan):
         # a parent of a depth-d tree shows the sibling only to depth d
         jp16 = jacaranda_prefix(16)
         seen = 0
         for d in range(1, 9):
-            for m, i in first_sites(jp16, d).values():
+            for m, i in first_sites_by_scan(jp16, d).values():
                 if m == 0:
                     continue
                 patch, site = jp16.window(m, i, d), index_addr(i, m)

@@ -209,11 +209,13 @@ class TestTilingSvg:
         p = jacaranda_prefix(2)
         assert tiling_svg(p, cfg) == tiling_svg(p, cfg)
 
-    @pytest.mark.parametrize("res", [1, 2, 3, 33, 64, 96, 97, 128, 200, 256])
+    @pytest.mark.parametrize("res", [1, 2, 3, 32, 33, 64, 96, 97, 128, 200, 256])
     def test_spans_match_per_pixel(self, res):
-        # word limits 5 and 6 only up to 64 px, where the per-pixel oracle is cheap
-        p = jacaranda_prefix(8)
-        for depth_limit in range(7 if res <= 64 else 5):
+        # word limits 5 and 6 only up to 64 px, where the per-pixel oracle is cheap; at
+        # 9 and 10, rounding puts some bisector centres just inside the unit circle
+        p = jacaranda_prefix(10)
+        deep = (9, 10) if res in (32, 64) else ()
+        for depth_limit in [*range(7 if res <= 64 else 5), *deep]:
             cfg = RenderConfig(resolution=res, depth_limit=depth_limit)
             assert tiling_svg(p, cfg) == _tiling_svg_per_pixel(p, cfg)
 

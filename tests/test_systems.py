@@ -11,7 +11,6 @@ from substreetution.systems import (
     NOMEASURE_GRAPH,
     OrbitGraph,
     abba_digit,
-    abba_escape_branch,
     build_orbit_graph,
     nomeasure_tree,
     parse_orbit_graph,
@@ -56,10 +55,6 @@ class TestDigitLaw:
             for i, c in enumerate(row):
                 site = "".join("b" if (i >> k) & 1 else "a" for k in reversed(range(m)))
                 assert int(c) == abba_digit(0, site)
-
-    def test_witness(self):
-        assert abba_escape_branch(10)
-        assert abba_escape_branch(1)
 
     def test_shift_relations(self):
         p0 = fixed_point_prefix(ABBA, 0, 9)

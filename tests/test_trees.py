@@ -12,14 +12,15 @@ from substreetution.trees import (
     EQUAL_TO_DEPTH,
     Patch,
     addr_index,
+    classes,
     distance,
     distinct_subpatches,
     dump_patch,
-    first_sites,
     index_addr,
     parse_patch,
     random_patch,
     subpatch_representatives,
+    truncations,
 )
 from fractions import Fraction
 
@@ -308,27 +309,34 @@ class TestLeafLevel:
             assert distinct_subpatches(p, n) == frozenset(chain.from_iterable(p.subtree_ids(n)))
 
 
-def first_sites_by_scan(p, n):
-    """Oracle: every site in order, keeping the first of each id."""
-    first = {}
-    for m, row in enumerate(p.subtree_ids(n)):
-        for i, cid in enumerate(row):
-            first.setdefault(cid, (m, i))
-    return first
-
-
-class TestFirstSites:
-    def check(self, p):
+class TestClasses:
+    def check(self, p, scan):
         for n in range(p.depth + 1):
-            assert list(first_sites(p, n).items()) == list(first_sites_by_scan(p, n).items())
+            first, keys, up = scan(p, n), classes(p, n), truncations(p, n)
+            reps = subpatch_representatives(p, n)
+            assert list(keys) == list(first)  # ids in scan order
+            for cid, (m, i) in first.items():
+                # the key at the first site, its window decoded, its truncation's id
+                assert reps[cid] == p.window(m, i, n)
+                if n == 0:
+                    assert (keys[cid], up[cid]) == ((p.levels[m][i], 0, 0), 0)
+                    continue
+                below = p.subtree_ids(n - 1)
+                assert keys[cid] == (p.levels[m][i], *below[m + 1][2 * i : 2 * i + 2])
+                assert up[cid] == below[m][i]
 
-    def test_random_patches(self):
+    def test_random_patches(self, first_sites_by_scan):
         rng = random.Random(8)
         for depth in (0, 1, 5, 9, 11):
-            self.check(random_patch(depth, rng))
+            self.check(random_patch(depth, rng), first_sites_by_scan)
 
-    def test_fixed_tree_prefix(self):
-        self.check(jacaranda_prefix(12))
+    def test_one_color_patches(self, first_sites_by_scan):
+        for depth in range(5):
+            for p in one_color_patches(depth):
+                self.check(p, first_sites_by_scan)
+
+    def test_fixed_tree_prefix(self, first_sites_by_scan):
+        self.check(jacaranda_prefix(12), first_sites_by_scan)
 
 
 class TestDistinctSubpatches:
