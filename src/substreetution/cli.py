@@ -38,6 +38,10 @@ _MAX_PROPORTION_N = 13
 # The example seed's last line has 2^(depth + 4) digits; its graph is NOMEASURE_GRAPH to here.
 _MAX_EXAMPLE_DEPTH = 14
 
+# The tiling draws 10 (2^(limit + 1) - 1) bisector walls: 1.3 million at word limit 16,
+# doubling with each further letter.
+_MAX_TILING_DEPTH = 16
+
 # No command builds a line past 2^24 characters (16 MB): fixpoint's at --depth, chi's
 # (2^(l * 2^pow) for a length-2^l word) and verify-renorm's image line 2 * depth + 1.
 _MAX_LINE_LEVEL = 24
@@ -228,8 +232,9 @@ def _run(args) -> int:
         if args.max_n < 0:
             raise NonPositive(f"max-n must be >= 0, got {args.max_n}")
         patch = load_patch(args.patch)
-        for n in range(args.max_n + 1):
-            print(f"{n} {len(distinct_subpatches(patch, n))}")
+        # every count before any line: a max-n past the patch depth prints nothing
+        counts = [len(distinct_subpatches(patch, n)) for n in range(args.max_n + 1)]
+        sys.stdout.writelines(f"{n} {c}\n" for n, c in enumerate(counts))
     elif cmd == "proportion":
         if args.n > _MAX_PROPORTION_N:
             raise SubstreetutionError(f"n must be <= {_MAX_PROPORTION_N}, got {args.n}")
@@ -255,6 +260,8 @@ def _run(args) -> int:
     elif cmd == "render-tree":
         _write(tree_svg(load_patch(args.patch)), args.out)
     elif cmd == "render-tiling":
+        if args.depth > _MAX_TILING_DEPTH:
+            raise SubstreetutionError(f"depth must be <= {_MAX_TILING_DEPTH}, got {args.depth}")
         cfg = RenderConfig(resolution=args.res, depth_limit=args.depth)
         _write(tiling_svg(load_patch(args.patch), cfg), args.out)
     elif cmd == "verify-paper":
@@ -278,7 +285,8 @@ def main(argv=None) -> int:
             # a library warning reads like an error line, not like a traceback
             warnings.showwarning = _warning_line
             return _run(args)
-    except (SubstreetutionError, OSError) as exc:
+    except (SubstreetutionError, OSError, UnicodeDecodeError) as exc:
+        # input files are ASCII, comments included: a non-ASCII byte is an input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

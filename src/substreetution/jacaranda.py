@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .engine import BBAB, apply_pow, fixed_point_prefix, unsub
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
-from .trees import Patch
+from .trees import Patch, check_address
 from .words import doubling_block, v2
 
 INF = math.inf
@@ -65,30 +65,23 @@ class TypeReport:
 def detect_type(p: Patch) -> TypeReport:
     if p.depth < 2:
         raise Shallow("type detection needs depth >= 2")
-    odd_ok = all(_in_block_line(p.levels[l], 0) for l in range(2, p.depth + 1, 2))
     even_ok = all(_in_block_line(p.levels[l], 0) for l in range(1, p.depth + 1, 2))
+    # class 2^u repeats the level-u block on lines 2^(u+1) N; an odd tree is
+    # class u = 0, and only an even-fitting tree can have a class u >= 1
+    candidates = frozenset(
+        u
+        for u in range(p.depth.bit_length() - 1 if even_ok else 1)
+        if all(_in_block_line(p.levels[l], u) for l in range(2 << u, p.depth + 1, 2 << u))
+    )
+    odd_ok = 0 in candidates
     if not odd_ok and not even_ok:
         raise Inconsistent("neither parity fits the visible lines")
-
-    even_candidates = set()
-    if even_ok:
-        # class 2^u repeats the level-u block on lines 2^(u+1) N
-        for u in range(1, p.depth.bit_length() - 1):
-            period = 1 << (u + 1)
-            if all(_in_block_line(p.levels[l], u) for l in range(period, p.depth + 1, period)):
-                even_candidates.add(u)
     inf_ok = even_ok and any(p == x.prefix(p.depth) for x in (JAC, JAC_PRIME))
-
-    if odd_ok and even_ok:
-        return TypeReport(
-            "undetermined", frozenset({0} | even_candidates), None, inf_ok, p.depth
-        )
-    if odd_ok:
-        return TypeReport("odd", frozenset({0}), 0, False, p.depth)
+    parity = "undetermined" if odd_ok and even_ok else "odd" if odd_ok else "even"
     determined = None
-    if len(even_candidates) == 1 and not inf_ok:
-        (determined,) = even_candidates
-    return TypeReport("even", frozenset(even_candidates), determined, inf_ok, p.depth)
+    if parity != "undetermined" and len(candidates) == 1 and not inf_ok:
+        (determined,) = candidates
+    return TypeReport(parity, candidates, determined, inf_ok, p.depth)
 
 
 def unsub_pow(p: Patch, u: int) -> Patch:
@@ -120,6 +113,8 @@ class XDescriptor:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         if (self.kind == "patch") != (self.patch is not None):
             raise ValueError("exactly the concrete descriptors carry a patch")
+        if self.provenance:
+            check_address(self.provenance)
 
     def prefix(self, depth: int) -> Patch:
         """The tree to `depth` for a fixed tree; a concrete descriptor's own patch."""

@@ -134,14 +134,6 @@ def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> Pre
     return PreimageSet(tuple(members), "exact")
 
 
-def _child(p: Patch, letter: str) -> Patch:
-    if p.depth >= 1:
-        return p.subtree(letter)
-    # children of an even root-1 core are root-0; everything else that calls
-    # this at depth 0 also knows the child root
-    return Patch.leaf(0)
-
-
 class _SiteIndices:
     """Indices of the tree at rank i of generation n: dyadic valuations of n."""
 
@@ -210,36 +202,22 @@ class _DetectedIndices:
 
 
 def _classify(p: Patch, ix) -> list:
-    """The parent case tree: [(tag, members)], or Undetermined with the open cases."""
-    root = p.get("")
-    u = ix.u
-    if u >= 1:
-        if root == 0:
-            sibs = {"self": p, "main": brother_best_effort(p, u)}
+    """The parent case tree: [(tag, members)], or Undetermined with the open cases.
+
+    An odd tree is class u = 0: at u = 0 the u-fold unsubstitution and image
+    are the identity, so one sibling construction per root color serves
+    every class.
+    """
+    root, u = p.get(""), ix.u
+    if root == 0:
+        sibs = {"self": p, "main": brother_best_effort(p, u)}
+        if u:
             return _cases(("even0-deep" if u >= 2 else "even0-2type",), sibs)
-        c = _child(unsub_best_effort(p, u), "a")
-        v = ix.inner(c, u)
-        sibs = {
-            "main": apply_pow(BBAB, Patch.combine(0, brother_best_effort(c, v), c), u, p.depth),
-            "prime": apply_pow(BBAB, Patch.combine(0, c, c), u, p.depth),
-        }
-        return _cases(("even1-v1" if v == 1 else "even1-vdeep",), sibs)
-    if root == 1:
-        g = _child(p, "a")
-        k = ix.k("a")
-        sibs = {
-            "main": Patch.combine(0, brother_best_effort(g, k), g),
-            "prime": Patch.combine(0, g, g),
-        }
-    else:
         # odd tree with root 0: only ever a b-child
         if p.depth < 1:
             raise Undetermined(
-                "children of a depth-0 odd tree are unknown",
-                cases=_cases(("odd0-open",), {"main": Patch.leaf(1)}),
+                "children of a depth-0 odd tree are unknown", cases=_cases(("odd0-open",), sibs)
             )
-        right = p.subtree("b")
-        sibs = {"main": Patch.combine(1, right, right)}
         ca, cb = p.get("a"), p.get("b")
         k = ix.k("b")
         if (ca, cb) == (0, 0):
@@ -250,6 +228,18 @@ def _classify(p: Patch, ix) -> list:
             raise Inconsistent(f"children pair {ca}{cb} cannot occur in the closure")
         if k >= 2:
             return _cases(("odd0-2a",), sibs)
+    else:
+        # the a-child of the odd core, root 0 also where depth hides it
+        core = unsub_best_effort(p, u)
+        c = core.subtree("a") if core.depth >= 1 else Patch.leaf(0)
+        # at u = 0 both read c's class; they differ in the message when it stays open
+        k = ix.inner(c, u) if u else ix.k("a")
+        sibs = {
+            "main": apply_pow(BBAB, Patch.combine(0, brother_best_effort(c, k), c), u, p.depth),
+            "prime": apply_pow(BBAB, Patch.combine(0, c, c), u, p.depth),
+        }
+        if u:
+            return _cases(("even1-v1" if k == 1 else "even1-vdeep",), sibs)
     v = ix.v()
     if v == INF:
         return _cases((f"odd{root}-vinf",), sibs)

@@ -133,19 +133,20 @@ _WALL_BAND = 1e-5
 
 
 def _bisector(p: complex, q: complex):
-    """The wall where d(z, p) = d(z, q): ("circle", c, R, R^2 - Im(c)^2) or ("line", n).
+    """The wall where d(z, p) = d(z, q): ("circle", c, R, R^2 - Im(c)^2), ("line", n) or None.
 
     1 - rho(z, p)^2 = (1 - |z|^2)(1 - |p|^2) / |1 - conj(p) z|^2 turns the
     comparison into alpha |z|^2 - 2 Re(conj(beta) z) + gamma = 0, where
     alpha = gamma = |q|^2 - |p|^2 and beta = (1 - |p|^2) q - (1 - |q|^2) p:
     a circle of centre beta / alpha orthogonal to the unit circle, or, when
-    alpha vanishes, the diameter with unit normal beta / |beta|.
+    alpha vanishes, the diameter with unit normal beta / |beta|.  Deep images
+    can both round onto the unit circle, where alpha = beta = 0: no wall.
     """
     pp, qq = abs(p) ** 2, abs(q) ** 2
     alpha = qq - pp
     beta = (1 - pp) * q - (1 - qq) * p
     if abs(alpha) <= 1e-6 * abs(beta):  # that flat, the circle is in the diameter's band
-        return ("line", beta / abs(beta))
+        return ("line", beta / abs(beta)) if beta else None
     c = beta / alpha
     # orthogonal to the unit circle, |c| > 1; rounding can put deep images' |c| just below it
     return ("circle", c, math.sqrt(max(abs(c) ** 2 - 1, 0)), c.real**2 - 1)
@@ -156,14 +157,16 @@ def _walls(depth_limit):
 
     At a word W the descent compares distances from W^-1(z) to 0 and the
     four generator images of 0; W is an isometry, so each comparison is the
-    bisector of the W-images of a pair of those five points.
+    bisector of the W-images of a pair of those five points.  A pair without
+    a bisector (both images rounded onto the unit circle) adds no wall.
     """
     base = [complex(0)] + [h(0) for h in (H1, H1.inverse(), H2, H2.inverse())]
     walls = [("circle", complex(0), 1.0, 1.0)]
     words = [DiskIsometry(complex(1), complex(0))]
     for _ in range(depth_limit + 1):
         for w in words:
-            walls += [_bisector(p, q) for p, q in itertools.combinations(map(w, base), 2)]
+            pairs = itertools.combinations(map(w, base), 2)
+            walls += filter(None, itertools.starmap(_bisector, pairs))
         words = [w.compose(h) for w in words for h in (H1, H2)]
     return walls
 

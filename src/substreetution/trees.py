@@ -39,17 +39,17 @@ def check_address(word: str) -> str:
     return word
 
 
+_TO_BITS, _TO_LETTERS = str.maketrans("ab", "01"), str.maketrans("01", "ab")
+
+
 def addr_index(word: str) -> int:
     """Rank of an address within its generation (a=0, b=1, binary)."""
-    i = 0
-    for c in word:
-        i = 2 * i + (c == "b")
-    return i
+    return int(word.translate(_TO_BITS), 2) if word else 0
 
 
 def index_addr(i: int, length: int) -> str:
     """Inverse of addr_index at a fixed generation."""
-    return "".join("b" if (i >> k) & 1 else "a" for k in reversed(range(length)))
+    return format(i, f"0{length}b").translate(_TO_LETTERS) if length else ""
 
 
 class _EqualToDepth:

@@ -134,6 +134,10 @@ class TestPatchCommands:
         code, out, _ = run(capsys, "complexity", "--patch", str(f), "--max-n", "1")
         assert code == 0
         assert out.splitlines() == ["0 2", "1 4"]
+        # a max-n past the patch depth is rejected before any line prints
+        assert run(capsys, "complexity", "--patch", str(f), "--max-n", "7") == (
+            2, "", "error: no depth-7 subtrees in a depth-6 patch\n"
+        )
 
     def test_preimages_bruteforce(self, capsys, tmp_path):
         jp = tmp_path / "jp.patch"
@@ -377,6 +381,37 @@ class TestExitCodes:
         assert run(capsys, "proportion", "--n", "14") == (2, "", "error: n must be <= 13, got 14\n")
         code, out, _ = run(capsys, "proportion", "--n", "13")
         assert code == 0 and out.endswith(f"/{1 << (1 << 13)}\n")
+
+    def test_render_tiling_word_limit_above_its_bound(self, capsys, tmp_path):
+        # the walls double with each letter; the bound rejects limit 17 before the patch
+        # is read, and limit 16 gets as far as reading it
+        missing, svg = str(tmp_path / "missing.patch"), tmp_path / "t.svg"
+        args = ["render-tiling", "--patch", missing, "--out", str(svg), "--depth"]
+        assert run(capsys, *args, "17") == (2, "", "error: depth must be <= 16, got 17\n")
+        code, out, err = run(capsys, *args, "16")
+        assert (code, out) == (2, "") and "No such file" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            ("line --patch {f} --level 1", "depth 1\n0\n10\n"),
+            ("source --addr ba --sub {f}", "0 -> 0(1,0)\n1 -> 1(1,0)\ngrammar BBAB\n"),
+            ("measure-check --graph {f}", "state s0\nedge s0 a s0\nedge s0 b s0\n"),
+        ],
+        ids=["patch", "system", "graph"],
+    )
+    def test_non_ascii_input_file(self, capsys, tmp_path, argv, text):
+        # input files are ASCII, comments included: one error line, not a traceback
+        f = tmp_path / "input.txt"
+        argv = argv.format(f=f).split()
+        f.write_text("# cafe\n" + text, encoding="ascii")
+        assert run(capsys, *argv)[0] == 0
+        f.write_text("# caf\u00e9\n" + text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'ascii' codec can't decode byte 0xc3 in position 5")
+        assert err.count("\n") == 1
 
     def test_orbit_graph_example_above_its_bound(self, capsys):
         # the example's seed doubles with each depth; the bound rejects it before any work

@@ -9,7 +9,14 @@ import pytest
 
 import substreetution
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
-from substreetution.errors import Inconsistent, NonPositive, NotInImage, Shallow, TypeUndetermined
+from substreetution.errors import (
+    BadPatchFormat,
+    Inconsistent,
+    NonPositive,
+    NotInImage,
+    Shallow,
+    TypeUndetermined,
+)
 from substreetution.jacaranda import (
     JAC,
     JAC_PRIME,
@@ -210,6 +217,11 @@ class TestDescriptorPrefix:
         patch = jacaranda_prefix(9).subtree("ab")
         for depth in (0, 3, 12):
             assert concrete(patch, "ab").prefix(depth) is patch
+
+    def test_provenance_is_an_address(self):
+        # the site classifier reads the site's rank, so the descriptor checks its letters
+        with pytest.raises(BadPatchFormat, match="address must be a word over"):
+            concrete(Patch.leaf(0), "bx")
 
 
 class TestBrother:

@@ -311,6 +311,20 @@ class TestCrosscheck:
         tags = [tag for tag, _ in exc.value.cases]
         assert tags == ["odd1-1a", "odd1-1b", "odd1-1c"]
 
+    def test_depth0_root0_odd_site_leaves_children_open(self, jp):
+        # a bare root-0 tree at an odd generation: its children, and so its
+        # case, are unknown; the sibling is the root-1 leaf
+        assert jp.get("b") == 0
+        with pytest.raises(Undetermined, match="^children of a depth-0 odd tree are unknown$") as exc:
+            preimages_classified(concrete(Patch.leaf(0), "b"), jp)
+        ((tag, members),) = exc.value.cases
+        assert tag == "odd0-open"
+        assert [(m.root, m.side, m.case_tag) for m in members] == [
+            (0, "b", "odd0-open"),
+            (1, "b", "odd0-open"),
+        ]
+        assert {m.sibling.patch.levels for m in members} == {("1",)}
+
 
 def _check_occurrences_per_site(jp, d, reps, report, matched):
     """The occurrence scan one site at a time: the oracle for the scan by generation."""

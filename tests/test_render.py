@@ -189,6 +189,10 @@ class TestTreeSvg:
 
 
 class TestTilingSvg:
+    def test_no_wall_between_two_boundary_points(self):
+        # deep isometry images can both round onto the unit circle: alpha = beta = 0
+        assert render._bisector(1, 1j) is None
+
     def test_word_limit_zero_over_root(self):
         cfg = RenderConfig(resolution=48, depth_limit=0)
         svg = tiling_svg(jacaranda_prefix(1), cfg)

@@ -1,6 +1,6 @@
 import random
 from collections import defaultdict
-from itertools import chain, count, repeat
+from itertools import chain, count, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +53,9 @@ class TestAddressing:
         assert addr_index("") == 0
         assert addr_index("ab") == 1
         assert addr_index("ba") == 2
+        words = ["".join(w) for w in product("ab", repeat=5)]
+        assert [index_addr(i, 5) for i in range(32)] == words
+        assert list(map(addr_index, words)) == list(range(32))
 
 
 class TestPatchBasics:
