@@ -31,7 +31,7 @@ from .systems import (
     tm_project,
 )
 from .trees import distinct_subpatches, index_addr, random_patch
-from .words import chi_pow, chi_recursive, chi_via_theta, is_rep, line_formula, ones_count_line_2n, v2
+from .words import chi_pow, chi_recursive, chi_via_theta, line_formula, ones_count_line_2n, v2
 
 
 def c01_fixed_point_lines():
@@ -44,8 +44,8 @@ def c01_fixed_point_lines():
     for l in range(1, 17, 2):
         if j.line(l) != "10" * (1 << (l - 1)):
             return False, f"odd line {l} is not a 10-repetition"
-    for l in range(2, 17):
-        if l % 4 == 2 and not is_rep(j.line(l), "0010"):
+    for l in range(2, 17, 4):
+        if j.line(l) != "0010" * (1 << (l - 2)):
             return False, f"line {l} is not a 0010-repetition"
     return True, "lines 1,2,4 pinned; odd and 4N+2 structure exact to depth 16"
 
@@ -208,17 +208,14 @@ def c12_word_properties():
         bad = next(compress(count(), map(ne, images, defined)), None)
         if bad is not None:
             return False, f"definitions disagree on {format(bad, spec)}"
-    for u in range(1, 5):
-        block = chi_pow(BBAB, "10", u)
+    blocks = [chi_pow(BBAB, "10", u) for u in range(5)]
+    for u, block in enumerate(blocks[1:], 1):
         half = len(block) // 2
         if "1" not in block[half:]:
             return False, f"no 1 in the second half at u={u}"
         if u >= 2 and "1" not in block[:half]:
             return False, f"no 1 in the first half at u={u}"
-    densities = [
-        Fraction(chi_pow(BBAB, "10", u).count("1"), 1 << (1 << u)) for u in range(5)
-    ]
-    if len(set(densities)) != 5:
+    if len({Fraction(block.count("1"), len(block)) for block in blocks}) != 5:
         return False, "block densities collide"
     return True, "definitions agree on 65814 words; halves and densities as claimed"
 

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import warnings
@@ -27,7 +28,7 @@ from .measures import invariant_measure
 from .preimages import p_n, preimages_bruteforce, preimages_classified
 from .render import RenderConfig, tiling_svg, tree_svg
 from .systems import build_orbit_graph, nomeasure_tree, parse_orbit_graph
-from .trees import distinct_subpatches, dump_patch, load_patch, random_patch
+from .trees import check_address, distinct_subpatches, dump_patch, load_patch, random_patch
 from .words import chi_pow, ones_count_line_2n
 
 
@@ -39,17 +40,26 @@ _MAX_PROPORTION_N = 13
 _MAX_EXAMPLE_DEPTH = 14
 
 # The tiling draws 10 (2^(limit + 1) - 1) bisector walls: 1.3 million at word limit 16,
-# doubling with each further letter.
+# doubling with each further letter; a 4096-pixel side is a grid of 2^24 pixels.
 _MAX_TILING_DEPTH = 16
+_MAX_TILING_RES = 4096
 
-# No command builds a line past 2^24 characters (16 MB): fixpoint's at --depth, chi's
-# (2^(l * 2^pow) for a length-2^l word) and verify-renorm's image line 2 * depth + 1.
+# The tree picture has one SVG element per node and per edge: 22 MB at depth 16.
+_MAX_TREE_DEPTH = 16
+
+# No command builds a line past 2^24 characters: fixpoint's at --depth, chi's (2^(l * 2^pow)
+# for a length-2^l word), verify-renorm's image line 2 * depth + 1 and theta's list of sites.
 _MAX_LINE_LEVEL = 24
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_most(what, value, cap) -> None:
+    if value > cap:
+        raise SubstreetutionError(f"{what} must be <= {cap}, got {value}")
 
 
 def _write(text, out):
@@ -169,8 +179,7 @@ def build_parser() -> _Parser:
 def _run(args) -> int:
     cmd = args.command
     if cmd == "fixpoint":
-        if args.depth > _MAX_LINE_LEVEL:
-            raise SubstreetutionError(f"depth must be <= {_MAX_LINE_LEVEL}, got {args.depth}")
+        _at_most("depth", args.depth, _MAX_LINE_LEVEL)
         system = resolve_system(args.sub)
         patch = fixed_point_prefix(system, args.root, args.depth)
         _write(dump_patch(patch), args.out)
@@ -182,7 +191,10 @@ def _run(args) -> int:
             raise SubstreetutionError(f"pow must be <= {max_pow} for this word, got {args.pow}")
         print(chi_pow(resolve_system(args.sub), args.word, args.pow))
     elif cmd == "theta":
-        sites = sorted(theta(resolve_system(args.sub), args.addr))
+        system = resolve_system(args.sub)
+        count = math.prod(len(system.slots_of(c)) for c in check_address(args.addr))
+        _at_most("theta's output length", count * (2 * len(args.addr) + 1), 1 << _MAX_LINE_LEVEL)
+        sites = sorted(theta(system, args.addr))
         print(" ".join(s or "e" for s in sites) if sites else "{}")
     elif cmd == "source":
         system = resolve_system(args.sub)
@@ -191,11 +203,10 @@ def _run(args) -> int:
         if args.random < 0:
             raise NonPositive(f"random patch count must be >= 0, got {args.random}")
         cap = (_MAX_LINE_LEVEL - 1) // 2  # the image's deepest line is 2 * depth + 1
-        if args.depth > cap:
-            raise SubstreetutionError(f"depth must be <= {cap}, got {args.depth}")
+        _at_most("depth", args.depth, cap)
         patch = load_patch(args.patch) if args.patch else None
-        if patch is not None and patch.depth > cap:
-            raise SubstreetutionError(f"patch depth must be <= {cap}, got {patch.depth}")
+        if patch is not None:
+            _at_most("patch depth", patch.depth, cap)
         system = resolve_system(args.sub)
         if patch is None:
             patch = fixed_point_prefix(system, 0 if system.fixable_at(0) else 1, args.depth)
@@ -236,13 +247,11 @@ def _run(args) -> int:
         counts = [len(distinct_subpatches(patch, n)) for n in range(args.max_n + 1)]
         sys.stdout.writelines(f"{n} {c}\n" for n, c in enumerate(counts))
     elif cmd == "proportion":
-        if args.n > _MAX_PROPORTION_N:
-            raise SubstreetutionError(f"n must be <= {_MAX_PROPORTION_N}, got {args.n}")
+        _at_most("n", args.n, _MAX_PROPORTION_N)
         print(f"{ones_count_line_2n(args.n)}/{1 << (1 << args.n)}")
     elif cmd == "orbit-graph":
         if args.example == "nomeasure":
-            if args.depth > _MAX_EXAMPLE_DEPTH:
-                raise SubstreetutionError(f"depth must be <= {_MAX_EXAMPLE_DEPTH}, got {args.depth}")
+            _at_most("depth", args.depth, _MAX_EXAMPLE_DEPTH)
             seed = nomeasure_tree(args.root, max(args.depth + 4, 12))
         elif args.patch:
             seed = load_patch(args.patch)
@@ -258,10 +267,12 @@ def _run(args) -> int:
             print(f"# {line}", file=sys.stderr)
         sys.stdout.write(result.serialize())
     elif cmd == "render-tree":
-        _write(tree_svg(load_patch(args.patch)), args.out)
+        patch = load_patch(args.patch)
+        _at_most("patch depth", patch.depth, _MAX_TREE_DEPTH)
+        _write(tree_svg(patch), args.out)
     elif cmd == "render-tiling":
-        if args.depth > _MAX_TILING_DEPTH:
-            raise SubstreetutionError(f"depth must be <= {_MAX_TILING_DEPTH}, got {args.depth}")
+        _at_most("depth", args.depth, _MAX_TILING_DEPTH)
+        _at_most("res", args.res, _MAX_TILING_RES)
         cfg = RenderConfig(resolution=args.res, depth_limit=args.depth)
         _write(tiling_svg(load_patch(args.patch), cfg), args.out)
     elif cmd == "verify-paper":

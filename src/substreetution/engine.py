@@ -240,9 +240,6 @@ class RenormReport:
     checked: int
     failure: tuple[str, Patch, Patch] | None = None
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_renormalization(sub: Substreetution, p: Patch, maxlen: int) -> RenormReport:
     """Check shift-after-image = image-after-source on every even site <= maxlen."""

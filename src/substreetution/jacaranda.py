@@ -48,18 +48,11 @@ class TypeReport:
     inf_consistent: bool
     depth: int
 
-    @property
-    def determined_str(self) -> str:
-        if self.inf_consistent:
-            return "inf-consistent"
-        return "none" if self.determined is None else str(self.determined)
-
     def serialize(self) -> str:
         cand = ",".join(str(u) for u in sorted(self.candidates))
-        return (
-            f"parity={self.parity} u={{{cand}}} "
-            f"determined={self.determined_str} depth={self.depth}"
-        )
+        det = "inf-consistent" if self.inf_consistent else self.determined
+        det = "none" if det is None else det
+        return f"parity={self.parity} u={{{cand}}} determined={det} depth={self.depth}"
 
 
 def detect_type(p: Patch) -> TypeReport:
@@ -76,7 +69,8 @@ def detect_type(p: Patch) -> TypeReport:
     odd_ok = 0 in candidates
     if not odd_ok and not even_ok:
         raise Inconsistent("neither parity fits the visible lines")
-    inf_ok = even_ok and any(p == x.prefix(p.depth) for x in (JAC, JAC_PRIME))
+    # the two fixed trees differ only at the root
+    inf_ok = even_ok and p.levels[1:] == jacaranda_prefix(p.depth).levels[1:]
     parity = "undetermined" if odd_ok and even_ok else "odd" if odd_ok else "even"
     determined = None
     if parity != "undetermined" and len(candidates) == 1 and not inf_ok:

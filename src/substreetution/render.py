@@ -159,16 +159,16 @@ def _walls(depth_limit):
     four generator images of 0; W is an isometry, so each comparison is the
     bisector of the W-images of a pair of those five points.  A pair without
     a bisector (both images rounded onto the unit circle) adds no wall.
+    Walls are yielded as made: at word limit L there are 10 (2^(L+1) - 1).
     """
     base = [complex(0)] + [h(0) for h in (H1, H1.inverse(), H2, H2.inverse())]
-    walls = [("circle", complex(0), 1.0, 1.0)]
+    yield ("circle", complex(0), 1.0, 1.0)
     words = [DiskIsometry(complex(1), complex(0))]
     for _ in range(depth_limit + 1):
         for w in words:
             pairs = itertools.combinations(map(w, base), 2)
-            walls += filter(None, itertools.starmap(_bisector, pairs))
+            yield from filter(None, itertools.starmap(_bisector, pairs))
         words = [w.compose(h) for w in words for h in (H1, H2)]
-    return walls
 
 
 def _band_columns(walls, res):

@@ -12,7 +12,7 @@ from itertools import compress
 
 from .engine import BBAB, Substreetution, double, theta
 from .errors import BadPatchFormat, NonIntegerResult, NonPositive, NotPowerOfTwo
-from .trees import index_addr
+from .trees import addr_index, index_addr
 
 
 def _level_of(word: str) -> int:
@@ -28,7 +28,6 @@ def _level_of(word: str) -> int:
 # grows as 8^l (about 128 MB at l = 10).
 _MASK_CACHE_LEVEL = 8
 
-_RANK_DIGITS = str.maketrans("ab", "01")
 # a line word's characters as compress selectors: 1 keeps an address rank
 _ONES = bytes.maketrans(b"01", b"\0\1")
 
@@ -46,7 +45,7 @@ def _theta_mask(sub: Substreetution, addr: str) -> int:
             theta(sub, addr)  # empty: warns that the grammar never uses c
             return 0
         # the slots' blocks are disjoint, so the sum is their union
-        mask = sum(mask << (width * (3 - int(s.translate(_RANK_DIGITS), 2))) for s in slots)
+        mask = sum(mask << (width * (3 - addr_index(s))) for s in slots)
         width *= 4
     return mask
 
@@ -87,12 +86,6 @@ def chi_recursive(sub: Substreetution, word: str) -> str:
 chi = chi_recursive
 
 
-def is_rep(line: str, block: str) -> bool:
-    """True iff `line` is a whole number of copies of `block`."""
-    q, r = divmod(len(line), len(block))
-    return r == 0 and line == block * q
-
-
 def chi_pow(sub: Substreetution, word: str, u: int) -> str:
     """u-fold iteration; a length-2^l word ends up with length 2^(l*2^u)."""
     if u < 0:
@@ -112,7 +105,6 @@ def v2(k: int) -> int:
     return (k & -k).bit_length() - 1
 
 
-@lru_cache(maxsize=None)
 def f_iter(n: int) -> Fraction:
     """n-th iterate of x + 1/x + 1 started at 1, exactly."""
     if n < 0:

@@ -392,6 +392,40 @@ class TestExitCodes:
         assert (code, out) == (2, "") and "No such file" in err
         assert not svg.exists()
 
+    def test_render_tiling_resolution_above_its_bound(self, capsys, tmp_path):
+        # 4096 px is a grid of 2^24 pixels; the bound rejects 4097 before the patch is
+        # read, and 4096 gets as far as reading it
+        missing, svg = str(tmp_path / "missing.patch"), tmp_path / "t.svg"
+        args = ["render-tiling", "--patch", missing, "--out", str(svg), "--res"]
+        assert run(capsys, *args, "4097") == (2, "", "error: res must be <= 4096, got 4097\n")
+        assert run(capsys, *args, "100000000") == (
+            2, "", "error: res must be <= 4096, got 100000000\n"
+        )
+        code, out, err = run(capsys, *args, "4096")
+        assert (code, out) == (2, "") and "No such file" in err
+        assert not svg.exists()
+
+    def test_render_tree_depth_above_its_bound(self, capsys, tmp_path):
+        # rejected once the patch is read, before the warning and before any drawing
+        f, svg = tmp_path / "j.patch", tmp_path / "tree.svg"
+        args = ["render-tree", "--patch", str(f), "--out", str(svg)]
+        f.write_text(dump_patch(jacaranda_prefix(17)))
+        assert run(capsys, *args) == (2, "", "error: patch depth must be <= 16, got 17\n")
+        assert not svg.exists()
+        f.write_text(dump_patch(jacaranda_prefix(16)))
+        assert run(capsys, *args) == (0, "", "warning: depth 16 will not render readably\n")
+        assert svg.read_text().startswith("<svg")
+
+    def test_theta_above_its_bound(self, capsys):
+        # BBAB gives b three slots: 3^13 sites of 26 letters and a space are past 2^24
+        # characters, 3^12 sites of 24 are not; a's one slot gives one site at any length
+        assert run(capsys, "theta", "--addr", "b" * 13) == (
+            2, "", "error: theta's output length must be <= 16777216, got 43046721\n"
+        )
+        code, out, err = run(capsys, "theta", "--addr", "b" * 12)
+        assert (code, err, len(out), out.count(" ")) == (0, "", 3**12 * 25, 3**12 - 1)
+        assert run(capsys, "theta", "--addr", "a" * 40) == (0, "ba" * 40 + "\n", "")
+
     @pytest.mark.parametrize(
         "argv, text",
         [

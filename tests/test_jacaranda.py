@@ -31,7 +31,13 @@ from substreetution.jacaranda import (
 )
 from substreetution.preimages import preimages_classified
 from substreetution.trees import Patch, dump_patch, random_patch, subpatch_representatives
-from substreetution.words import chi_pow, is_rep, v2
+from substreetution.words import chi_pow, v2
+
+
+def is_rep(line: str, block: str) -> bool:
+    """True iff `line` is a whole number of copies of `block`."""
+    q, r = divmod(len(line), len(block))
+    return r == 0 and line == block * q
 
 
 class TestPrefixes:
@@ -170,6 +176,8 @@ class TestBlockTable:
             for window in subpatch_representatives(q, d).values()
         ]
         patches = windows + [random_patch(rng.randint(2, 8), rng) for _ in range(300)]
+        # whole fixed-tree prefixes, deeper than the windows
+        patches += [q(d) for q in (jacaranda_prefix, jprime_prefix) for d in range(11, 17)]
         for _ in range(600):  # one flipped site: near the closure but mostly off it
             rows = list(rng.choice(windows).levels)
             l = rng.randrange(len(rows))

@@ -8,7 +8,6 @@ import pytest
 import substreetution
 from substreetution import preimages
 from substreetution.errors import (
-    Inconsistent,
     NonPositive,
     Shallow,
     SubstreetutionError,
@@ -195,9 +194,11 @@ class TestIteratedCounts:
 
     def test_shallow_truncations_alias_above_bound(self, jp):
         # several closure trees share shallow truncations, so the scan unions
-        # their parent sets and the per-tree bound does not apply
-        with pytest.raises(Inconsistent):
-            p_n(jp.truncate(2), 1, jp)
+        # their parent sets and the per-tree bound does not apply: p_n counts
+        # them all, and only gate 6 compares a count with 3^n
+        a = jp.truncate(2)
+        assert [p_n(a, n, jp) for n in range(5)] == [1, 4, 5, 8, 7]
+        assert p_n(a, 1, jp) == len(preimages_bruteforce(a, jp)) == 4
 
     def test_chain_consistency(self, jp):
         reps, parents = subpatch_representatives(jp, 8), subpatch_representatives(jp, 9)

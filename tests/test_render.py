@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,17 @@ class TestTilingSvg:
         if res == 512:
             digest = hashlib.blake2b(svg.encode("ascii"), digest_size=16).hexdigest()
             assert digest == "436c1c22f171d3d92eb45bf100d3818d"
+
+    def test_walls_are_not_held_at_once(self):
+        # word limit 11 has 40,950 walls: held as one list they peaked at 7.4 MB
+        p = jacaranda_prefix(11)
+        tracemalloc.start()
+        try:
+            tiling_svg(p, RenderConfig(resolution=16, depth_limit=11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     @settings(deadline=None, max_examples=25)
     @given(
