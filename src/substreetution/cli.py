@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
@@ -192,10 +193,14 @@ def _run(args) -> int:
         print(chi_pow(resolve_system(args.sub), args.word, args.pow))
     elif cmd == "theta":
         system = resolve_system(args.sub)
-        count = math.prod(len(system.slots_of(c)) for c in check_address(args.addr))
+        slots = [system.slots_of(c) for c in check_address(args.addr)]
+        count = math.prod(map(len, slots))
         _at_most("theta's output length", count * (2 * len(args.addr) + 1), 1 << _MAX_LINE_LEVEL)
-        sites = sorted(theta(system, args.addr))
-        print(" ".join(s or "e" for s in sites) if sites else "{}")
+        if count:  # slots come in SLOTS order, so the product is already sorted
+            print(" ".join(map("".join, itertools.product(*slots))) or "e")
+        else:
+            theta(system, args.addr)  # warns that the grammar never uses a letter of addr
+            print("{}")
     elif cmd == "source":
         system = resolve_system(args.sub)
         print(source(system, args.addr) or "e")

@@ -26,8 +26,8 @@ from .errors import (
 from .trees import Patch, check_address
 
 SLOTS = ("aa", "ab", "ba", "bb")
-# blocks per entry of a system's table of double images: chunks of 8 colors
-# or 2-character blocks have images of at most 128 characters
+# colors per key of a system's chunk tables: every line of 1 to 8 colors,
+# 278 keys; an image holds at most 64 colors, 128 characters with image children
 CHUNK = 8
 
 
@@ -80,14 +80,28 @@ class Substreetution:
         return "".join("{0}" if g == "A" else "{1}" for g in self.grammar)
 
     @cached_property
-    def _chunk_images(self) -> dict[tuple[int, str], str]:
-        """Images under double of chunks of at most CHUNK blocks, filled on use.
+    def _chunk_images(self) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+        """double's tables: the image of every line of 1 to CHUNK colors over {0,1}.
 
-        Keyed by (block count, joined blocks): two 1-character blocks and one
-        2-character block join to the same string.  Color strings and the
-        blocks of _image_blocks fill at most 2 * (2 + 4 + 16 + 256) = 556 entries.
+        The first table holds the image itself, the second the image with each
+        color replaced by its image root, the third with each color replaced by
+        its image's two children.  double only copies and moves positions, so
+        it commutes with such a color-by-color map.
         """
-        return {}
+        glue = self.slot_format.format
+        keys = ["0", "1"]
+        rows = [
+            keys,
+            ["%d" % self.image(c)[0] for c in (0, 1)],
+            ["%d%d" % self.image(c)[1:] for c in (0, 1)],
+        ]
+        tables = tuple(dict(zip(keys, row)) for row in rows)
+        while len(keys[0]) < CHUNK:  # each key of twice the width is a pair of keys
+            keys = list(map("".join, itertools.product(keys, repeat=2)))
+            rows = [list(itertools.starmap(glue, itertools.product(row, repeat=2))) for row in rows]
+            for table, row in zip(tables, rows):
+                table.update(zip(keys, row))
+        return tables
 
     @cached_property
     def _theta_masks(self) -> dict[int, list[int]]:
@@ -97,14 +111,6 @@ class Substreetution:
         words._MASK_CACHE_LEVEL here.
         """
         return {}
-
-    @cached_property
-    def _image_blocks(self) -> tuple[dict[str, str], dict[str, str]]:
-        """Per color: its image root, and its image's two children as one block."""
-        return (
-            {str(c): "%d" % self.image(c)[0] for c in (0, 1)},
-            {str(c): "%d%d" % self.image(c)[1:] for c in (0, 1)},
-        )
 
 
 BBAB = Substreetution((0, 1, 0), (1, 1, 0), "BBAB", name="bbab-jacaranda")
@@ -137,48 +143,30 @@ def apply(sub: Substreetution, p: Patch, out_depth: int | None = None) -> Patch:
     """
     full = 2 * p.depth + 1
     out_depth = full if out_depth is None else min(max(out_depth, 0), full)
-    roots, children = sub._image_blocks
+    _, roots, children = sub._chunk_images
     rows = []
     for line in p.levels[: out_depth // 2 + 1]:
-        rows.append(double(sub, [roots[c] for c in line]))
+        rows.append(double(sub, line, roots))
         if len(rows) <= out_depth:
-            rows.append(double(sub, [children[c] for c in line]))
+            rows.append(double(sub, line, children))
     return Patch._of(tuple(rows))
 
 
-def double(sub: Substreetution, line) -> str:
-    """The slot recursion on halves: 2^m equal blocks to their 4^m-block image.
+def double(sub: Substreetution, line: str, table: dict[str, str] | None = None) -> str:
+    """The slot recursion on halves: a line of 2^m colors to its 4^m-color image.
 
-    `line` is a string of colors or a sequence of equal-length blocks.  The
-    image of a line is slot_format applied to the images of its two halves,
-    and a single block is its own image.  Each chunk of CHUNK blocks is
-    replaced by its image from the system's table, then the chunk images are
-    glued bottom-up, one level at a time.
+    The image of a line is slot_format applied to the images of its two
+    halves, and a single color is its own image.  A line of at most CHUNK
+    colors is read from `table`, one of the system's _chunk_images (the
+    plain image when None), which also maps the image color by color.
+    Lines are over {0,1}: chi_pow checks this once, and double trusts it.
     """
-    joined = line if isinstance(line, str) else "".join(line)
-    width = len(joined) // len(line)
-    count = min(len(line), CHUNK)
-    step = count * width
-    table = sub._chunk_images
-    parts = []
-    for i in range(0, len(joined), step):
-        chunk = joined[i : i + step]
-        image = table.get((count, chunk))
-        if image is None:
-            blocks = [chunk[j : j + width] for j in range(0, step, width)]
-            image = table[count, chunk] = _glue(sub, blocks)
-        if step == len(joined):  # one chunk: its image is the line's
-            return image
-        parts.append(image)
-    return _glue(sub, parts)
-
-
-def _glue(sub: Substreetution, parts: list[str]) -> str:
-    """Bottom-up slot recursion on 2^m equal-length parts."""
-    glue = sub.slot_format.format
-    while len(parts) > 2:
-        parts = list(map(glue, parts[0::2], parts[1::2]))
-    return glue(*parts) if len(parts) == 2 else parts[0]
+    if table is None:
+        table = sub._chunk_images[0]
+    if len(line) <= CHUNK:
+        return table[line]
+    half = len(line) // 2
+    return sub.slot_format.format(double(sub, line[:half], table), double(sub, line[half:], table))
 
 
 def apply_pow(sub: Substreetution, p: Patch, u: int, depth: int) -> Patch:

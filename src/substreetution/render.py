@@ -164,11 +164,12 @@ def _walls(depth_limit):
     base = [complex(0)] + [h(0) for h in (H1, H1.inverse(), H2, H2.inverse())]
     yield ("circle", complex(0), 1.0, 1.0)
     words = [DiskIsometry(complex(1), complex(0))]
-    for _ in range(depth_limit + 1):
+    for length in range(depth_limit + 1):
+        if length:  # the words one letter longer, built only for a round that runs
+            words = [w.compose(h) for w in words for h in (H1, H2)]
         for w in words:
             pairs = itertools.combinations(map(w, base), 2)
             yield from filter(None, itertools.starmap(_bisector, pairs))
-        words = [w.compose(h) for w in words for h in (H1, H2)]
 
 
 def _band_columns(walls, res):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 
 import pytest
 
@@ -31,3 +32,9 @@ def _first_sites_by_scan(p, n):
 def first_sites_by_scan():
     """The scan oracle for the node table's class order, and the provenance sites of tests."""
     return _first_sites_by_scan
+
+
+@pytest.fixture(scope="session")
+def chunk_keys():
+    """Every line of 1, 2, 4 or 8 colors: the keys of each of a system's three chunk tables."""
+    return {"".join(c) for n in (1, 2, 4, 8) for c in itertools.product("01", repeat=n)}

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import random
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from substreetution.cli import build_parser, main
-from substreetution.engine import BBAB, fixed_point_prefix
+from substreetution.engine import BBAB, BUILTINS, SLOTS, fixed_point_prefix, theta
 from substreetution.jacaranda import concrete, jacaranda_prefix
 from substreetution.preimages import preimages_classified
 from substreetution.systems import NOMEASURE_GRAPH, build_orbit_graph, nomeasure_tree
@@ -78,6 +79,16 @@ class TestWordCommands:
         code, out, _ = run(capsys, "theta", "--addr", "b", "--sub", "builtin:bbab")
         assert code == 0 and out.split() == ["aa", "ab", "bb"]
 
+    @pytest.mark.parametrize("name", ["bbab", "tm", "abba"])
+    def test_theta_prints_the_sorted_set(self, capsys, name):
+        # every address up to length 5: the sorted set from engine.theta, as
+        # the command printed it before it read the sites off the slot product
+        for n in range(6):
+            for addr in map("".join, itertools.product("ab", repeat=n)):
+                want = " ".join(sorted(theta(BUILTINS[name], addr))) or "e"
+                argv = ("theta", "--addr", addr, "--sub", f"builtin:{name}")
+                assert run(capsys, *argv) == (0, want + "\n", ""), addr
+
     def test_theta_prints_empty_site_as_e(self, capsys):
         assert run(capsys, "theta", "--addr", "", "--sub", "builtin:bbab") == (0, "e\n", "")
 
@@ -90,6 +101,8 @@ class TestWordCommands:
             "warning: grammar BBBB never uses letter 'a'; theta('ba') is empty "
             "and the source map is not onto\n",
         )
+        sites = " ".join(map("".join, itertools.product(SLOTS, repeat=2)))
+        assert run(capsys, "theta", "--addr", "bb", "--sub", str(f)) == (0, sites + "\n", "")
 
 
 class TestPatchCommands:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -30,15 +31,16 @@ from substreetution.errors import (
     Shallow,
 )
 from substreetution.jacaranda import jacaranda_prefix
-from substreetution.trees import Patch, distance, index_addr, random_patch
+from substreetution.trees import Patch, addr_index, distance, index_addr, random_patch
 from substreetution.words import chi_recursive, chi_via_theta
 
 
+GRAMMARS = ["".join(g) for g in itertools.product("AB", repeat=4)]
 ALL_SYSTEMS = [
-    Substreetution(image0, image1, "".join(grammar))
+    Substreetution(image0, image1, grammar)
     for image0 in itertools.product((0, 1), repeat=3)
     for image1 in itertools.product((0, 1), repeat=3)
-    for grammar in itertools.product("AB", repeat=4)
+    for grammar in GRAMMARS
 ]
 MARKED = [system for system in ALL_SYSTEMS if system.marked]
 
@@ -101,6 +103,28 @@ class TestApply:
                 assert image.get(w) == root
                 assert [image.get(w + e) for e in "ab"] == kids
 
+    def test_every_system_read_through_source(self):
+        # the rule of test_image_read_through_source, line by line, on all
+        # 1,024 systems at depths 0..4; a site's source depends on the grammar only
+        rng = random.Random(16)
+        source_ranks = {}
+        for grammar in GRAMMARS:
+            system = Substreetution((0, 0, 0), (0, 0, 0), grammar)
+            source_ranks[grammar] = [
+                [addr_index(source(system, index_addr(i, 2 * m))) for i in range(1 << 2 * m)]
+                for m in range(5)
+            ]
+        for system in ALL_SYSTEMS:
+            roots = ["%d" % system.image(c)[0] for c in (0, 1)]
+            kids = ["%d%d" % system.image(c)[1:] for c in (0, 1)]
+            for depth in range(5):
+                p = random_patch(depth, rng)
+                rows = []
+                for line, ranks in zip(p.levels, source_ranks[system.grammar]):
+                    colors = [int(line[i]) for i in ranks]
+                    rows += ["".join(roots[c] for c in colors), "".join(kids[c] for c in colors)]
+                assert apply(system, p).levels == tuple(rows), (system, p)
+
     def test_contraction(self):
         # a first mismatch at generation n reappears first at generation 2n
         rng = random.Random(2)
@@ -116,12 +140,9 @@ class TestApply:
             assert ip != iq
 
 
-GRAMMARS = ["".join(g) for g in itertools.product("AB", repeat=4)]
-
-
-def _double_oracle(sub, blocks):
+def _double_oracle(sub, line):
     """Plain bottom-up slot recursion: each pair of a level glued by the grammar."""
-    parts = list(blocks)
+    parts = list(line)
     while len(parts) > 1:
         parts = [
             "".join(a if g == "A" else b for g in sub.grammar)
@@ -131,41 +152,43 @@ def _double_oracle(sub, blocks):
 
 
 class TestDouble:
-    @staticmethod
-    def _inputs(rng):
-        colors = [
-            "".join(rng.choice("01") for _ in range(1 << l)) for l in range(9) for _ in range(3)
-        ]
-        blocks = [
-            [rng.choice(["00", "01", "10", "11"]) for _ in range(1 << l)]
-            for l in range(8)
-            for _ in range(3)
-        ]
-        return colors + blocks
-
     def test_matches_oracle_cold_and_warm(self):
-        # every grammar, color strings of length 1..256 and lists of
-        # 2-character blocks; a table warmed in another order gives the same
+        # every grammar, color strings of length 1..256: the plain table gives
+        # the oracle's image, the root and children tables that image mapped
+        # color by color; a system that ran the lines in another order first
+        # gives the same
         rng = random.Random(13)
         for grammar in GRAMMARS:
-            inputs = self._inputs(rng)
-            cold = Substreetution((0, 1, 0), (1, 1, 0), grammar)
-            expected = [_double_oracle(cold, line) for line in inputs]
-            assert [double(cold, line) for line in inputs] == expected
-            warm = Substreetution((0, 1, 0), (1, 1, 0), grammar)
-            for line in rng.sample(inputs, len(inputs)):
-                double(warm, line[: len(line) // 2] or line)
-                double(warm, line)
-            assert [double(warm, line) for line in inputs] == expected
-            assert cold._chunk_images.items() <= warm._chunk_images.items()
+            for _ in range(3):
+                images = [tuple(rng.randrange(2) for _ in range(3)) for _ in (0, 1)]
+                cold = Substreetution(*images, grammar)
+                maps = [
+                    {},
+                    str.maketrans({str(c): "%d" % images[c][0] for c in (0, 1)}),
+                    str.maketrans({str(c): "%d%d" % images[c][1:] for c in (0, 1)}),
+                ]
+                lines = ["".join(rng.choice("01") for _ in range(1 << l)) for l in range(9)]
+                oracle = [_double_oracle(cold, line) for line in lines]
+                expected = [[image.translate(m) for image in oracle] for m in maps]
+                tables = cold._chunk_images
+                assert [[double(cold, line, t) for line in lines] for t in tables] == expected
+                assert [double(cold, line) for line in lines] == expected[0]
+                warm = Substreetution(*images, grammar)
+                for line in rng.sample(lines, len(lines)):
+                    double(warm, line, rng.choice(warm._chunk_images))
+                assert warm._chunk_images == tables
+                assert [[double(warm, line, t) for line in lines] for t in tables] == expected
 
-    def test_table_stays_small(self):
-        # gate 12's 65,814 words, each through both definitions (the gate itself
-        # calls chi_via_theta on unit words only), then apply and unsub on
-        # depth 0..7 patches
+    def test_table_stays_small(self, chunk_keys):
+        # three tables of exactly the 278 lines of 1 to 8 colors, none of which
+        # grows under gate 12's 65,814 words, each through both definitions (the
+        # gate itself calls chi_via_theta on unit words only), then apply and
+        # unsub on depth 0..7 patches
+        assert len(chunk_keys) == 278
         rng = random.Random(14)
         for system in (BBAB, ABBA, THUE_MORSE):
             sub = Substreetution(system.image0, system.image1, system.grammar)
+            assert [set(t) for t in sub._chunk_images] == [chunk_keys] * 3
             if system is BBAB:
                 for l in range(5):
                     for word in map("".join, itertools.product("01", repeat=1 << l)):
@@ -173,7 +196,7 @@ class TestDouble:
             for depth in range(8):
                 p = random_patch(depth, rng)
                 assert unsub(sub, apply(sub, p)) == p
-            assert len(sub._chunk_images) <= 2 * (2 + 4 + 16 + 256)
+            assert [set(t) for t in sub._chunk_images] == [chunk_keys] * 3
 
 
 def _fixed_point_oracle(sub: Substreetution, root: int, depth: int) -> Patch:
@@ -200,6 +223,17 @@ class TestFixedPoints:
                         want = _fixed_point_oracle(sub, root, depth)
                         assert fixed_point_prefix(sub, root, depth) == want
         assert pairs == 1024
+
+    def test_every_fixed_tree_digest(self):
+        # all 1,024 fixable (system, root) pairs at depth 12, one digest; it was
+        # computed at commit 9cb7625, whose double still glued lists of blocks
+        digest = hashlib.blake2b(digest_size=16)
+        for system in ALL_SYSTEMS:
+            for root in (0, 1):
+                if system.fixable_at(root):
+                    levels = fixed_point_prefix(system, root, 12).levels
+                    digest.update("\n".join(levels).encode("ascii") + b"\n\n")
+        assert digest.hexdigest() == "bfa5cc31254d09b00397f013efd8fa17"
 
     def test_jacaranda_lines(self):
         j = fixed_point_prefix(BBAB, 0, 2)

@@ -14,6 +14,7 @@ from substreetution.jacaranda import jacaranda_prefix
 from substreetution.render import (
     BACKGROUND,
     PALETTE,
+    DiskIsometry,
     ROOT_COLOR,
     RenderConfig,
     classify_point,
@@ -262,6 +263,15 @@ class TestTilingSvg:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    def test_walls_compose_only_words_in_use(self, monkeypatch):
+        # words of 1..11 letters at word limit 11: 2^12 - 2 compositions, none
+        # for the 2^13 words of a round past the limit
+        calls = []
+        compose = DiskIsometry.compose
+        monkeypatch.setattr(DiskIsometry, "compose", lambda *a: calls.append(1) or compose(*a))
+        walls = sum(1 for _ in render._walls(11))
+        assert (walls, len(calls)) == (40_951, (1 << 12) - 2)
 
     @settings(deadline=None, max_examples=25)
     @given(

@@ -126,14 +126,13 @@ class TestChi:
         assert len(w3) == 256 and w3.count("1") == 39
 
     @pytest.mark.parametrize("word", ["01x2", "0120", "1 ", "10é1", "0" * 15 + "2"])
-    def test_pow_rejects_non_binary_words(self, word):
+    def test_pow_rejects_non_binary_words(self, word, chunk_keys):
         # checked once, before any iteration (and so before any chunk of the
-        # word reaches the system's chunk table), also for u = 0
-        size = len(BBAB._chunk_images)
+        # word reaches the system's chunk tables), also for u = 0
         for u in (0, 1, 2):
             with pytest.raises(BadPatchFormat, match="line words are over"):
                 chi_pow(BBAB, word, u)
-        assert len(BBAB._chunk_images) == size
+        assert [set(t) for t in BBAB._chunk_images] == [chunk_keys] * 3
 
     def test_pow_length_exponent_doubles(self):
         w = "0110"
