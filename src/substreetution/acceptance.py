@@ -204,7 +204,9 @@ def c12_word_properties():
             unit = int(chi_via_theta(BBAB, format(1 << (n - 1 - k), spec)), 2)
             halves[2 * k >= n] = [u | m for u in halves[2 * k >= n] for m in (0, unit)]
         defined = map(format, starmap(or_, product(*halves)), repeat(f"0{n * n}b"))
-        images = map(chi_recursive, repeat(BBAB), map(format, range(1 << n), repeat(spec)))
+        # every word is a first-half word and a second-half word, paired by product in code order
+        first, second = (map("".join, product("01", repeat=k)) for k in (n - n // 2, n // 2))
+        images = map(chi_recursive, repeat(BBAB), starmap(str.__add__, product(first, second)))
         bad = next(compress(count(), map(ne, images, defined)), None)
         if bad is not None:
             return False, f"definitions disagree on {format(bad, spec)}"

@@ -166,6 +166,8 @@ def double(sub: Substreetution, line: str, table: dict[str, str] | None = None) 
     if len(line) <= CHUNK:
         return table[line]
     half = len(line) // 2
+    if half <= CHUNK:  # both halves are table keys: read here, no frame per half
+        return sub.slot_format.format(table[line[:half]], table[line[half:]])
     return sub.slot_format.format(double(sub, line[:half], table), double(sub, line[half:], table))
 
 
@@ -241,9 +243,10 @@ def verify_renormalization(sub: Substreetution, p: Patch, maxlen: int) -> Renorm
     checked = 0
     for n in range(0, maxlen + 1, 2):
         images: dict[str, Patch] = {}  # sites of one length share few sources
-        for letters in itertools.product("ab", repeat=n):
+        # product yields the sites of length n in rank order
+        for i, letters in enumerate(itertools.product("ab", repeat=n)):
             w = "".join(letters)
-            lhs = big.subtree(w)
+            lhs = big.window(n, i, big.depth - n)
             s = source(sub, w)
             rhs = images.get(s)
             if rhs is None:

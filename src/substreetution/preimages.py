@@ -17,7 +17,6 @@ classification is validated against the scan, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 from .engine import BBAB, apply_pow
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined, Undetermined
@@ -333,25 +332,34 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
     Sites are classified at their own class, once per distinct (patch,
     parent, class) at its first site.  Adds the (root, side) of every
     matching member to `matched`; returns the number of combinations checked.
+
+    Site i of generation m is keyed by (parent id, patch id, line), the line
+    sliced from the prefix on odd rows with l = 2^v2(m-1) - 1 > d and
+    m + l <= depth.  With L = l + 1 on those rows (a table that exists, as
+    l + 1 <= depth - (m - 1)) and d + 1 on the rest, a parent's depth-L class
+    fixes the keys of both its children.  So each key first occurs at 2j or
+    2j + 1 for j the first rank of a depth-L class in generation m - 1, and
+    only those children are keyed, in rank order.
     """
     table, ptable = jp.subtree_ids(d), jp.subtree_ids(d + 1)
     class_cache: dict = {}
     checked = 0
     for m in range(1, jp.depth - d + 1):
-        row, prow, n = table[m], ptable[m - 1], 1 << m
+        row, prow = table[m], ptable[m - 1]
         report.occurrences += sum(map(reps.__contains__, row))
         # the site classification reads the patch, m and, for odd m, line
         # l = 2^v2(m-1) - 1: the patch's, or below it sliced from the prefix
         l = (1 << v2(m - 1)) - 1 if m % 2 and m > 1 else None
-        lines = repeat(None)
-        if l is not None and l > d and m + l <= jp.depth:
-            w = 1 << l
-            cuts = map(slice, range((n - 1) * w, -1, -w), range(n * w, 0, -w))
-            lines = map(jp.levels[m + l].__getitem__, cuts)
-        # scanned from the last rank down, each (parent, patch, line) keeps its first
-        pids = chain.from_iterable(zip(reversed(prow), reversed(prow)))
-        first = dict(zip(zip(pids, reversed(row), lines), range(n - 1, -1, -1)))
-        visits = sorted((i, cid, line) for (_, cid, line), i in first.items() if cid in reps)
+        sliced = l is not None and l > d and m + l <= jp.depth
+        lrow = jp.subtree_ids(l + 1)[m - 1] if sliced else prow
+        # scanned from the last rank down, each depth-L class keeps its first rank
+        firsts = dict(zip(reversed(lrow), range(len(lrow) - 1, -1, -1))).values()
+        first = {}
+        for j in sorted(firsts):
+            for i in (2 * j, 2 * j + 1):
+                line = jp.levels[m + l][i << l : (i + 1) << l] if sliced else None
+                first.setdefault((prow[j], row[i], line), i)
+        visits = [(i, cid, line) for (_, cid, line), i in first.items() if cid in reps]
         for i, cid, line in visits:
             a = reps[cid]
             key = (cid, m, a.levels[l] if l is not None and l <= d else line)

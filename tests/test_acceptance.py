@@ -165,4 +165,5 @@ def test_gate_12_runs_the_recursive_map_on_every_word(monkeypatch):
     assert acceptance.c12_word_properties() == (
         True, "definitions agree on 65814 words; halves and densities as claimed"
     )
-    assert len(words) == len(set(words)) == 65814
+    # every word of each length once, in code order
+    assert words == [format(k, f"0{n}b") for n in (1, 2, 4, 8, 16) for k in range(1 << n)]

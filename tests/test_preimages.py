@@ -403,6 +403,14 @@ class TestOccurrenceScanOracle:
         assert _fields(got[0]) == _fields(want[0]) and got[1] == want[1]
         assert got_counts == want_counts
 
+    def test_sweep_with_lines_far_below_patch(self, monkeypatch):
+        # at max depth 6 the only sliced rows are m = 5 (line 3); here m = 9
+        # slices line 7, whose first sites need depth-8 parent classes
+        jp = jacaranda_prefix(16)
+        (got, got_counts), (want, want_counts) = self._both(monkeypatch, crosscheck_sweep, jp, 4)
+        assert _fields(got[0]) == _fields(want[0]) and got[1] == want[1] == 226
+        assert got_counts == want_counts
+
     def test_single_crosschecks(self, monkeypatch, jp):
         absent = list(jp.subtree("aabb").truncate(6).levels)
         absent[-1] = ("1" if absent[-1][0] == "0" else "0") + absent[-1][1:]
