@@ -238,7 +238,7 @@ def _run(args) -> int:
         if classified:
             if args.site is not None:
                 _check_occurrence(patch, args.site, jp)
-            result = preimages_classified(concrete(patch, args.site), jp)
+            result = preimages_classified(concrete(patch), jp, args.site)
             sys.stdout.write(result.serialize())
         elif args.n == 1:
             sys.stdout.write(preimages_bruteforce(patch, jp).serialize())

@@ -103,15 +103,6 @@ class Substreetution:
                 table.update(zip(keys, row))
         return tables
 
-    @cached_property
-    def _theta_masks(self) -> dict[int, list[int]]:
-        """Per level, theta's bitmask of each address rank (0 until built).
-
-        Filled on use by words.chi_via_theta, which keeps levels up to
-        words._MASK_CACHE_LEVEL here.
-        """
-        return {}
-
 
 BBAB = Substreetution((0, 1, 0), (1, 1, 0), "BBAB", name="bbab-jacaranda")
 THUE_MORSE = Substreetution((0, 1, 1), (1, 0, 0), "ABAB", name="thue-morse")

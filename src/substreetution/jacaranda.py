@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .engine import BBAB, apply_pow, fixed_point_prefix, unsub
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
-from .trees import Patch, check_address
+from .trees import Patch
 from .words import doubling_block, v2
 
 INF = math.inf
@@ -93,22 +93,19 @@ def unsub_pow(p: Patch, u: int) -> Patch:
 class XDescriptor:
     """A tree of the orbit closure: one of the fixed trees, or a concrete patch.
 
-    The fixed trees carry no patch (their prefixes are generated on demand);
-    concrete descriptors may remember the site of the orbit prefix they were
-    cut from, which pins their dyadic class exactly.
+    The fixed trees carry no patch (their prefixes are generated on demand).
+    A descriptor names a tree, not one occurrence of it: the site that pins
+    a concrete patch's class is passed to the classifier alongside it.
     """
 
     kind: str  # "J" | "J'" | "patch"
     patch: Patch | None = None
-    provenance: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("J", "J'", "patch"):
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         if (self.kind == "patch") != (self.patch is not None):
             raise ValueError("exactly the concrete descriptors carry a patch")
-        if self.provenance:
-            check_address(self.provenance)
 
     def prefix(self, depth: int) -> Patch:
         """The tree to `depth` for a fixed tree; a concrete descriptor's own patch."""
@@ -123,8 +120,8 @@ JAC = XDescriptor("J")
 JAC_PRIME = XDescriptor("J'")
 
 
-def concrete(patch: Patch, provenance: str | None = None) -> XDescriptor:
-    return XDescriptor("patch", patch, provenance)
+def concrete(patch: Patch) -> XDescriptor:
+    return XDescriptor("patch", patch)
 
 
 # -- the rigidity construction ------------------------------------------------

@@ -27,13 +27,9 @@ from .systems import OrbitGraph
 
 @dataclass(frozen=True)
 class MeasureResult:
-    status: str  # "feasible" | "infeasible"
+    feasible: bool
     assignment: dict | None
     certificate: tuple[str, ...]
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
 
     def serialize(self) -> str:
         if not self.feasible:
@@ -61,7 +57,7 @@ def invariant_measure(g: OrbitGraph) -> MeasureResult:
             if not onto[d][f[s]]:
                 todo.append((f[s], d))
     if not kept:
-        return MeasureResult("infeasible", None, tuple(trail))
+        return MeasureResult(False, None, tuple(trail))
 
     first = next(s for s in g.states if s in kept)
     orbit, frontier = {first}, [first]
@@ -74,7 +70,7 @@ def invariant_measure(g: OrbitGraph) -> MeasureResult:
     assignment = dict.fromkeys(g.states, Fraction(0))
     assignment.update(dict.fromkeys(orbit, Fraction(1, len(orbit))))
     _verify(g, assignment)
-    return MeasureResult("feasible", assignment, ())
+    return MeasureResult(True, assignment, ())
 
 
 def _verify(g: OrbitGraph, mu: dict) -> None:

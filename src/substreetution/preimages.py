@@ -31,7 +31,9 @@ from .jacaranda import (
     parent_class,
     unsub_best_effort,
 )
-from .trees import Patch, addr_index, classes, decode, index_addr, subpatch_representatives
+from .trees import (
+    Patch, addr_index, check_address, classes, decode, index_addr, subpatch_representatives
+)
 from .words import v2
 
 
@@ -113,20 +115,22 @@ def _cases(tags, sibs) -> list:
     ]
 
 
-def preimages_classified(desc: XDescriptor, jprefix: Patch | None = None) -> PreimageSet:
+def preimages_classified(
+    desc: XDescriptor, jprefix: Patch | None = None, site: str | None = None
+) -> PreimageSet:
     """Exact parent set per the case analysis.
 
-    Concrete descriptors with provenance use the ambient prefix to pin their
-    class; without provenance the class is detected from the patch alone and
+    A concrete patch with the site it occupies in the fixed tree has its
+    class pinned by the site, and lines below it are read from the ambient
+    prefix; without a site the class is detected from the patch alone and
     TypeUndetermined or Undetermined is raised when several cases stay open.
     """
     if desc.kind != "patch":
         return PreimageSet(JAC_PREIMAGES if desc.kind == "J" else JAC_PRIME_PREIMAGES, "exact")
-    if desc.provenance == "":
+    if site == "":
         raise Inconsistent("a root-site descriptor should be passed symbolically")
-    if desc.provenance is not None:
-        site = desc.provenance
-        ix = _SiteIndices(desc.patch, len(site), addr_index(site), jprefix)
+    if site is not None:
+        ix = _SiteIndices(desc.patch, len(site), addr_index(check_address(site)), jprefix)
     else:
         ix = _DetectedIndices(desc.patch)
     ((_, members),) = _classify(desc.patch, ix)
@@ -311,7 +315,7 @@ class CrosscheckReport:
     ok: bool
     occurrences: int
     mismatches: list = field(default_factory=list)
-    undetermined_sites: int = 0
+    undetermined_sites: int = 0  # checked visits whose site left several cases open
 
 
 def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bool:
@@ -363,16 +367,15 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
         for i, cid, line in visits:
             a = reps[cid]
             key = (cid, m, a.levels[l] if l is not None and l <= d else line)
-            cases = class_cache.get(key)
-            if cases is None:
+            cached = class_cache.get(key)
+            if cached is None:
                 try:
-                    cases = _classify(a, _SiteIndices(a, m, i, jp))
-                except Undetermined as exc:
-                    cases = list(exc.cases)
-                class_cache[key] = cases
-            if not cases:
-                report.undetermined_sites += 1
-                continue
+                    cached = _classify(a, _SiteIndices(a, m, i, jp)), False
+                except Undetermined as exc:  # matched against the union of the open cases
+                    cached = exc.cases, True
+                class_cache[key] = cached
+            cases, still_open = cached
+            report.undetermined_sites += still_open
             parent = jp.window(m - 1, i // 2, d + 1)
             checked += 1
             hits = {

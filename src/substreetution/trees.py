@@ -55,13 +55,6 @@ def index_addr(i: int, length: int) -> str:
 class _EqualToDepth:
     """Marker: no mismatch up to the common depth (not a distance of 0)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "EQUAL_TO_DEPTH"
 

@@ -6,6 +6,7 @@ densities is decided with Fraction arithmetic, never floats.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -23,9 +24,12 @@ def _level_of(word: str) -> int:
     return l
 
 
-# Masks are cached per system up to this level: 2^8 masks of 4^8 bits, 2 MB.
-# Longer words build their masks per call and drop them, since the table
-# grows as 8^l (about 128 MB at l = 10).
+# system -> level -> theta's bitmask of each address rank (0 until built).
+# The masks depend on the grammar alone, so equal systems share an entry,
+# and an entry dies with its system.  Levels are cached up to this one:
+# 2^8 masks of 4^8 bits, 2 MB.  Longer words build their masks per call and
+# drop them, since the table grows as 8^l (about 128 MB at l = 10).
+_MASKS = weakref.WeakKeyDictionary()
 _MASK_CACHE_LEVEL = 8
 
 # a line word's characters as compress selectors: 1 keeps an address rank
@@ -54,16 +58,17 @@ def chi_via_theta(sub: Substreetution, word: str) -> str:
     """Word whose 1-addresses are the theta-images of the input's 1-addresses.
 
     This is the defining form and works for any grammar; images that collide
-    simply merge.  Each address's image is theta's bitmask, kept in the
-    system's `_theta_masks` up to `_MASK_CACHE_LEVEL`, so a word is the OR of
-    its 1-addresses' masks.
+    simply merge.  Each address's image is theta's bitmask, kept in
+    `_MASKS` up to `_MASK_CACHE_LEVEL`, so a word is the OR of its
+    1-addresses' masks.
     """
     l = _level_of(word)
-    masks = sub._theta_masks.get(l)
+    levels = _MASKS.setdefault(sub, {})
+    masks = levels.get(l)
     if masks is None:
         masks = [0] * len(word)
         if l <= _MASK_CACHE_LEVEL:
-            sub._theta_masks[l] = masks
+            levels[l] = masks
     image = 0
     for i in compress(range(len(word)), word.encode().translate(_ONES)):
         mask = masks[i]

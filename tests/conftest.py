@@ -30,7 +30,7 @@ def _first_sites_by_scan(p, n):
 
 @pytest.fixture(scope="session")
 def first_sites_by_scan():
-    """The scan oracle for the node table's class order, and the provenance sites of tests."""
+    """The scan oracle for the node table's class order, and the sites tests classify at."""
     return _first_sites_by_scan
 
 

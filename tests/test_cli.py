@@ -173,7 +173,7 @@ class TestPatchCommands:
         assert code == 2 and "undetermined" in err
         code, out, _ = run(capsys, "preimages", "--patch", str(f), "--site", "a")
         assert code == 0
-        assert out == preimages_classified(concrete(patch, "a"), jp).serialize()
+        assert out == preimages_classified(concrete(patch), jp, "a").serialize()
         assert out.startswith("completeness=exact")
 
     def test_preimages_site_is_checked(self, capsys, tmp_path):
@@ -188,6 +188,11 @@ class TestPatchCommands:
                 capsys, "preimages", "--patch", str(f), "--classified", "--site", site
             )
             assert code == 2 and message in err and out == ""
+        # the root site occurs, but the fixed tree there is classified symbolically
+        f.write_text(dump_patch(jacaranda_prefix(5)))
+        assert run(capsys, "preimages", "--patch", str(f), "--site", "") == (
+            2, "", "error: a root-site descriptor should be passed symbolically\n"
+        )
 
     @pytest.mark.parametrize("flag", [["--site", "ab"], ["--classified"]], ids=["site", "classified"])
     @pytest.mark.parametrize("n", ["-1", "3"])

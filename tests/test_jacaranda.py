@@ -224,12 +224,12 @@ class TestDescriptorPrefix:
     def test_concrete_is_its_patch(self):
         patch = jacaranda_prefix(9).subtree("ab")
         for depth in (0, 3, 12):
-            assert concrete(patch, "ab").prefix(depth) is patch
+            assert concrete(patch).prefix(depth) is patch
 
     def test_provenance_is_an_address(self):
-        # the site classifier reads the site's rank, so the descriptor checks its letters
+        # the site classifier reads the site's rank, so it checks the site's letters
         with pytest.raises(BadPatchFormat, match="address must be a word over"):
-            concrete(Patch.leaf(0), "bx")
+            preimages_classified(concrete(Patch.leaf(0)), jacaranda_prefix(4), "bx")
 
 
 class TestBrother:
@@ -279,8 +279,8 @@ def _case_tags(sub: Patch, site: str) -> list[set[str]]:
     """Case tags of the classified parents, from the site and from the patch alone."""
     jp = jacaranda_prefix(14)
     return [
-        {m.case_tag for m in preimages_classified(concrete(sub, prov), jp).members}
-        for prov in (site, None)
+        {m.case_tag for m in preimages_classified(concrete(sub), jp, at).members}
+        for at in (site, None)
     ]
 
 

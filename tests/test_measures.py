@@ -138,7 +138,7 @@ class TestFeasibleGraphs:
 
 class TestInfeasibleGraphs:
     def test_line_doubled_orbit(self, six_state):
-        assert invariant_measure(six_state).status == "infeasible"
+        assert invariant_measure(six_state).feasible is False
 
     def test_source_states_forced_to_zero(self, six_state):
         # a state with no incoming a-edge can only carry mass zero; here that
@@ -146,7 +146,7 @@ class TestInfeasibleGraphs:
         incoming_a = set(six_state.a_edges.values())
         assert any(s not in incoming_a for s in six_state.states)
         res = invariant_measure(six_state)
-        assert res.status == "infeasible"
+        assert res.feasible is False
         assert res.certificate == (
             "state s1 is not the b-child of any kept state",
             "state s2 is not the a-child of any kept state",
@@ -160,7 +160,7 @@ class TestInfeasibleGraphs:
         # a drifts x to y, b drifts y back to x: each state escapes one map
         g = graph(["x", "y"], {"x": "y", "y": "y"}, {"x": "x", "y": "x"})
         res = invariant_measure(g)
-        assert res.status == "infeasible" and res.assignment is None
+        assert res.feasible is False and res.assignment is None
         assert res.certificate == (
             "state x is not the a-child of any kept state",
             "state y is not the b-child of any kept state",
@@ -174,11 +174,11 @@ class TestInfeasibleGraphs:
             {rename[s]: rename[t] for s, t in six_state.a_edges.items()},
             {rename[s]: rename[t] for s, t in six_state.b_edges.items()},
         )
-        assert invariant_measure(g).status == "infeasible"
+        assert invariant_measure(g).feasible is False
 
     def test_stable_under_letter_swap(self, six_state):
         g = graph(six_state.states, dict(six_state.b_edges), dict(six_state.a_edges))
-        assert invariant_measure(g).status == "infeasible"
+        assert invariant_measure(g).feasible is False
 
     def test_serialize(self, six_state):
         assert invariant_measure(six_state).serialize() == "infeasible\n"
@@ -238,9 +238,9 @@ class TestProperties:
             {rename[s]: rename[t] for s, t in g.b_edges.items()},
         )
         swapped = graph(g.states, dict(g.b_edges), dict(g.a_edges))
-        status = invariant_measure(g).status
-        assert invariant_measure(relabeled).status == status
-        assert invariant_measure(swapped).status == status
+        feasible = invariant_measure(g).feasible
+        assert invariant_measure(relabeled).feasible == feasible
+        assert invariant_measure(swapped).feasible == feasible
 
 
 class TestValidation:

@@ -15,6 +15,7 @@ import substreetution
 from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply
 from substreetution.errors import BadPatchFormat, NonPositive, NotPowerOfTwo
 from substreetution.words import (
+    _MASKS,
     _level_of,
     chi,
     chi_pow,
@@ -169,13 +170,13 @@ class TestChi:
         for _ in range(3):
             with pytest.warns(UserWarning, match=r"theta\('ab'\) is empty"):
                 assert chi_via_theta(allb, "0101") == "1" * 16
-            assert allb._theta_masks[2] == [0, 0, 0, (1 << 16) - 1]
+            assert _MASKS[allb][2] == [0, 0, 0, (1 << 16) - 1]
 
     def test_masks_do_not_keep_a_system_alive(self):
-        # the masks live on the system, so dropping it frees them with it
+        # the masks are keyed weakly by system, so dropping it frees them with it
         sub = Substreetution((0, 1, 0), (1, 1, 0), "BABA")
         chi_via_theta(sub, "0110")
-        assert sub._theta_masks[2][1]
+        assert _MASKS[sub][2][1]
         ref = weakref.ref(sub)
         del sub
         gc.collect()
