@@ -13,8 +13,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count, product, repeat, starmap
-from operator import ne, or_
+from itertools import chain, compress, count, product, repeat, starmap
+from operator import ne
 
 from .engine import ABBA, BBAB, THUE_MORSE, apply, fixed_point_prefix, unsub, verify_renormalization
 from .errors import Shallow
@@ -202,7 +202,14 @@ def c12_word_properties():
         for k in range(n):
             unit = int(chi_via_theta(BBAB, format(1 << (n - 1 - k), spec)), 2)
             halves[2 * k >= n] = [u | m for u in halves[2 * k >= n] for m in (0, unit)]
-        defined = map(format, starmap(or_, product(*halves)), repeat(f"0{n * n}b"))
+        # a row of images shares its first half's OR h: one w-bit lane per second half,
+        # in code order from the top, so h * ones | tail holds them all (h < 2^w: no carries)
+        w, seconds = n * n, halves[1]
+        ones = int(("0" * (w - 1) + "1") * len(seconds), 2)
+        tail = int("".join(map(format, seconds, repeat(f"0{w}b"))), 2)
+        lanes = [slice(i, i + w) for i in range(0, w * len(seconds), w)]
+        rows = (format(h * ones | tail, f"0{w * len(seconds)}b") for h in halves[0])
+        defined = chain.from_iterable(map(row.__getitem__, lanes) for row in rows)
         # every word is a first-half word and a second-half word, paired by product in code order
         first, second = (map("".join, product("01", repeat=k)) for k in (n - n // 2, n // 2))
         images = map(chi_recursive, repeat(BBAB), starmap(str.__add__, product(first, second)))

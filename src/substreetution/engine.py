@@ -14,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     BadSystemFormat,
@@ -71,13 +72,13 @@ class Substreetution:
         return tuple(s for s, g in zip(SLOTS, self.grammar) if g == want)
 
     @cached_property
-    def slot_format(self) -> str:
-        """The grammar as a format string over an a-part {0} and a b-part {1}.
+    def slot_parts(self) -> itemgetter:
+        """The grammar as a picker over an (a-part, b-part) pair.
 
-        slot_format.format(a, b) fills the four slots (SLOTS order) with the
-        part each one is fed by: one step of the slot recursion.
+        "".join(slot_parts((a, b))) fills the four slots (SLOTS order) with
+        the part each one is fed by: one step of the slot recursion.
         """
-        return "".join("{0}" if g == "A" else "{1}" for g in self.grammar)
+        return itemgetter(*(0 if g == "A" else 1 for g in self.grammar))
 
     @cached_property
     def _chunk_images(self) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
@@ -86,9 +87,10 @@ class Substreetution:
         The first table holds the image itself, the second the image with each
         color replaced by its image root, the third with each color replaced by
         its image's two children.  double only copies and moves positions, so
-        it commutes with such a color-by-color map.
+        it commutes with such a color-by-color map.  A wider entry is the
+        join of slot_parts picked from its key halves' entries.
         """
-        glue = self.slot_format.format
+        pick = self.slot_parts
         keys = ["0", "1"]
         rows = [
             keys,
@@ -98,7 +100,7 @@ class Substreetution:
         tables = tuple(dict(zip(keys, row)) for row in rows)
         while len(keys[0]) < CHUNK:  # each key of twice the width is a pair of keys
             keys = list(map("".join, itertools.product(keys, repeat=2)))
-            rows = [list(itertools.starmap(glue, itertools.product(row, repeat=2))) for row in rows]
+            rows = [list(map("".join, map(pick, itertools.product(row, repeat=2)))) for row in rows]
             for table, row in zip(tables, rows):
                 table.update(zip(keys, row))
         return tables
@@ -146,9 +148,9 @@ def apply(sub: Substreetution, p: Patch, out_depth: int | None = None) -> Patch:
 def double(sub: Substreetution, line: str, table: dict[str, str] | None = None) -> str:
     """The slot recursion on halves: a line of 2^m colors to its 4^m-color image.
 
-    The image of a line is slot_format applied to the images of its two
-    halves, and a single color is its own image.  A line of at most CHUNK
-    colors is read from `table`, one of the system's _chunk_images (the
+    The image of a line is the join of slot_parts picked from the images of
+    its two halves, and a single color is its own image.  A line of at most
+    CHUNK colors is read from `table`, one of the system's _chunk_images (the
     plain image when None), which also maps the image color by color.
     Lines are over {0,1}: chi_pow checks this once, and double trusts it.
     """
@@ -158,8 +160,10 @@ def double(sub: Substreetution, line: str, table: dict[str, str] | None = None) 
         return table[line]
     half = len(line) // 2
     if half <= CHUNK:  # both halves are table keys: read here, no frame per half
-        return sub.slot_format.format(table[line[:half]], table[line[half:]])
-    return sub.slot_format.format(double(sub, line[:half], table), double(sub, line[half:], table))
+        parts = table[line[:half]], table[line[half:]]
+    else:
+        parts = double(sub, line[:half], table), double(sub, line[half:], table)
+    return "".join(sub.slot_parts(parts))
 
 
 def apply_pow(sub: Substreetution, p: Patch, u: int, depth: int) -> Patch:

@@ -129,13 +129,16 @@ def test_gate_08_checks_each_sibling_class_once(monkeypatch):
     assert len(calls) == 18
 
 
-def _recorded(fn, calls, bad_word=None):
-    """`fn` that appends each word to `calls` and flips the first character of bad_word's image."""
+def _recorded(fn, calls, bad_word=None, flip=0):
+    """`fn` that appends each word to `calls` and flips character `flip` of bad_word's image."""
 
     def wrapped(sub, word):
         calls.append(word)
         image = fn(sub, word)
-        return image if word != bad_word else "10"[int(image[0])] + image[1:]
+        if word != bad_word:
+            return image
+        i = flip % len(image)
+        return image[:i] + "10"[int(image[i])] + image[i + 1 :]
 
     return wrapped
 
@@ -150,13 +153,27 @@ def test_gate_12_names_the_first_word_on_the_theta_side(monkeypatch):
     assert len(calls) == 31 and all(w.count("1") == 1 for w in calls)
 
 
-def test_gate_12_names_the_word_on_the_recursive_side(monkeypatch):
+def _names_the_bad_word(monkeypatch, bad, flip=0):
     words = []
-    monkeypatch.setattr(acceptance, "chi_recursive", _recorded(chi_recursive, words, "0000000000000011"))
-    assert acceptance.c12_word_properties() == (False, "definitions disagree on 0000000000000011")
+    monkeypatch.setattr(acceptance, "chi_recursive", _recorded(chi_recursive, words, bad, flip))
+    assert acceptance.c12_word_properties() == (False, f"definitions disagree on {bad}")
     # every word of lengths 1 to 8, then length 16 in code order up to the bad word
-    assert len(words) == 2 + 4 + 16 + 256 + 4
-    assert words[-4:] == ["0000000000000000", "0000000000000001", "0000000000000010", "0000000000000011"]
+    k = int(bad, 2)
+    assert len(words) == 2 + 4 + 16 + 256 + (k + 1)
+    assert words[-(k + 1) :] == [format(j, "016b") for j in range(k + 1)]
+
+
+def test_gate_12_names_the_word_on_the_recursive_side(monkeypatch):
+    _names_the_bad_word(monkeypatch, "0000000000000011")
+
+
+@pytest.mark.parametrize("flip", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", ["0000000011111111", "0000000100000000", "1111111111111111"])
+def test_gate_12_names_the_word_at_a_row_boundary(monkeypatch, bad, flip):
+    # the theta side reads a row of 256 images (one per second half) from one number:
+    # the last word of a row, the first of the next and the very last word, with the
+    # first or last character of the image flipped, catch a wrong lane width or offset
+    _names_the_bad_word(monkeypatch, bad, flip)
 
 
 def test_gate_12_runs_the_recursive_map_on_every_word(monkeypatch):
