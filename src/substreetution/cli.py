@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("preimages", help="parents of a patch inside a prefix")
     p.add_argument("--patch", required=True)
-    p.add_argument("--jprefix", help="prefix file (defaults to a depth-14 prefix)")
+    p.add_argument("--jprefix", help="prefix file for --site and the scan (defaults to depth 14)")
     p.add_argument("--n", type=int, default=1, help="iterated ancestor distance")
     p.add_argument("--classified", action="store_true")
     p.add_argument(
@@ -234,12 +234,13 @@ def _run(args) -> int:
         if classified and args.n != 1:
             raise SubstreetutionError(f"--n must be 1 with --classified or --site, got {args.n}")
         patch = load_patch(args.patch)
+        if args.classified and args.site is None:  # the class's parents, from the closure
+            sys.stdout.write(preimages_classified(concrete(patch)).serialize())
+            return 0
         jp = load_patch(args.jprefix) if args.jprefix else jacaranda_prefix(14)
-        if classified:
-            if args.site is not None:
-                _check_occurrence(patch, args.site, jp)
-            result = preimages_classified(concrete(patch), jp, args.site)
-            sys.stdout.write(result.serialize())
+        if args.site is not None:
+            _check_occurrence(patch, args.site, jp)
+            sys.stdout.write(preimages_classified(concrete(patch), jp, args.site).serialize())
         elif args.n == 1:
             sys.stdout.write(preimages_bruteforce(patch, jp).serialize())
         else:

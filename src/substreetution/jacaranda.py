@@ -1,4 +1,4 @@
-"""Structural analysis of the BBAB fixed trees: types, rigidity, parent classes.
+"""Structural analysis of the BBAB fixed trees: types and rigidity.
 
 Everything in this module is specific to the system 0 -> 0(1,0),
 1 -> 1(1,0) with grammar BBAB and its two fixed trees (root 0 and root 1),
@@ -7,16 +7,13 @@ which differ exactly at the root.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import BBAB, apply_pow, fixed_point_prefix, unsub
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
 from .trees import Patch
-from .words import doubling_block, v2
-
-INF = math.inf
+from .words import doubling_block
 
 
 @lru_cache(maxsize=8)
@@ -53,6 +50,14 @@ class TypeReport:
         det = "inf-consistent" if self.inf_consistent else self.determined
         det = "none" if det is None else det
         return f"parity={self.parity} u={{{cand}}} determined={det} depth={self.depth}"
+
+
+def _in_block_line(row: str, z: int) -> bool:
+    """Is `row` an aligned window of a line repeating the level-z doubling block?"""
+    block = doubling_block(z)
+    if len(row) >= len(block):  # whole copies: one comparison
+        return row == block * (len(row) // len(block))
+    return row in {block[j : j + len(row)] for j in range(0, len(block), len(row))}
 
 
 def detect_type(p: Patch) -> TypeReport:
@@ -168,50 +173,3 @@ def unsub_best_effort(p: Patch, u: int) -> Patch:
     for _ in range(u):
         p = unsub(BBAB, p) if p.depth >= 1 else Patch.leaf(p.get(""))
     return p
-
-
-# -- the parent class of an odd tree ------------------------------------------
-
-
-def _in_block_line(row: str, z: int, deeper: bool = False) -> bool:
-    """Is `row` an aligned window of a line repeating the level-z doubling block?
-
-    With `deeper`, of a line at level z or above: chunks of a deeper block
-    the size of the level-z block are that block or all zero.  By the same
-    law, a row that fits in the level-(z-1) block tests the same at z - 1.
-    """
-    while deeper and z and len(row) <= len(doubling_block(z - 1)):
-        z -= 1
-    block = doubling_block(z)
-    if not deeper and len(row) >= len(block):  # whole copies: one comparison
-        return row == block * (len(row) // len(block))
-    c = min(len(row), len(block))
-    pieces = {block[j : j + c] for j in range(0, len(block), c)}
-    if deeper:
-        pieces.add("0" * c)
-    return all(row[j : j + c] in pieces for j in range(0, len(row), c))
-
-
-def parent_class(side: Patch) -> int:
-    """Class v = v2(n - 1) of the even parent of an odd tree, read off its lines.
-
-    Line l of the tree at generation n is an aligned window of line n + l of
-    the fixed tree, which repeats the doubling block of level v2(n + l).  That
-    level is v2(l + 1) below v, v above it, and above v where it equals v.
-    Every class with 2^v - 1 > depth gives the visible lines the pattern of
-    v = inf, so INF stands for all of those classes, and no patch pins it.
-    Raises TypeUndetermined unless the lines fit exactly one finite class.
-    """
-    fits = [
-        v
-        for v in (*range(1, (side.depth + 1).bit_length()), INF)
-        if all(
-            _in_block_line(side.levels[l], v2(l + 1) + 1, deeper=True)
-            if v2(l + 1) == v
-            else _in_block_line(side.levels[l], min(v2(l + 1), v))
-            for l in range(1, side.depth + 1)
-        )
-    ]
-    if len(fits) != 1 or fits[0] == INF:
-        raise TypeUndetermined(f"parent class undetermined: visible lines fit {fits}")
-    return fits[0]

@@ -1,38 +1,31 @@
 """One-step and iterated preimages inside the orbit closure.
 
-The case analysis gives, for every tree shape, the exact set of parents
-(root color, which side the tree sits on, and the forced sibling).  Where
-the cases branch on an index (classes u, k, v, u_inner, line 2^v - 1), it
-asks one of two index sources:
+A parent is its root color, the side the tree sits on, and the sibling.
+Two sources give exact parent sets:
 
-- a site: its generation n in the fixed tree pins every index by dyadic
-  valuation, and lines below the patch are read from the ambient prefix;
-- the patch alone: indices are read from its visible lines, and whatever
-  the lines leave open raises TypeUndetermined or Undetermined.
+- a tree at a site of the fixed tree: the case analysis, whose indices
+  (classes u, k, v, u_inner and line 2^v - 1) are dyadic valuations of the
+  site's generation, with lines below the patch read from the ambient prefix;
+- a patch without a site, which stands for its class: the parents of every
+  tree of the class, read off the closure's depth-(d+1) classes
+  (`closure.closure_classes`).
 
-A brute-force scan over a generated prefix acts as the ground truth: the
-classification is validated against the scan, never the other way around.
+A brute-force scan over a generated prefix reads its lower bound through
+the same loop.  The case analysis is validated against the scan, never the
+other way around.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .closure import closure_classes
 from .engine import BBAB, apply_pow
-from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined, Undetermined
-from .jacaranda import (
-    INF,
-    JAC,
-    JAC_PRIME,
-    XDescriptor,
-    brother_best_effort,
-    concrete,
-    detect_type,
-    parent_class,
-    unsub_best_effort,
-)
+from .errors import Inconsistent, NonPositive, Shallow, Undetermined
+from .jacaranda import JAC, JAC_PRIME, XDescriptor, brother_best_effort, concrete, unsub_best_effort
 from .trees import (
-    Patch, addr_index, check_address, classes, decode, index_addr, subpatch_representatives
+    Patch, addr_index, check_address, classes, decode, find, index_addr, node_keys,
+    subpatch_representatives,
 )
 from .words import v2
 
@@ -118,100 +111,39 @@ def _cases(tags, sibs) -> list:
 def preimages_classified(
     desc: XDescriptor, jprefix: Patch | None = None, site: str | None = None
 ) -> PreimageSet:
-    """Exact parent set per the case analysis.
+    """Exact parent set: of a tree at its site, or of a patch's class.
 
-    A concrete patch with the site it occupies in the fixed tree has its
-    class pinned by the site, and lines below it are read from the ambient
-    prefix; without a site the class is detected from the patch alone and
-    TypeUndetermined or Undetermined is raised when several cases stay open.
+    A concrete patch with the site it occupies in the fixed tree goes through
+    the case analysis: the site pins its class, and lines below the patch are
+    read from the ambient prefix.  Without a site, a patch stands for its
+    class, the trees of the orbit closure it truncates, and the parents of
+    every one of them are read off the closure's depth-(d+1) classes.
     """
     if desc.kind != "patch":
         return PreimageSet(JAC_PREIMAGES if desc.kind == "J" else JAC_PRIME_PREIMAGES, "exact")
+    p = desc.patch
+    if site is None:
+        levels = closure_classes(BBAB, 0, p.depth + 1)
+        keys = {cid: key for level in levels for cid, key in level.items()}
+        cid = find(dict(zip(keys.values(), keys)), p)
+        return _parent_set(cid, levels[-1], keys, "closure", "exact")
     if site == "":
         raise Inconsistent("a root-site descriptor should be passed symbolically")
-    if site is not None:
-        ix = _SiteIndices(desc.patch, len(site), addr_index(check_address(site)), jprefix)
-    else:
-        ix = _DetectedIndices(desc.patch)
-    ((_, members),) = _classify(desc.patch, ix)
+    ((_, members),) = _classify(p, len(site), addr_index(check_address(site)), jprefix)
     return PreimageSet(tuple(members), "exact")
 
 
-class _SiteIndices:
-    """Indices of the tree at rank i of generation n: dyadic valuations of n."""
+def _classify(p: Patch, n: int, i: int, jp: Patch | None) -> list:
+    """The parent case tree of the tree p at rank i of generation n.
 
-    def __init__(self, p: Patch, n: int, i: int, jp: Patch | None):
-        self.p, self.n, self.i, self.jp = p, n, i, jp
-        self.u = v2(n)
-
-    def k(self, letter):
-        return v2(self.n + 1)
-
-    def v(self):
-        return INF if self.n == 1 else v2(self.n - 1)
-
-    def line(self, v):
-        l = (1 << v) - 1  # read from the patch or, below it, from the prefix
-        if l <= self.p.depth:
-            return self.p.levels[l]
-        if self.jp is not None and self.n + l <= self.jp.depth:
-            return self.jp.levels[self.n + l][self.i << l : (self.i + 1) << l]
-        return None
-
-    def u_inner(self, v):
-        return v2(self.n - 1 + (1 << v)) - v
-
-    def inner(self, c, u):
-        return v2(self.n // (1 << u) + 1)
-
-
-def _pinned(p: Patch, what: str) -> int:
-    report = detect_type(p) if p.depth >= 2 else None
-    if report is None or report.determined is None:
-        raise TypeUndetermined(f"{what} not pinned")
-    return report.determined
-
-
-class _DetectedIndices:
-    """Indices read from the patch's own lines; a question they leave open raises."""
-
-    def __init__(self, p: Patch):
-        report = detect_type(p)
-        if report.inf_consistent:
-            raise TypeUndetermined("patch matches a fixed-tree prefix; classify it symbolically")
-        if report.parity == "undetermined":
-            raise Undetermined("parity not visible at this depth", cases=[])
-        if report.parity == "even" and report.determined is None:
-            raise TypeUndetermined(report.serialize())
-        self.p, self.u = p, report.determined
-
-    def k(self, letter):
-        return _pinned(self.p.subtree(letter), f"class of the {letter}-branch")
-
-    def v(self):
-        return parent_class(self.p)
-
-    def line(self, v):
-        # parent_class pins only classes whose line 2^v - 1 is visible
-        return self.p.levels[(1 << v) - 1]
-
-    def u_inner(self, v):
-        letter = "a" if self.p.get("") == 1 else "b"
-        probe = self.p.subtree(letter * ((1 << v) - 1))
-        return _pinned(probe, "inner class of the all-zero branch") - v
-
-    def inner(self, c, u):
-        return _pinned(c, "inner branch class")
-
-
-def _classify(p: Patch, ix) -> list:
-    """The parent case tree: [(tag, members)], or Undetermined with the open cases.
-
+    Returns [(tag, members)], or raises Undetermined with the open cases.
+    Every index the cases branch on is a dyadic valuation read off n, and
+    line 2^v - 1 is read from p or, below it, from the ambient prefix jp.
     An odd tree is class u = 0: at u = 0 the u-fold unsubstitution and image
     are the identity, so one sibling construction per root color serves
     every class.
     """
-    root, u = p.get(""), ix.u
+    root, u = p.get(""), v2(n)
     if root == 0:
         sibs = {"self": p, "main": brother_best_effort(p, u)}
         if u:
@@ -222,7 +154,7 @@ def _classify(p: Patch, ix) -> list:
                 "children of a depth-0 odd tree are unknown", cases=_cases(("odd0-open",), sibs)
             )
         ca, cb = p.get("a"), p.get("b")
-        k = ix.k("b")
+        k = v2(n + 1)
         if (ca, cb) == (0, 0):
             if k < 2:
                 raise Inconsistent("children 00 cannot sit on a line of single blocks")
@@ -232,33 +164,34 @@ def _classify(p: Patch, ix) -> list:
         if k >= 2:
             return _cases(("odd0-2a",), sibs)
     else:
-        # the a-child of the odd core, root 0 also where depth hides it
+        # the a-child of the odd core, root 0 also where depth hides it, and its class
         core = unsub_best_effort(p, u)
         c = core.subtree("a") if core.depth >= 1 else Patch.leaf(0)
-        # at u = 0 both read c's class; they differ in the message when it stays open
-        k = ix.inner(c, u) if u else ix.k("a")
+        k = v2((n >> u) + 1)
         sibs = {
             "main": apply_pow(BBAB, Patch.combine(0, brother_best_effort(c, k), c), u, p.depth),
             "prime": apply_pow(BBAB, Patch.combine(0, c, c), u, p.depth),
         }
         if u:
             return _cases(("even1-v1" if k == 1 else "even1-vdeep",), sibs)
-    v = ix.v()
-    if v == INF:
+    if n == 1:  # the parent is the root, of class v = inf
         return _cases((f"odd{root}-vinf",), sibs)
+    v = v2(n - 1)
     if v == 1 and root == 1:
         return _cases(("odd1-2a" if k >= 3 else "odd1-2b",), sibs)
     # finite parent class (v >= 2 for root 1): line 2^v - 1 all zero with
     # u_inner >= 2, all zero with u_inner < 2, or holding a 1
     deep = ("odd1-1a", "odd1-1b", "odd1-1c") if root else ("odd0-2bi", "odd0-2bii", "odd0-2biii")
-    line = ix.line(v)
-    if line is None:
-        raise Undetermined(
-            f"line {(1 << v) - 1} not visible at depth {p.depth}", cases=_cases(deep, sibs)
-        )
+    l = (1 << v) - 1
+    if l <= p.depth:
+        line = p.levels[l]
+    elif jp is not None and n + l <= jp.depth:
+        line = jp.levels[n + l][i << l : (i + 1) << l]
+    else:
+        raise Undetermined(f"line {l} not visible at depth {p.depth}", cases=_cases(deep, sibs))
     if "1" in line:
         return _cases(deep[2:], sibs)
-    return _cases(deep[:1] if ix.u_inner(v) >= 2 else deep[1:2], sibs)
+    return _cases(deep[:1] if v2(n - 1 + (1 << v)) - v >= 2 else deep[1:2], sibs)
 
 
 # -- brute force over a generated prefix --------------------------------------
@@ -281,18 +214,28 @@ def parents_of(frontier, pmap) -> set[int]:
     return {pid for cid in frontier for pid in pmap.get(cid, ())}
 
 
+def _parent_set(cid, parents: dict, keys, tag: str, completeness: str) -> PreimageSet:
+    """One member per parent class (id -> key in `parents`) with `cid` as a child.
+
+    A parent with `cid` on both sides is listed once, on side a; siblings
+    are decoded from `keys` (id -> node key).
+    """
+    found = []
+    for c, x, y in parents.values():
+        if cid in (x, y):
+            found.append((int(c), "a", y) if x == cid else (int(c), "b", x))
+    siblings = decode(keys, {sib for _, _, sib in found})
+    members = [PreimageDescriptor(c, side, concrete(siblings[sib]), tag) for c, side, sib in found]
+    return PreimageSet(tuple(members), completeness)
+
+
 def preimages_bruteforce(a: Patch, jp: Patch) -> PreimageSet:
     """One parent per depth-(d+1) class of jp with `a` as a child, in first-site order."""
     d = a.depth
     if d + 1 > jp.depth:
         raise Shallow(f"need prefix depth >= {d + 1}, have {jp.depth}")
-    cid, found = jp.locate(a), []
-    for c, x, y in classes(jp, d + 1).values():
-        if cid in (x, y):
-            found.append((int(c), "a", y) if x == cid else (int(c), "b", x))
-    siblings = decode(jp, {sib for _, _, sib in found})
-    members = [PreimageDescriptor(c, side, concrete(siblings[sib]), "scan") for c, side, sib in found]
-    return PreimageSet(tuple(members), "lower-bound")
+    parents = classes(jp, d + 1)
+    return _parent_set(jp.locate(a), parents, node_keys(jp), "scan", "lower-bound")
 
 
 def p_n(a: Patch, n: int, jp: Patch) -> int:
@@ -370,7 +313,7 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
             cached = class_cache.get(key)
             if cached is None:
                 try:
-                    cached = _classify(a, _SiteIndices(a, m, i, jp)), False
+                    cached = _classify(a, m, i, jp), False
                 except Undetermined as exc:  # matched against the union of the open cases
                     cached = exc.cases, True
                 class_cache[key] = cached

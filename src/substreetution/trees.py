@@ -185,11 +185,16 @@ class Patch:
     def locate(self, a: "Patch") -> int | None:
         """The id `a` has in self.subtree_ids(a.depth), or None if it does not occur."""
         self.subtree_ids(a.depth)
-        ids = repeat(0)
-        for row in reversed(a.levels):
-            # .get adds no key; a missing child puts None in the key, which no key holds
-            ids = map(self.__dict__["_nodes"].get, zip(row, ids, ids))
-        return next(ids)
+        return find(self.__dict__["_nodes"], a)
+
+
+def find(nodes, a: Patch) -> int | None:
+    """The id of `a` in a node table `nodes` (key -> id), or None if it holds no such node."""
+    ids = repeat(0)
+    for row in reversed(a.levels):
+        # .get adds no key; a missing child puts None in the key, which no key holds
+        ids = map(nodes.get, zip(row, ids, ids))
+    return next(ids)
 
 
 def distance(p: Patch, q: Patch):
@@ -231,13 +236,18 @@ def truncations(p: Patch, n: int) -> dict[int, int]:
     return up
 
 
-def decode(p: Patch, ids) -> dict[int, Patch]:
-    """The subtree each given id of p stands for, from its key and its descendants' keys."""
-    keys, levels = list(p.__dict__["_nodes"]), {0: ()}  # id k has key keys[k - 1]
+def node_keys(p: Patch) -> list:
+    """p's node table by id: entry k is the key of id k, and entry 0 (no node) is None."""
+    return [None, *p.__dict__["_nodes"]]
+
+
+def decode(keys, ids) -> dict[int, Patch]:
+    """The subtree each given id stands for, from keys[id], its node key, and its descendants'."""
+    levels = {0: ()}
 
     def walk(cid):
         if cid not in levels:
-            c, a, b = keys[cid - 1]
+            c, a, b = keys[cid]
             levels[cid] = (c, *map(str.__add__, walk(a), walk(b)))
         return levels[cid]
 
@@ -246,7 +256,8 @@ def decode(p: Patch, ids) -> dict[int, Patch]:
 
 def subpatch_representatives(p: Patch, n: int) -> dict[int, Patch]:
     """One concrete depth-n patch per distinct subtree id of p, in first-site order."""
-    return decode(p, classes(p, n))
+    ids = classes(p, n)
+    return decode(node_keys(p), ids)
 
 
 def random_patch(depth: int, rng: random.Random) -> Patch:

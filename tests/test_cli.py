@@ -163,18 +163,27 @@ class TestPatchCommands:
         assert code == 0 and "count=0" in out
 
     def test_preimages_classified_at_site(self, capsys, tmp_path):
-        # without a site the lines leave the parent class open; the site
-        # "a" of the default depth-14 prefix pins it
+        # without a site the patch stands for its class, whose parents include
+        # those of its tree at site "a" of the default depth-14 prefix
         jp = jacaranda_prefix(14)
         patch = jp.subtree("a").truncate(5)
         f = tmp_path / "sub.patch"
         f.write_text(dump_patch(patch))
-        code, _, err = run(capsys, "preimages", "--patch", str(f), "--classified")
-        assert code == 2 and "undetermined" in err
+        code, of_class, _ = run(capsys, "preimages", "--patch", str(f), "--classified")
+        assert code == 0 and of_class == preimages_classified(concrete(patch)).serialize()
         code, out, _ = run(capsys, "preimages", "--patch", str(f), "--site", "a")
         assert code == 0
         assert out == preimages_classified(concrete(patch), jp, "a").serialize()
-        assert out.startswith("completeness=exact")
+        assert out.startswith("completeness=exact") and of_class.startswith("completeness=exact")
+        # each member at the site is a class member, its sibling to the site's depth
+        members = preimages_classified(concrete(patch)).members
+        for at_site in preimages_classified(concrete(patch), jp, "a").members:
+            sib = at_site.sibling.patch
+            assert any(
+                (m.root, m.side) == (at_site.root, at_site.side)
+                and m.sibling.patch.truncate(sib.depth) == sib
+                for m in members
+            )
 
     def test_preimages_site_is_checked(self, capsys, tmp_path):
         f = tmp_path / "sub.patch"

@@ -7,11 +7,12 @@ import pytest
 
 import substreetution
 from substreetution import preimages
+from substreetution.closure import closure_classes
+from substreetution.engine import BBAB
 from substreetution.errors import (
     NonPositive,
     Shallow,
     SubstreetutionError,
-    TypeUndetermined,
     Undetermined,
 )
 from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix
@@ -20,14 +21,13 @@ from substreetution.preimages import (
     PreimageDescriptor,
     _classify,
     _descriptor_matches,
-    _SiteIndices,
     crosscheck_sweep,
     p_n,
     parent_map,
     preimages_bruteforce,
     preimages_classified,
 )
-from substreetution.trees import Patch, index_addr, subpatch_representatives
+from substreetution.trees import Patch, decode, index_addr, subpatch_representatives
 from substreetution.words import v2
 
 
@@ -46,12 +46,29 @@ def crosscheck(desc, jp, depth=None, site=None):
         raise Shallow("prefix too shallow for a parent scan")
     try:
         primary = preimages_classified(desc, jp, site).members
-    except (Undetermined, TypeUndetermined):
+    except Undetermined:
         primary = ()
     report = CrosscheckReport(ok=True, occurrences=0)
     matched: set = set()
     preimages._check_occurrences(jp, a.depth, {jp.locate(a): a}, report, matched)
     return report, [m.serialize() for m in primary if (m.root, m.side) not in matched]
+
+
+def _site_members(patch, jp, site):
+    """The members classified at the site, or the union of its open cases."""
+    try:
+        return preimages_classified(concrete(patch), jp, site).members
+    except Undetermined as exc:
+        return [member for _, members in exc.cases for member in members]
+
+
+def _among(member, members):
+    """Some member has its root and side, and a sibling equal to its own to its depth."""
+    sib = member.sibling.patch
+    return any(
+        (d.root, d.side) == (member.root, member.side) and d.sibling.patch.truncate(sib.depth) == sib
+        for d in members
+    )
 
 
 @pytest.fixture(scope="module")
@@ -77,27 +94,37 @@ class TestClassifiedFixedTrees:
         assert "completeness=exact" in text and "sibling=J'" in text
 
 
+def _digest(out):
+    return hashlib.blake2b("".join(out).encode("ascii"), digest_size=16).hexdigest()
+
+
 def test_serialization_golden(jp, first_sites_by_scan):
     # every depth-1..7 class of the prefix at its first site, classified with
     # and without the site and by the scan, then both fixed trees, with each
-    # error as its class and message: every serialized byte, as one digest
-    out = []
+    # error as its class and message: every serialized byte, one digest per path
+    paths = {
+        "site": lambda patch, site: preimages_classified(concrete(patch), jp, site),
+        "site-less": lambda patch, site: preimages_classified(concrete(patch)),
+        "scan": lambda patch, site: preimages_bruteforce(patch, jp),
+    }
+    outs = {name: [] for name in paths}
     for d in range(1, 8):
         for m, i in sorted(first_sites_by_scan(jp, d).values()):
             patch, site = jp.window(m, i, d), index_addr(i, m)
-            for run in (
-                lambda: preimages_classified(concrete(patch), jp, site),
-                lambda: preimages_classified(concrete(patch)),
-                lambda: preimages_bruteforce(patch, jp),
-            ):
+            for name, run in paths.items():
                 try:
-                    out.append(run().serialize())
+                    outs[name].append(run(patch, site).serialize())
                 except SubstreetutionError as exc:
-                    out.append(f"{type(exc).__name__}: {exc}\n")
-    out += [preimages_classified(JAC).serialize(), preimages_classified(JAC_PRIME).serialize()]
-    assert len(out) == 236
-    digest = hashlib.blake2b("".join(out).encode("ascii"), digest_size=16).hexdigest()
-    assert digest == "2920722c1d2b7cba9ad9b955835b5966"
+                    outs[name].append(f"{type(exc).__name__}: {exc}\n")
+    assert [len(out) for out in outs.values()] == [78, 78, 78]
+    assert all(out.startswith("completeness=exact count=") for out in outs["site-less"])
+    fixed = [preimages_classified(JAC).serialize(), preimages_classified(JAC_PRIME).serialize()]
+    assert {name: _digest(out) for name, out in [*outs.items(), ("fixed trees", fixed)]} == {
+        "site": "b30ab010fdbd25f53c878b1daa79c261",
+        "site-less": "3309d505582d838a0133ac699d92b3d1",
+        "scan": "127df175b1b392f149bb6787e738493c",
+        "fixed trees": "e2c330c92b28c26aaedc409d813cee1d",
+    }
 
 
 _QUERY = """
@@ -264,43 +291,29 @@ class TestCrosscheck:
         assert witnessed >= 0
 
     def test_classified_agrees_with_provenance_free_detection(self, jp):
+        # the tree at the site is one tree of the patch's class: here it has
+        # every parent the class has, each sibling agreeing to the site's depth
         site = "aabb"
         patch = jp.subtree(site)
-        at_site = preimages_classified(concrete(patch), jp, site)
-        detected = preimages_classified(concrete(patch))
-        assert {(d.root, d.side, d.case_tag) for d in at_site.members} == {
-            (d.root, d.side, d.case_tag) for d in detected.members
-        }
+        at_site = preimages_classified(concrete(patch), jp, site).members
+        of_class = preimages_classified(concrete(patch)).members
+        assert {(d.root, d.side) for d in at_site} == {(d.root, d.side) for d in of_class}
+        assert all(_among(d, of_class) for d in at_site)
 
-    def test_provenance_free_tags_match_every_site(self, jp):
-        # whenever the patch alone pins a case, every occurrence whose site
-        # pins one agrees; the patch must not guess a class its lines leave open
-        returned = 0
-        for d in range(2, 9):
-            reps = subpatch_representatives(jp, d)
-            sites = {}
-            for m, row in enumerate(jp.subtree_ids(d)[1:], start=1):
-                for i, cid in enumerate(row):
-                    sites.setdefault(cid, []).append(index_addr(i, m))
-            for cid, patch in reps.items():
-                try:
-                    tag = preimages_classified(concrete(patch)).members[0].case_tag
-                except SubstreetutionError:
-                    continue
-                returned += 1
-                for site in sites.get(cid, ()):
-                    try:
-                        got = preimages_classified(concrete(patch), jp, site)
-                    except Undetermined:
-                        continue
-                    assert got.members[0].case_tag == tag, (patch.levels, site)
-        assert returned >= 10
-
-    def test_patch_without_site_leaves_parent_class_open(self, jp):
-        # occurrences of this truncation are odd1-vinf and odd1-1c, never odd1-2b
+    def test_patch_without_site_unions_its_sites(self, jp):
+        # occurrences of this truncation are odd1-vinf and odd1-1c, and at
+        # depth 5 also odd1-1a and odd1-1b: the class's set holds all of them
         for depth in (5, 6):
-            with pytest.raises(TypeUndetermined):
-                preimages_classified(concrete(jp.subtree("a").truncate(depth)))
+            patch = jp.subtree("a").truncate(depth)
+            of_class = preimages_classified(concrete(patch)).members
+            assert [(d.root, d.side) for d in of_class] == [(0, "a"), (1, "a")]
+            cid, tags = jp.locate(patch), set()
+            for m, row in enumerate(jp.subtree_ids(depth)[1:], start=1):
+                for i in (i for i, c in enumerate(row) if c == cid):
+                    members = _site_members(patch, jp, index_addr(i, m))
+                    tags |= {d.case_tag for d in members}
+                    assert all(_among(d, of_class) for d in members)
+            assert {"odd1-vinf", "odd1-1c"} <= tags and "odd1-2b" not in tags
 
     def test_undetermined_carries_case_union(self, jp):
         # a root-1 odd site whose discriminating line lies beyond both the
@@ -328,6 +341,55 @@ class TestCrosscheck:
         assert {m.sibling.patch.levels for m in members} == {("1",)}
 
 
+def test_class_parents_equal_a_deep_scan():
+    # every depth-1..6 class: its exact set against the scan of a prefix deep
+    # enough to show every parent class, as (root, side, sibling) sets
+    j20 = jacaranda_prefix(20)
+
+    def triples(found):
+        return {(d.root, d.side, d.sibling.patch.levels) for d in found.members}
+
+    classes_seen = 0
+    for d in range(1, 7):
+        for patch in subpatch_representatives(j20, d).values():
+            got = preimages_classified(concrete(patch))
+            assert got.completeness == "exact"
+            assert triples(got) == triples(preimages_bruteforce(patch, j20)), patch.levels
+            classes_seen += 1
+    assert classes_seen == 73
+
+
+def test_site_members_lie_in_the_closure(jp):
+    """The converse of the crosscheck: every member classified at a site is a parent in the closure.
+
+    A member (root, side, sibling) of a depth-d tree p names the depth-(d+1)
+    class with that root, p on that side and that sibling, compared at the
+    sibling's own depth, which the case analysis may build below d.  At each
+    class's first site below the root, the members of every open case count.
+    The check is necessary, not sufficient, for exactness per tree: a member
+    that some other tree of p's class has passes it.  Adding (1, "b", "main")
+    to case odd0-2a fails it; adding (1, "a", "main") to odd1-1c escapes it.
+    """
+    levels = closure_classes(BBAB, 0, 7)
+    keys = {cid: key for level in levels for cid, key in level.items()}
+    members, outside = [], []
+    for d in range(1, 7):
+        parents = decode(keys, levels[d + 1]).values()
+        firsts = {}
+        for m, row in enumerate(jp.subtree_ids(d)[1:], start=1):
+            for i, cid in enumerate(row):
+                firsts.setdefault(cid, (m, i))
+        for m, i in firsts.values():
+            patch = jp.window(m, i, d)
+            for member in _site_members(patch, jp, index_addr(i, m)):
+                members.append((d, member.root, member.side, member.sibling.patch.levels))
+                if not any(_descriptor_matches(q, patch, member) for q in parents):
+                    outside.append((index_addr(i, m), member.serialize()))
+    shallower = sum(len(sibling) - 1 < d for d, _, _, sibling in members)
+    assert outside == []
+    assert (len(members), len(set(members)), shallower) == (93, 69, 20)
+
+
 def _check_occurrences_per_site(jp, d, reps, report, matched):
     """The occurrence scan one site at a time: the oracle for the scan by generation."""
     table = jp.subtree_ids(d)
@@ -343,7 +405,13 @@ def _check_occurrences_per_site(jp, d, reps, report, matched):
             if a is None:
                 continue
             report.occurrences += 1
-            line = _SiteIndices(a, m, i, jp).line(v2(m - 1)) if m % 2 and m > 1 else None
+            line = None
+            if m % 2 and m > 1:  # line l = 2^v2(m-1) - 1: the patch's or, below it, the prefix's
+                l = (1 << v2(m - 1)) - 1
+                if l <= d:
+                    line = a.levels[l]
+                elif m + l <= jp.depth:
+                    line = jp.levels[m + l][i << l : (i + 1) << l]
             key = (cid, m, line)
             pid = prow[i // 2]
             if (pid, key) in seen:
@@ -352,7 +420,7 @@ def _check_occurrences_per_site(jp, d, reps, report, matched):
             cached = class_cache.get(key)
             if cached is None:
                 try:
-                    cached = _classify(a, _SiteIndices(a, m, i, jp)), False
+                    cached = _classify(a, m, i, jp), False
                 except Undetermined as exc:
                     cached = exc.cases, True
                 class_cache[key] = cached
