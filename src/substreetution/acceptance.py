@@ -18,7 +18,7 @@ from operator import ne
 
 from .engine import ABBA, BBAB, THUE_MORSE, apply, fixed_point_prefix, unsub, verify_renormalization
 from .errors import Shallow
-from .jacaranda import brother, jacaranda_prefix, jprime_prefix
+from .jacaranda import brother, jacaranda_prefix
 from .measures import invariant_measure
 from .preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, crosscheck_sweep, parent_map, parents_of
 from .render import RenderConfig, make_generators, tiling_svg, tree_svg
@@ -51,7 +51,7 @@ def c01_fixed_point_lines():
 
 
 def c02_roots_only_difference():
-    j, jp = jacaranda_prefix(16), jprime_prefix(16)
+    j, jp = jacaranda_prefix(16), fixed_point_prefix(BBAB, 1, 16)
     diff = [l for l in range(17) if j.line(l) != jp.line(l)]
     return diff == [0], f"levels differing: {diff}"
 

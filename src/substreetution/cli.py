@@ -24,7 +24,7 @@ from .engine import (
     verify_renormalization,
 )
 from .errors import AddressTooDeep, Inconsistent, NonPositive, SubstreetutionError
-from .jacaranda import brother, concrete, detect_type, jacaranda_prefix, unsub_pow
+from .jacaranda import brother, detect_type, jacaranda_prefix, unsub_pow
 from .measures import invariant_measure
 from .preimages import p_n, preimages_bruteforce, preimages_classified
 from .render import RenderConfig, tiling_svg, tree_svg
@@ -72,7 +72,10 @@ def _write(text, out):
 
 
 def _check_occurrence(patch, site, jp) -> None:
-    """The site classifier trusts its site, so the command line checks it."""
+    """The site classifier trusts its prefix and site, so the command line checks them."""
+    # J or J' to its depth, as detect_type tests it: the fixed trees differ only at the root
+    if jp.levels[1:] != jacaranda_prefix(jp.depth).levels[1:]:
+        raise Inconsistent(f"the depth-{jp.depth} prefix is not a prefix of a BBAB fixed tree")
     if len(site) + patch.depth > jp.depth:
         raise AddressTooDeep(
             f"site {site!r} plus patch depth {patch.depth} reaches below "
@@ -235,12 +238,12 @@ def _run(args) -> int:
             raise SubstreetutionError(f"--n must be 1 with --classified or --site, got {args.n}")
         patch = load_patch(args.patch)
         if args.classified and args.site is None:  # the class's parents, from the closure
-            sys.stdout.write(preimages_classified(concrete(patch)).serialize())
+            sys.stdout.write(preimages_classified(patch).serialize())
             return 0
         jp = load_patch(args.jprefix) if args.jprefix else jacaranda_prefix(14)
         if args.site is not None:
             _check_occurrence(patch, args.site, jp)
-            sys.stdout.write(preimages_classified(concrete(patch), jp, args.site).serialize())
+            sys.stdout.write(preimages_classified(patch, jp, args.site).serialize())
         elif args.n == 1:
             sys.stdout.write(preimages_bruteforce(patch, jp).serialize())
         else:

@@ -21,11 +21,6 @@ def jacaranda_prefix(depth: int) -> Patch:
     return fixed_point_prefix(BBAB, 0, depth)
 
 
-@lru_cache(maxsize=8)
-def jprime_prefix(depth: int) -> Patch:
-    return fixed_point_prefix(BBAB, 1, depth)
-
-
 # -- dyadic type detection ----------------------------------------------------
 
 
@@ -89,44 +84,6 @@ def unsub_pow(p: Patch, u: int) -> Patch:
     for _ in range(u):
         p = unsub(BBAB, p)
     return p
-
-
-# -- descriptors for elements of the orbit closure ----------------------------
-
-
-@dataclass(frozen=True)
-class XDescriptor:
-    """A tree of the orbit closure: one of the fixed trees, or a concrete patch.
-
-    The fixed trees carry no patch (their prefixes are generated on demand).
-    A descriptor names a tree, not one occurrence of it: the site that pins
-    a concrete patch's class is passed to the classifier alongside it.
-    """
-
-    kind: str  # "J" | "J'" | "patch"
-    patch: Patch | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("J", "J'", "patch"):
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        if (self.kind == "patch") != (self.patch is not None):
-            raise ValueError("exactly the concrete descriptors carry a patch")
-
-    def prefix(self, depth: int) -> Patch:
-        """The tree to `depth` for a fixed tree; a concrete descriptor's own patch."""
-        if self.kind == "J":
-            return jacaranda_prefix(depth)
-        if self.kind == "J'":
-            return jprime_prefix(depth)
-        return self.patch
-
-
-JAC = XDescriptor("J")
-JAC_PRIME = XDescriptor("J'")
-
-
-def concrete(patch: Patch) -> XDescriptor:
-    return XDescriptor("patch", patch)
 
 
 # -- the rigidity construction ------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .closure import closure_classes
 from .engine import BBAB, apply_pow
 from .errors import Inconsistent, NonPositive, Shallow, Undetermined
-from .jacaranda import JAC, JAC_PRIME, XDescriptor, brother_best_effort, concrete, unsub_best_effort
+from .jacaranda import brother_best_effort, unsub_best_effort
 from .trees import (
     Patch, addr_index, check_address, classes, decode, find, index_addr, node_keys,
     subpatch_representatives,
@@ -36,19 +36,18 @@ class PreimageDescriptor:
 
     root: int
     side: str  # 'a': parent = (root, A, sibling); 'b': parent = (root, sibling, A)
-    sibling: XDescriptor
+    sibling: Patch | str  # a patch, or "J" / "J'" in the fixed trees' sets
     case_tag: str
 
     def serialize(self) -> str:
-        sib = self.sibling.kind
-        if sib == "patch":
+        sib = self.sibling
+        if isinstance(sib, Patch):
             # depth plus a digest of the levels: a pure function of the sibling;
             # hashlib loads OpenSSL, so only serialized output pays for importing it
             import hashlib
 
-            patch = self.sibling.patch
-            levels = "\n".join(patch.levels).encode("ascii")
-            sib = f"d{patch.depth}:{hashlib.blake2b(levels, digest_size=8).hexdigest()}"
+            levels = "\n".join(sib.levels).encode("ascii")
+            sib = f"d{sib.depth}:{hashlib.blake2b(levels, digest_size=8).hexdigest()}"
         return f"case={self.case_tag} root={self.root} side={self.side} sibling={sib}"
 
 
@@ -66,12 +65,17 @@ class PreimageSet:
         return "\n".join(lines) + "\n"
 
 
-JAC_PREIMAGES = (
-    PreimageDescriptor(0, "a", JAC, "jac"),
-    PreimageDescriptor(1, "a", JAC, "jac"),
-    PreimageDescriptor(0, "b", JAC_PRIME, "jac"),
+# The exact parent sets of the fixed trees J (root 0) and J' (root 1), whose
+# siblings are named rather than truncated
+JAC_PREIMAGES = PreimageSet(
+    (
+        PreimageDescriptor(0, "a", "J", "jac"),
+        PreimageDescriptor(1, "a", "J", "jac"),
+        PreimageDescriptor(0, "b", "J'", "jac"),
+    ),
+    "exact",
 )
-JAC_PRIME_PREIMAGES = (PreimageDescriptor(0, "a", JAC, "jacp"),)
+JAC_PRIME_PREIMAGES = PreimageSet((PreimageDescriptor(0, "a", "J", "jacp"),), "exact")
 
 
 # -- classification -----------------------------------------------------------
@@ -101,7 +105,6 @@ _PARENTS = {
 
 
 def _cases(tags, sibs) -> list:
-    sibs = {role: concrete(sib) for role, sib in sibs.items()}
     return [
         (tag, [PreimageDescriptor(r, side, sibs[role], tag) for r, side, role in _PARENTS[tag]])
         for tag in tags
@@ -109,19 +112,18 @@ def _cases(tags, sibs) -> list:
 
 
 def preimages_classified(
-    desc: XDescriptor, jprefix: Patch | None = None, site: str | None = None
+    p: Patch, jprefix: Patch | None = None, site: str | None = None
 ) -> PreimageSet:
     """Exact parent set: of a tree at its site, or of a patch's class.
 
-    A concrete patch with the site it occupies in the fixed tree goes through
-    the case analysis: the site pins its class, and lines below the patch are
-    read from the ambient prefix.  Without a site, a patch stands for its
-    class, the trees of the orbit closure it truncates, and the parents of
-    every one of them are read off the closure's depth-(d+1) classes.
+    A patch with the site it occupies in the fixed-tree prefix `jprefix` goes
+    through the case analysis: the site pins its class, and lines below the
+    patch are read from the prefix, which the caller vouches is a prefix of
+    J or J'.  Without a site, a patch stands for its class, the trees of the
+    orbit closure it truncates, and the parents of every one of them are read
+    off the closure's depth-(d+1) classes.  The fixed trees themselves, at
+    the root site, have the constant sets JAC_PREIMAGES and JAC_PRIME_PREIMAGES.
     """
-    if desc.kind != "patch":
-        return PreimageSet(JAC_PREIMAGES if desc.kind == "J" else JAC_PRIME_PREIMAGES, "exact")
-    p = desc.patch
     if site is None:
         levels = closure_classes(BBAB, 0, p.depth + 1)
         keys = {cid: key for level in levels for cid, key in level.items()}
@@ -225,7 +227,7 @@ def _parent_set(cid, parents: dict, keys, tag: str, completeness: str) -> Preima
         if cid in (x, y):
             found.append((int(c), "a", y) if x == cid else (int(c), "b", x))
     siblings = decode(keys, {sib for _, _, sib in found})
-    members = [PreimageDescriptor(c, side, concrete(siblings[sib]), tag) for c, side, sib in found]
+    members = [PreimageDescriptor(c, side, siblings[sib], tag) for c, side, sib in found]
     return PreimageSet(tuple(members), completeness)
 
 
@@ -267,8 +269,7 @@ def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bo
     other = "b" if desc.side == "a" else "a"
     if parent.subtree(desc.side) != a:
         return False
-    sib = parent.subtree(other)
-    ref = desc.sibling.prefix(sib.depth)
+    sib, ref = parent.subtree(other), desc.sibling
     d = min(sib.depth, ref.depth)
     return sib.truncate(d) == ref.truncate(d)
 

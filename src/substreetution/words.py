@@ -98,6 +98,7 @@ def chi_pow(sub: Substreetution, word: str, u: int) -> str:
     # checked once here: chi_recursive and chi_via_theta trust their input
     if word.encode("ascii", "replace").translate(None, b"01"):
         raise BadPatchFormat(f"line words are over {{0,1}}, got {word!r}")
+    _level_of(word)  # also when u = 0, which calls no chi
     for _ in range(u):
         word = chi(sub, word)
     return word

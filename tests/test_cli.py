@@ -8,7 +8,7 @@ import pytest
 
 from substreetution.cli import build_parser, main
 from substreetution.engine import BBAB, BUILTINS, SLOTS, fixed_point_prefix, theta
-from substreetution.jacaranda import concrete, jacaranda_prefix
+from substreetution.jacaranda import jacaranda_prefix
 from substreetution.preimages import preimages_classified
 from substreetution.systems import NOMEASURE_GRAPH, build_orbit_graph, nomeasure_tree
 from substreetution.trees import dump_patch, parse_patch, random_patch
@@ -170,18 +170,18 @@ class TestPatchCommands:
         f = tmp_path / "sub.patch"
         f.write_text(dump_patch(patch))
         code, of_class, _ = run(capsys, "preimages", "--patch", str(f), "--classified")
-        assert code == 0 and of_class == preimages_classified(concrete(patch)).serialize()
+        assert code == 0 and of_class == preimages_classified(patch).serialize()
         code, out, _ = run(capsys, "preimages", "--patch", str(f), "--site", "a")
         assert code == 0
-        assert out == preimages_classified(concrete(patch), jp, "a").serialize()
+        assert out == preimages_classified(patch, jp, "a").serialize()
         assert out.startswith("completeness=exact") and of_class.startswith("completeness=exact")
         # each member at the site is a class member, its sibling to the site's depth
-        members = preimages_classified(concrete(patch)).members
-        for at_site in preimages_classified(concrete(patch), jp, "a").members:
-            sib = at_site.sibling.patch
+        members = preimages_classified(patch).members
+        for at_site in preimages_classified(patch, jp, "a").members:
+            sib = at_site.sibling
             assert any(
                 (m.root, m.side) == (at_site.root, at_site.side)
-                and m.sibling.patch.truncate(sib.depth) == sib
+                and m.sibling.truncate(sib.depth) == sib
                 for m in members
             )
 
@@ -202,6 +202,29 @@ class TestPatchCommands:
         assert run(capsys, "preimages", "--patch", str(f), "--site", "") == (
             2, "", "error: a root-site descriptor should be passed symbolically\n"
         )
+
+    def test_preimages_site_needs_a_fixed_tree_prefix(self, capsys, tmp_path):
+        # the case analysis reads lines of J or J', so another prefix is refused
+        # even where the patch does sit at the site
+        rp = random_patch(8, random.Random(3))
+        jp, f = tmp_path / "random.patch", tmp_path / "sub.patch"
+        jp.write_text(dump_patch(rp))
+        f.write_text(dump_patch(rp.subtree("ab").truncate(3)))
+        argv = ["preimages", "--patch", str(f), "--site", "ab", "--jprefix", str(jp)]
+        assert run(capsys, *argv) == (
+            2, "", "error: the depth-8 prefix is not a prefix of a BBAB fixed tree\n"
+        )
+
+    def test_preimages_site_in_jprime_prints_as_in_j(self, capsys, tmp_path):
+        # J and J' differ only at the root, so every other site reads the same lines
+        jp = tmp_path / "jprime.patch"
+        jp.write_text(dump_patch(fixed_point_prefix(BBAB, 1, 14)))
+        f = tmp_path / "sub.patch"
+        for site in ("a", "ab", "ba", "aabb", "bab"):
+            f.write_text(dump_patch(jacaranda_prefix(14).subtree(site).truncate(3)))
+            argv = ["preimages", "--patch", str(f), "--site", site]
+            in_j, in_jprime = run(capsys, *argv), run(capsys, *argv, "--jprefix", str(jp))
+            assert in_j == in_jprime and in_j[0] == 0 and in_j[1].startswith("completeness=exact")
 
     @pytest.mark.parametrize("flag", [["--site", "ab"], ["--classified"]], ids=["site", "classified"])
     @pytest.mark.parametrize("n", ["-1", "3"])
@@ -381,9 +404,11 @@ class TestExitCodes:
         assert run(capsys, "line", "--patch", "/nonexistent", "--level", "0")[0] == 2
 
     def test_empty_word(self, capsys):
-        assert run(capsys, "chi", "--word", "", "--pow", "1") == (
-            2, "", "error: line words have power-of-two length, got 0\n"
-        )
+        # the length is checked also at --pow 0, which applies no doubling
+        for word, pow_ in (("", "1"), ("", "0"), ("101", "0"), ("101", "1")):
+            assert run(capsys, "chi", "--word", word, "--pow", pow_) == (
+                2, "", f"error: line words have power-of-two length, got {len(word)}\n"
+            )
 
     def test_brother_of_root1_patch(self, capsys, tmp_path):
         f = tmp_path / "j1.patch"

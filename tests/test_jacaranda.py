@@ -10,7 +10,6 @@ import pytest
 import substreetution
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
 from substreetution.errors import (
-    BadPatchFormat,
     Inconsistent,
     NonPositive,
     NotInImage,
@@ -18,17 +17,9 @@ from substreetution.errors import (
     TypeUndetermined,
 )
 from substreetution.jacaranda import (
-    JAC,
-    JAC_PRIME,
-    _in_block_line,
-    brother,
-    concrete,
-    detect_type,
-    jacaranda_prefix,
-    jprime_prefix,
-    unsub_pow,
+    _in_block_line, brother, detect_type, jacaranda_prefix, unsub_pow,
 )
-from substreetution.preimages import preimages_classified
+from substreetution.preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, preimages_classified
 from substreetution.trees import Patch, dump_patch, random_patch, subpatch_representatives
 from substreetution.words import chi_pow, v2
 
@@ -42,12 +33,12 @@ def is_rep(line: str, block: str) -> bool:
 class TestPrefixes:
     def test_depths_0_1(self):
         assert jacaranda_prefix(0).levels == ("0",)
-        assert jprime_prefix(0).levels == ("1",)
+        assert fixed_point_prefix(BBAB, 1, 0).levels == ("1",)
         assert jacaranda_prefix(1).levels == ("0", "10")
-        assert jprime_prefix(1).levels == ("1", "10")
+        assert fixed_point_prefix(BBAB, 1, 1).levels == ("1", "10")
 
     def test_differ_exactly_at_root(self):
-        j, jp = jacaranda_prefix(16), jprime_prefix(16)
+        j, jp = jacaranda_prefix(16), fixed_point_prefix(BBAB, 1, 16)
         assert [l for l in range(17) if j.line(l) != jp.line(l)] == [0]
 
     def test_family_block_law(self):
@@ -132,7 +123,7 @@ def _type_oracle(p: Patch):
         return "undetermined", {0} | even, None
     if odd_ok:
         return "odd", {0}, 0
-    inf_ok = p in (jacaranda_prefix(p.depth), jprime_prefix(p.depth))
+    inf_ok = p in (jacaranda_prefix(p.depth), fixed_point_prefix(BBAB, 1, p.depth))
     return "even", even, min(even) if len(even) == 1 and not inf_ok else None
 
 
@@ -167,13 +158,13 @@ class TestBlockTable:
         rng = random.Random(19)
         windows = [
             window
-            for q in (jacaranda_prefix(14), jprime_prefix(14))
+            for q in (jacaranda_prefix(14), fixed_point_prefix(BBAB, 1, 14))
             for d in range(2, 11)
             for window in subpatch_representatives(q, d).values()
         ]
         patches = windows + [random_patch(rng.randint(2, 8), rng) for _ in range(300)]
         # whole fixed-tree prefixes, deeper than the windows
-        patches += [q(d) for q in (jacaranda_prefix, jprime_prefix) for d in range(11, 17)]
+        patches += [fixed_point_prefix(BBAB, root, d) for root in (0, 1) for d in range(11, 17)]
         for _ in range(600):  # one flipped site: near the closure but mostly off it
             rows = list(rng.choice(windows).levels)
             l = rng.randrange(len(rows))
@@ -211,23 +202,6 @@ class TestUnsubPow:
             unsub_pow(jacaranda_prefix(9), -1)
 
 
-class TestDescriptorPrefix:
-    def test_fixed_trees_generate_their_prefix(self):
-        assert JAC.prefix(5) == jacaranda_prefix(5)
-        assert JAC_PRIME.prefix(5) == jprime_prefix(5)
-        assert JAC_PRIME.prefix(0).levels == ("1",)
-
-    def test_concrete_is_its_patch(self):
-        patch = jacaranda_prefix(9).subtree("ab")
-        for depth in (0, 3, 12):
-            assert concrete(patch).prefix(depth) is patch
-
-    def test_provenance_is_an_address(self):
-        # the site classifier reads the site's rank, so it checks the site's letters
-        with pytest.raises(BadPatchFormat, match="address must be a word over"):
-            preimages_classified(concrete(Patch.leaf(0)), jacaranda_prefix(4), "bx")
-
-
 class TestBrother:
     def test_odd_case_is_right_double(self):
         j = jacaranda_prefix(9)
@@ -249,7 +223,7 @@ class TestBrother:
 
     def test_requires_root_zero(self):
         with pytest.raises(Inconsistent):
-            brother(jprime_prefix(4), 1)
+            brother(fixed_point_prefix(BBAB, 1, 4), 1)
 
     def test_fixed_tree_is_undetermined(self):
         with pytest.raises(TypeUndetermined):
@@ -273,18 +247,18 @@ class TestBrother:
 
 def _case_tags(sub: Patch, site: str) -> set[str]:
     """Case tags of the parents classified at the site."""
-    return {m.case_tag for m in preimages_classified(concrete(sub), jacaranda_prefix(14), site).members}
+    return {m.case_tag for m in preimages_classified(sub, jacaranda_prefix(14), site).members}
 
 
 class TestClassifyEven:
     """The even shapes, as the parent case tree decides them at their sites."""
 
     def test_fixed_trees(self):
-        def parents(desc):
-            return [(m.root, m.side, m.sibling.kind) for m in preimages_classified(desc).members]
+        def parents(found):
+            return [(m.root, m.side, m.sibling) for m in found.members]
 
-        assert parents(JAC) == [(0, "a", "J"), (1, "a", "J"), (0, "b", "J'")]
-        assert parents(JAC_PRIME) == [(0, "a", "J")]
+        assert parents(JAC_PREIMAGES) == [(0, "a", "J"), (1, "a", "J"), (0, "b", "J'")]
+        assert parents(JAC_PRIME_PREIMAGES) == [(0, "a", "J")]
 
     def test_mixed_finite(self):
         sub = jacaranda_prefix(14).subtree("aa")  # root 0, starts 0(1,0)

@@ -8,15 +8,18 @@ import pytest
 import substreetution
 from substreetution import preimages
 from substreetution.closure import closure_classes
-from substreetution.engine import BBAB
+from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.errors import (
+    BadPatchFormat,
     NonPositive,
     Shallow,
     SubstreetutionError,
     Undetermined,
 )
-from substreetution.jacaranda import JAC, JAC_PRIME, concrete, jacaranda_prefix
+from substreetution.jacaranda import jacaranda_prefix
 from substreetution.preimages import (
+    JAC_PREIMAGES,
+    JAC_PRIME_PREIMAGES,
     CrosscheckReport,
     PreimageDescriptor,
     _classify,
@@ -31,23 +34,22 @@ from substreetution.trees import Patch, decode, index_addr, subpatch_representat
 from substreetution.words import v2
 
 
-def crosscheck(desc, jp, depth=None, site=None):
+def crosscheck(a, jp, site=None, primary=None):
     """Validate the classified parents of one patch against the brute scan.
 
     Every occurrence of the patch inside the prefix must have its actual
     parent among the cases predicted for its site; `site` only picks the
-    classification whose unwitnessed members are listed.  Returns the
-    report and the predicted members never witnessed anywhere (limit-only).
+    classification whose unwitnessed members are listed, and `primary`, a
+    fixed tree's constant set, stands in for it.  Returns the report and the
+    predicted members never witnessed anywhere (limit-only).
     """
-    if depth is None and desc.kind != "patch":
-        depth = min(6, jp.depth - 1)
-    a = desc.prefix(depth)
     if a.depth + 1 > jp.depth:
         raise Shallow("prefix too shallow for a parent scan")
-    try:
-        primary = preimages_classified(desc, jp, site).members
-    except Undetermined:
-        primary = ()
+    if primary is None:
+        try:
+            primary = preimages_classified(a, jp, site).members
+        except Undetermined:
+            primary = ()
     report = CrosscheckReport(ok=True, occurrences=0)
     matched: set = set()
     preimages._check_occurrences(jp, a.depth, {jp.locate(a): a}, report, matched)
@@ -57,16 +59,16 @@ def crosscheck(desc, jp, depth=None, site=None):
 def _site_members(patch, jp, site):
     """The members classified at the site, or the union of its open cases."""
     try:
-        return preimages_classified(concrete(patch), jp, site).members
+        return preimages_classified(patch, jp, site).members
     except Undetermined as exc:
         return [member for _, members in exc.cases for member in members]
 
 
 def _among(member, members):
     """Some member has its root and side, and a sibling equal to its own to its depth."""
-    sib = member.sibling.patch
+    sib = member.sibling
     return any(
-        (d.root, d.side) == (member.root, member.side) and d.sibling.patch.truncate(sib.depth) == sib
+        (d.root, d.side) == (member.root, member.side) and d.sibling.truncate(sib.depth) == sib
         for d in members
     )
 
@@ -78,20 +80,35 @@ def jp():
 
 class TestClassifiedFixedTrees:
     def test_root0_set(self):
-        got = preimages_classified(JAC)
+        got = JAC_PREIMAGES
         assert got.completeness == "exact" and len(got) == 3
-        shapes = {(d.root, d.side, d.sibling.kind) for d in got.members}
+        shapes = {(d.root, d.side, d.sibling) for d in got.members}
         assert shapes == {(0, "a", "J"), (1, "a", "J"), (0, "b", "J'")}
 
     def test_root1_set(self):
-        got = preimages_classified(JAC_PRIME)
-        assert len(got) == 1
+        got = JAC_PRIME_PREIMAGES
+        assert got.completeness == "exact" and len(got) == 1
         (d,) = got.members
-        assert (d.root, d.side, d.sibling.kind) == (0, "a", "J")
+        assert (d.root, d.side, d.sibling) == (0, "a", "J")
 
     def test_serialization(self):
-        text = preimages_classified(JAC).serialize()
+        text = JAC_PREIMAGES.serialize()
         assert "completeness=exact" in text and "sibling=J'" in text
+
+    def test_constants_match_the_closure(self):
+        # a named sibling read as its depth-d prefix: J' has exactly its
+        # constant set among the closure's parents, and J's constant set lies
+        # within the four parents that its depth-d truncation's class has
+        # (five at d = 1)
+        def triples(found, d):
+            named = {"J": jacaranda_prefix(d), "J'": fixed_point_prefix(BBAB, 1, d)}
+            return {(m.root, m.side, named.get(m.sibling, m.sibling).levels) for m in found.members}
+
+        for d in range(1, 13):
+            jprime = fixed_point_prefix(BBAB, 1, d)
+            assert triples(JAC_PRIME_PREIMAGES, d) == triples(preimages_classified(jprime), d)
+            of_class = triples(preimages_classified(jacaranda_prefix(d)), d)
+            assert len(of_class) == (5 if d == 1 else 4) and triples(JAC_PREIMAGES, d) <= of_class
 
 
 def _digest(out):
@@ -103,8 +120,8 @@ def test_serialization_golden(jp, first_sites_by_scan):
     # and without the site and by the scan, then both fixed trees, with each
     # error as its class and message: every serialized byte, one digest per path
     paths = {
-        "site": lambda patch, site: preimages_classified(concrete(patch), jp, site),
-        "site-less": lambda patch, site: preimages_classified(concrete(patch)),
+        "site": lambda patch, site: preimages_classified(patch, jp, site),
+        "site-less": lambda patch, site: preimages_classified(patch),
         "scan": lambda patch, site: preimages_bruteforce(patch, jp),
     }
     outs = {name: [] for name in paths}
@@ -118,7 +135,7 @@ def test_serialization_golden(jp, first_sites_by_scan):
                     outs[name].append(f"{type(exc).__name__}: {exc}\n")
     assert [len(out) for out in outs.values()] == [78, 78, 78]
     assert all(out.startswith("completeness=exact count=") for out in outs["site-less"])
-    fixed = [preimages_classified(JAC).serialize(), preimages_classified(JAC_PRIME).serialize()]
+    fixed = [JAC_PREIMAGES.serialize(), JAC_PRIME_PREIMAGES.serialize()]
     assert {name: _digest(out) for name, out in [*outs.items(), ("fixed trees", fixed)]} == {
         "site": "b30ab010fdbd25f53c878b1daa79c261",
         "site-less": "3309d505582d838a0133ac699d92b3d1",
@@ -129,7 +146,7 @@ def test_serialization_golden(jp, first_sites_by_scan):
 
 _QUERY = """
 import random
-from substreetution.jacaranda import concrete, jacaranda_prefix
+from substreetution.jacaranda import jacaranda_prefix
 from substreetution.preimages import preimages_bruteforce, preimages_classified
 from substreetution.trees import distinct_subpatches, random_patch
 
@@ -138,7 +155,7 @@ for _ in range({warm}):
     random_patch(6, rng).subtree_ids(3)
 jp = jacaranda_prefix(14)
 patch = jp.subtree("aabb").truncate(6)
-print(preimages_classified(concrete(patch), jp, "aabb").serialize(), end="")
+print(preimages_classified(patch, jp, "aabb").serialize(), end="")
 print(preimages_bruteforce(patch, jp).serialize(), end="")
 print(sorted(distinct_subpatches(jp, 3)))
 """
@@ -187,7 +204,7 @@ class TestBruteForce:
                 for q in parents:
                     if a in (q.subtree("a"), q.subtree("b")):
                         side, other = ("a", "b") if q.subtree("a") == a else ("b", "a")
-                        sibling = concrete(q.subtree(other))
+                        sibling = q.subtree(other)
                         want.append(PreimageDescriptor(q.get(""), side, sibling, "scan"))
                         pids.add(jp.locate(q))
                 assert preimages_bruteforce(a, jp).members == tuple(want)
@@ -266,25 +283,24 @@ class TestCrosscheck:
                 patch, site = jp16.window(m, i, d), index_addr(i, m)
                 for at in (site, None):
                     try:
-                        members = preimages_classified(concrete(patch), jp16, at).members
+                        members = preimages_classified(patch, jp16, at).members
                     except SubstreetutionError:
                         continue
                     for member in members:
-                        if member.sibling.patch is not None:
-                            seen += 1
-                            assert member.sibling.patch.depth <= d, (site, at, member.serialize())
+                        seen += 1
+                        assert member.sibling.depth <= d, (site, at, member.serialize())
         assert seen > 0
 
     def test_single_descriptor(self, jp):
         # one occurrence per cell holding the patch below the root
         for site, depth in (("ba", 4), ("aabb", 3), ("a" * 9, 2), ("bab", 4)):
             patch = jp.subtree(site).truncate(depth)
-            report, _ = crosscheck(concrete(patch), jp, site=site)
+            report, _ = crosscheck(patch, jp, site=site)
             cells = sum(row.count(jp.locate(patch)) for row in jp.subtree_ids(depth)[1:])
             assert report.ok and report.occurrences == cells
 
     def test_fixed_tree_descriptor_flags_missing_members(self, jp):
-        report, limit_only = crosscheck(JAC, jp, depth=4)
+        report, limit_only = crosscheck(jacaranda_prefix(4), jp, primary=JAC_PREIMAGES.members)
         assert report.ok
         # whichever members the finite scan cannot witness are flagged, never lost
         witnessed = report.occurrences - len(limit_only)
@@ -295,8 +311,8 @@ class TestCrosscheck:
         # every parent the class has, each sibling agreeing to the site's depth
         site = "aabb"
         patch = jp.subtree(site)
-        at_site = preimages_classified(concrete(patch), jp, site).members
-        of_class = preimages_classified(concrete(patch)).members
+        at_site = preimages_classified(patch, jp, site).members
+        of_class = preimages_classified(patch).members
         assert {(d.root, d.side) for d in at_site} == {(d.root, d.side) for d in of_class}
         assert all(_among(d, of_class) for d in at_site)
 
@@ -305,7 +321,7 @@ class TestCrosscheck:
         # depth 5 also odd1-1a and odd1-1b: the class's set holds all of them
         for depth in (5, 6):
             patch = jp.subtree("a").truncate(depth)
-            of_class = preimages_classified(concrete(patch)).members
+            of_class = preimages_classified(patch).members
             assert [(d.root, d.side) for d in of_class] == [(0, "a"), (1, "a")]
             cid, tags = jp.locate(patch), set()
             for m, row in enumerate(jp.subtree_ids(depth)[1:], start=1):
@@ -315,6 +331,11 @@ class TestCrosscheck:
                     assert all(_among(d, of_class) for d in members)
             assert {"odd1-vinf", "odd1-1c"} <= tags and "odd1-2b" not in tags
 
+    def test_site_is_an_address(self, jp):
+        # the site classifier reads the site's rank, so it checks the site's letters
+        with pytest.raises(BadPatchFormat, match="address must be a word over"):
+            preimages_classified(Patch.leaf(0), jp, "bx")
+
     def test_undetermined_carries_case_union(self, jp):
         # a root-1 odd site whose discriminating line lies beyond both the
         # patch and the prefix leaves the three deep cases open
@@ -322,7 +343,7 @@ class TestCrosscheck:
         patch = jp.subtree(site).truncate(4)
         assert patch.get("") == 1
         with pytest.raises(Undetermined) as exc:
-            preimages_classified(concrete(patch), jp, site)
+            preimages_classified(patch, jp, site)
         tags = [tag for tag, _ in exc.value.cases]
         assert tags == ["odd1-1a", "odd1-1b", "odd1-1c"]
 
@@ -331,14 +352,14 @@ class TestCrosscheck:
         # case, are unknown; the sibling is the root-1 leaf
         assert jp.get("b") == 0
         with pytest.raises(Undetermined, match="^children of a depth-0 odd tree are unknown$") as exc:
-            preimages_classified(concrete(Patch.leaf(0)), jp, "b")
+            preimages_classified(Patch.leaf(0), jp, "b")
         ((tag, members),) = exc.value.cases
         assert tag == "odd0-open"
         assert [(m.root, m.side, m.case_tag) for m in members] == [
             (0, "b", "odd0-open"),
             (1, "b", "odd0-open"),
         ]
-        assert {m.sibling.patch.levels for m in members} == {("1",)}
+        assert {m.sibling.levels for m in members} == {("1",)}
 
 
 def test_class_parents_equal_a_deep_scan():
@@ -347,12 +368,12 @@ def test_class_parents_equal_a_deep_scan():
     j20 = jacaranda_prefix(20)
 
     def triples(found):
-        return {(d.root, d.side, d.sibling.patch.levels) for d in found.members}
+        return {(d.root, d.side, d.sibling.levels) for d in found.members}
 
     classes_seen = 0
     for d in range(1, 7):
         for patch in subpatch_representatives(j20, d).values():
-            got = preimages_classified(concrete(patch))
+            got = preimages_classified(patch)
             assert got.completeness == "exact"
             assert triples(got) == triples(preimages_bruteforce(patch, j20)), patch.levels
             classes_seen += 1
@@ -382,7 +403,7 @@ def test_site_members_lie_in_the_closure(jp):
         for m, i in firsts.values():
             patch = jp.window(m, i, d)
             for member in _site_members(patch, jp, index_addr(i, m)):
-                members.append((d, member.root, member.side, member.sibling.patch.levels))
+                members.append((d, member.root, member.side, member.sibling.levels))
                 if not any(_descriptor_matches(q, patch, member) for q in parents):
                     outside.append((index_addr(i, m), member.serialize()))
     shallower = sum(len(sibling) - 1 < d for d, _, _, sibling in members)
@@ -484,14 +505,18 @@ class TestOccurrenceScanOracle:
         absent[-1] = ("1" if absent[-1][0] == "0" else "0") + absent[-1][1:]
         absent = Patch(tuple(absent))
         assert jp.locate(absent) is None
-        runs = [(JAC, None, None), (JAC, 4, None), (JAC_PRIME, None, None), (JAC_PRIME, 4, None)]
-        runs.append((concrete(absent), None, None))
+        runs = [
+            (fixed_point_prefix(BBAB, root, depth), None, constant.members)
+            for root, constant in ((0, JAC_PREIMAGES), (1, JAC_PRIME_PREIMAGES))
+            for depth in (6, 4)
+        ]
+        runs.append((absent, None, None))
         for site, depth in (("aabb", 6), ("ba", 4), ("bab", 4), ("a" * 9, 2), ("b", 3)):
             patch = jp.subtree(site).truncate(depth)
-            runs += [(concrete(patch), None, site), (concrete(patch), None, None)]
-        for desc, depth, site in runs:
+            runs += [(patch, site, None), (patch, None, None)]
+        for patch, site, primary in runs:
             (got, got_counts), (want, want_counts) = self._both(
-                monkeypatch, crosscheck, desc, jp, depth, site
+                monkeypatch, crosscheck, patch, jp, site, primary
             )
             assert _fields(*got) == _fields(*want) and got_counts == want_counts
 

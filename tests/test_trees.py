@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.errors import AddressTooDeep, BadPatchFormat, DepthMismatch
-from substreetution.jacaranda import jacaranda_prefix, jprime_prefix
+from substreetution.jacaranda import jacaranda_prefix
 from substreetution.trees import (
     EQUAL_TO_DEPTH,
     Patch,
@@ -135,7 +136,7 @@ class TestPatchBasics:
 class TestDistance:
     def test_root_mismatch(self):
         d = 6
-        assert distance(jacaranda_prefix(d), jprime_prefix(d)) == 1
+        assert distance(jacaranda_prefix(d), fixed_point_prefix(BBAB, 1, d)) == 1
 
     def test_equal(self):
         p = patch("0", "10")
