@@ -121,8 +121,9 @@ def preimages_classified(
     patch are read from the prefix, which the caller vouches is a prefix of
     J or J'.  Without a site, a patch stands for its class, the trees of the
     orbit closure it truncates, and the parents of every one of them are read
-    off the closure's depth-(d+1) classes.  The fixed trees themselves, at
-    the root site, have the constant sets JAC_PREIMAGES and JAC_PRIME_PREIMAGES.
+    off the closure's depth-(d+1) classes.  At the root site the tree is the
+    fixed tree itself, J when p has root 0 and J' when it has root 1, with
+    the constant set JAC_PREIMAGES or JAC_PRIME_PREIMAGES.
     """
     if site is None:
         levels = closure_classes(BBAB, 0, p.depth + 1)
@@ -130,7 +131,7 @@ def preimages_classified(
         cid = find(dict(zip(keys.values(), keys)), p)
         return _parent_set(cid, levels[-1], keys, "closure", "exact")
     if site == "":
-        raise Inconsistent("a root-site descriptor should be passed symbolically")
+        return JAC_PRIME_PREIMAGES if p.get("") else JAC_PREIMAGES
     ((_, members),) = _classify(p, len(site), addr_index(check_address(site)), jprefix)
     return PreimageSet(tuple(members), "exact")
 

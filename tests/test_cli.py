@@ -9,7 +9,7 @@ import pytest
 from substreetution.cli import build_parser, main
 from substreetution.engine import BBAB, BUILTINS, SLOTS, fixed_point_prefix, theta
 from substreetution.jacaranda import jacaranda_prefix
-from substreetution.preimages import preimages_classified
+from substreetution.preimages import JAC_PREIMAGES, JAC_PRIME_PREIMAGES, preimages_classified
 from substreetution.systems import NOMEASURE_GRAPH, build_orbit_graph, nomeasure_tree
 from substreetution.trees import dump_patch, parse_patch, random_patch
 from substreetution.words import doubling_block
@@ -197,10 +197,16 @@ class TestPatchCommands:
                 capsys, "preimages", "--patch", str(f), "--classified", "--site", site
             )
             assert code == 2 and message in err and out == ""
-        # the root site occurs, but the fixed tree there is classified symbolically
+        # the tree at the root site is J (or J') itself, whose parent set is constant
         f.write_text(dump_patch(jacaranda_prefix(5)))
         assert run(capsys, "preimages", "--patch", str(f), "--site", "") == (
-            2, "", "error: a root-site descriptor should be passed symbolically\n"
+            0, JAC_PREIMAGES.serialize(), ""
+        )
+        jp = tmp_path / "jprime.patch"
+        jp.write_text(dump_patch(fixed_point_prefix(BBAB, 1, 14)))
+        f.write_text(dump_patch(fixed_point_prefix(BBAB, 1, 5)))
+        assert run(capsys, "preimages", "--patch", str(f), "--site", "", "--jprefix", str(jp)) == (
+            0, JAC_PRIME_PREIMAGES.serialize(), ""
         )
 
     def test_preimages_site_needs_a_fixed_tree_prefix(self, capsys, tmp_path):

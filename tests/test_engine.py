@@ -297,6 +297,18 @@ class TestSourceTheta:
             q = "".join(rng.choice("ab") for _ in range(2 * rng.randrange(4)))
             assert source(BBAB, p + q) == source(BBAB, p) + source(BBAB, q)
 
+    def test_source_of_sites_in_rank_order(self):
+        # verify_renormalization reads the sources of a generation off the
+        # product of the slots' source letters; source() is the definition
+        for grammar in GRAMMARS:
+            system = Substreetution(BBAB.image0, BBAB.image1, grammar)
+            letters = [system.source_letter(slot) for slot in SLOTS]
+            for n in (0, 2, 4, 6, 8):
+                sites = map("".join, itertools.product("ab", repeat=n))
+                assert list(map("".join, itertools.product(letters, repeat=n // 2))) == [
+                    source(system, w) for w in sites
+                ]
+
     def test_theta_missing_letter_warns(self):
         allb = Substreetution((0, 1, 0), (1, 1, 0), "BBBB")
         with pytest.warns(UserWarning):
@@ -349,21 +361,41 @@ class TestRenormalization:
             assert (report.ok, report.checked) == _renorm_per_site(system, p, maxlen)[:2]
 
     def test_first_failure_matches_per_site_loop(self, monkeypatch):
-        # an apply that is wrong on the depth-3 subtrees: both loops stop at
-        # the first length-4 site, with the same site, sides and count
-        def broken(sub, p, out_depth=None):
-            image = apply(sub, p, out_depth)
-            if p.depth != 3:
-                return image
-            *rows, last = image.levels
-            return Patch((*rows, last[:-1] + "10"[int(last[-1])]))
+        # an apply that flips the last color of one level of the image of the
+        # patches `wrong` picks out: both loops stop at the same first site,
+        # with the same sides and count
+        j5 = fixed_point_prefix(BBAB, 0, 5)
+        r = random_patch(7, random.Random(16))
+        assert len({r.subtree(w) for w in ("a", "b")}) == 2
+        assert len({r.subtree(w) for w in ("aa", "ab", "ba", "bb")}) == 4
+        cases = [
+            # the deepest level of the depth-3 subtrees' images: only the last
+            # per-level comparison of generation 4 sees it, at its first site
+            (j5, 4, lambda q: q.depth == 3, -1, (False, 6), "aaaa"),
+            # the root of one source's image: under BBAB only site ba of
+            # generation 2 has source a, so the first bad site has rank 2
+            (r, 6, lambda q: q == r.subtree("a"), 0, (False, 4), "ba"),
+            # source ab in generation 4: its first site baaa has rank 8, after
+            # generations 0 and 2 are counted in full
+            (r, 6, lambda q: q == r.subtree("ab"), 2, (False, 14), "baaa"),
+            # the deepest level of the depth-4 subtrees' images: generation 6
+            (r, 6, lambda q: q.depth == 4, -1, (False, 22), "aaaaaa"),
+        ]
+        for p, maxlen, wrong, level, head, site in cases:
 
-        monkeypatch.setattr(engine, "apply", broken)
-        p = fixed_point_prefix(BBAB, 0, 5)
-        report = verify_renormalization(BBAB, p, 4)
-        expected = _renorm_per_site(BBAB, p, 4)
-        assert (report.ok, report.checked, report.failure) == expected
-        assert expected[:2] == (False, 6) and expected[2][0] == "aaaa"
+            def broken(sub, q, out_depth=None):
+                image = apply(sub, q, out_depth)
+                if not wrong(q):
+                    return image
+                rows = list(image.levels)
+                rows[level] = rows[level][:-1] + "10"[int(rows[level][-1])]
+                return Patch(tuple(rows))
+
+            monkeypatch.setattr(engine, "apply", broken)
+            report = verify_renormalization(BBAB, p, maxlen)
+            expected = _renorm_per_site(BBAB, p, maxlen)
+            assert (report.ok, report.checked, report.failure) == expected
+            assert expected[:2] == head and expected[2][0] == site
 
     def test_maxlen_guard(self):
         with pytest.raises(Shallow):
