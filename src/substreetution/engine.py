@@ -249,8 +249,8 @@ def verify_renormalization(sub: Substreetution, p: Patch, maxlen: int) -> Renorm
         # source is blockwise, and the product of slots yields the sites of
         # length n in rank order, so this is source() of each site in turn
         sources = list(map("".join, itertools.product(letters, repeat=n // 2)))
-        # sites of one length share few sources: one image per distinct source
-        images = {s: apply(sub, p.subtree(s)) for s in dict.fromkeys(sources)}
+        # one image per distinct source (few per length); the empty one's is big
+        images = {s: apply(sub, p.subtree(s)) if s else big for s in dict.fromkeys(sources)}
         rows = [images[s].levels for s in sources]
         if any(map(str.__ne__, big.levels[n:], map("".join, zip(*rows)))):
             depth = big.depth - n  # of both sides of every site

@@ -24,11 +24,10 @@ def _level_of(word: str) -> int:
     return l
 
 
-# system -> level -> theta's bitmask of each address rank (0 until built).
-# The masks depend on the grammar alone, so equal systems share an entry,
-# and an entry dies with its system.  Levels are cached up to this one:
-# 2^8 masks of 4^8 bits, 2 MB.  Longer words build their masks per call and
-# drop them, since the table grows as 8^l (about 128 MB at l = 10).
+# system -> level -> theta's bitmask of each address rank.  The masks depend
+# on the grammar alone, so equal systems share an entry, and an entry dies
+# with its system.  Levels are cached up to this one, 2^8 masks of 4^8 bits
+# (2 MB); a level grows as 8^l, so longer words are read in blocks.
 _MASKS = weakref.WeakKeyDictionary()
 _MASK_CACHE_LEVEL = 8
 
@@ -36,47 +35,46 @@ _MASK_CACHE_LEVEL = 8
 _ONES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _theta_mask(sub: Substreetution, addr: str) -> int:
-    """theta(addr) as the bits of a length-4^len(addr) word, position 0 on top.
+def _theta_masks(sub: Substreetution, l: int) -> list[int]:
+    """theta's bitmask of every level-l address, in rank order, position 0 on top.
 
-    theta is the product of the letters' slot sets, so its mask is the
-    Kronecker product of their 4-bit slot masks, first letter outermost.
+    theta is the product of the letters' slot sets, so a level of masks is a
+    Kronecker power of the 4-bit slot masks, first letter outermost; 0 is an
+    empty image.
     """
-    mask, width = 1, 1
-    for c in reversed(addr):
-        slots = sub.slots_of(c)
-        if not slots:
-            theta(sub, addr)  # empty: warns that the grammar never uses c
-            return 0
-        # the slots' blocks are disjoint, so the sum is their union
-        mask = sum(mask << (width * (3 - addr_index(s))) for s in slots)
-        width *= 4
-    return mask
+    levels = _MASKS.setdefault(sub, {})
+    if l in levels:
+        return levels[l]
+    masks = [1]
+    for k in range(l):  # letter c in front: m goes to its disjoint copies at c's slots
+        shifts = [[(3 - addr_index(s)) << 2 * k for s in sub.slots_of(c)] for c in "ab"]
+        masks = [sum(m << t for t in ts) for ts in shifts for m in masks]
+    if l <= _MASK_CACHE_LEVEL:
+        levels[l] = masks
+    return masks
 
 
 def chi_via_theta(sub: Substreetution, word: str) -> str:
     """Word whose 1-addresses are the theta-images of the input's 1-addresses.
 
     This is the defining form and works for any grammar; images that collide
-    simply merge.  Each address's image is theta's bitmask, kept in
-    `_MASKS` up to `_MASK_CACHE_LEVEL`, so a word is the OR of its
-    1-addresses' masks.
+    simply merge.  An address is pq with |q| = r = min(l, `_MASK_CACHE_LEVEL`)
+    and theta(pq) = theta(p)theta(q): each block of 2^r letters is the OR of
+    its 1-addresses' level-r masks, placed at every bit of p's level-(l - r) mask.
     """
     l = _level_of(word)
-    levels = _MASKS.setdefault(sub, {})
-    masks = levels.get(l)
-    if masks is None:
-        masks = [0] * len(word)
-        if l <= _MASK_CACHE_LEVEL:
-            levels[l] = masks
+    r = min(l, _MASK_CACHE_LEVEL)
+    inner, size = _theta_masks(sub, r), 1 << r
+    ones = word.encode().translate(_ONES)
     image = 0
-    for i in compress(range(len(word)), word.encode().translate(_ONES)):
-        mask = masks[i]
-        if not mask:  # 0 is an empty image: rebuilt, so theta warns on every call
-            mask = _theta_mask(sub, index_addr(i, l))
-            if l <= _MASK_CACHE_LEVEL:
-                masks[i] = mask
-        image |= mask
+    for p, outer in enumerate(_theta_masks(sub, l - r)):
+        block, start = 0, p * size
+        for i in compress(range(start, start + size), ones[start : start + size]):
+            mask = inner[i - start]
+            if not (mask and outer):  # an empty image: theta warns, on every call
+                theta(sub, index_addr(i, l))
+            block |= mask
+        image |= sum(block << (t << 2 * r) for t in range(outer.bit_length()) if outer >> t & 1)
     return format(image, f"0{1 << (2 * l)}b")
 
 

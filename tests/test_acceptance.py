@@ -6,9 +6,13 @@ closure, so the scan necessarily unions their parent sets and exceeds the
 per-tree bound of 3 (a depth-1 example with five parents can be read off
 the line structure by hand).  The per-tree statement itself is what gate 7
 verifies, per occurrence class, with zero mismatches.  Depth 8 does not end
-the aliasing: the gate's depth-14 prefix shows no depth-8 class above the
-bound, but a depth-18 prefix shows one with 4 one-step parents.  The gate is
-kept as stated rather than weakened to the attainable form.
+the aliasing: over the exact classes of the closure, closure_classes(BBAB,
+0, 15), the most one-step parents of a depth-d class (a parent with the
+class on both sides counted once) are 5, 4, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+4 at d = 1..14, so the literal bound fails at every depth (pinned in
+tests/test_preimages.py).  The gate's depth-14 prefix shows only 16 of the
+28 depth-8 classes, which hides this from depth 8 on.  The gate is kept as
+stated rather than weakened to the attainable form.
 """
 
 import json

@@ -245,6 +245,19 @@ class TestIteratedCounts:
         assert [p_n(a, n, jp) for n in range(5)] == [1, 4, 5, 8, 7]
         assert p_n(a, 1, jp) == len(preimages_bruteforce(a, jp)) == 4
 
+    def test_most_parents_per_closure_class(self):
+        # the counts behind gate 6: the most one-step parents of a depth-d
+        # class of the closure, d = 1..14, a parent with the class on both
+        # sides listed once.  The literal bound of 3 fails at every depth;
+        # the depth-14 prefix that gate 6 scans hides this from depth 8 on
+        levels = closure_classes(BBAB, 0, 15)
+        keys = {cid: key for level in levels for cid, key in level.items()}
+        most = [
+            max(len(preimages._parent_set(cid, up, keys, "closure", "exact")) for cid in level)
+            for level, up in zip(levels[1:15], levels[2:])
+        ]
+        assert most == [5, 4, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]
+
     def test_chain_consistency(self, jp):
         reps, parents = subpatch_representatives(jp, 8), subpatch_representatives(jp, 9)
         pmap = parent_map(jp, 8)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -164,8 +165,8 @@ class TestChi:
             assert chi_via_theta(allb, "0110") == "0" * 16
 
     def test_empty_image_warns_on_every_call(self):
-        # the first call caches the mask of bb; the empty image of ab stays
-        # unbuilt, so every call meets it again and warns
+        # the first call caches level 2, where ab's empty image is the mask 0;
+        # every call that meets a 0 mask asks theta again, so it warns again
         allb = Substreetution((0, 1, 0), (1, 1, 0), "BBBB")
         for _ in range(3):
             with pytest.warns(UserWarning, match=r"theta\('ab'\) is empty"):
@@ -183,8 +184,9 @@ class TestChi:
         assert ref() is None
 
     def test_long_words_keep_memory_bounded(self):
-        # level-10 masks are built per call and dropped: a table of all of
-        # them would hold 2^10 masks of 4^10 bits, about 128 MB
+        # a level-10 word is read as blocks of 2^8 letters over the cached
+        # level-8 and level-2 masks: a table of all level-10 masks would hold
+        # 2^10 masks of 4^10 bits, about 128 MB
         src = os.path.dirname(os.path.dirname(substreetution.__file__))
         out = subprocess.run(
             [sys.executable, "-c", _LONG_WORDS],
@@ -192,6 +194,32 @@ class TestChi:
             capture_output=True, text=True, check=True,
         ).stdout
         assert int(out) <= 60 * 1024  # kB
+
+    @pytest.mark.parametrize("system", ALL_GRAMMARS, ids=lambda s: s.grammar)
+    def test_block_reading_matches_recursion(self, system):
+        # past level 8 a word is read in blocks of 2^8 letters; a two-letter
+        # grammar never warns, a one-letter one warns on the unused letter
+        rng = random.Random(system.grammar)
+        with warnings.catch_warnings():
+            action = "ignore" if len(set(system.grammar)) == 1 else "error"
+            warnings.simplefilter(action)
+            for l in (9, 10):
+                word = "".join(rng.choice("01") for _ in range(1 << l))
+                assert chi_via_theta(system, word) == chi_recursive(system, word)
+
+    def test_block_reading_warns_in_rank_order(self):
+        # ranks 255 (the outer part a is empty), 510 (the inner block's mask
+        # is empty) and 511: one warning per empty image, in rank order
+        allb = Substreetution((0, 1, 0), (1, 1, 0), "BBBB")
+        empty = ["a" + "b" * 8, "b" * 8 + "a"]
+        word = word_from_addresses(9, empty + ["b" * 9])
+        with pytest.warns(UserWarning) as record:
+            assert chi_via_theta(allb, word) == "1" * (1 << 18)
+        assert [str(w.message) for w in record] == [
+            f"grammar BBBB never uses letter 'a'; theta({a!r}) is empty "
+            "and the source map is not onto"
+            for a in empty
+        ]
 
     def test_block_recursion_shape(self):
         # image of a split word is slot-wise images of the halves
