@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -24,7 +23,7 @@ from .errors import (
     OddLength,
     Shallow,
 )
-from .trees import Patch, check_address, index_addr
+from .trees import Patch, _record, check_address, index_addr
 
 SLOTS = ("aa", "ab", "ba", "bb")
 # colors per key of a system's chunk tables: every line of 1 to 8 colors,
@@ -32,7 +31,7 @@ SLOTS = ("aa", "ab", "ba", "bb")
 CHUNK = 8
 
 
-@dataclass(frozen=True)
+@_record
 class Substreetution:
     """Images of the two colors plus the grammar word.
 
@@ -219,7 +218,7 @@ def theta(sub: Substreetution, word: str) -> frozenset[str]:
 # -- renormalization ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class RenormReport:
     ok: bool
     checked: int

@@ -7,12 +7,11 @@ which differ exactly at the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .engine import BBAB, apply_pow, fixed_point_prefix, unsub
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
-from .trees import Patch
+from .trees import Patch, _record
 from .words import doubling_block
 
 
@@ -24,7 +23,7 @@ def jacaranda_prefix(depth: int) -> Patch:
 # -- dyadic type detection ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class TypeReport:
     """What the visible lines say about a tree's dyadic class.
 

@@ -19,13 +19,13 @@ uniform measure on the orbit of the first kept state.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .systems import OrbitGraph
+from .trees import _record
 
 
-@dataclass(frozen=True)
+@_record
 class MeasureResult:
     feasible: bool
     assignment: dict | None

@@ -17,20 +17,18 @@ other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .closure import closure_classes
 from .engine import BBAB, apply_pow
 from .errors import Inconsistent, NonPositive, Shallow, Undetermined
 from .jacaranda import brother_best_effort, unsub_best_effort
 from .trees import (
-    Patch, addr_index, check_address, classes, decode, find, index_addr, node_keys,
+    Patch, _record, addr_index, check_address, classes, decode, find, index_addr, node_keys,
     subpatch_representatives,
 )
 from .words import v2
 
 
-@dataclass(frozen=True)
+@_record
 class PreimageDescriptor:
     """One parent: which side the given tree occupies and who its sibling is."""
 
@@ -51,7 +49,7 @@ class PreimageDescriptor:
         return f"case={self.case_tag} root={self.root} side={self.side} sibling={sib}"
 
 
-@dataclass(frozen=True)
+@_record
 class PreimageSet:
     members: tuple[PreimageDescriptor, ...]
     completeness: str  # "exact" | "lower-bound"
@@ -256,11 +254,11 @@ def p_n(a: Patch, n: int, jp: Patch) -> int:
 # -- classified-versus-oracle validation ---------------------------------------
 
 
-@dataclass
+@_record(frozen=False)
 class CrosscheckReport:
     ok: bool
     occurrences: int
-    mismatches: list = field(default_factory=list)
+    mismatches: list = []  # copied for each report
     undetermined_sites: int = 0  # checked visits whose site left several cases open
 
 

@@ -15,17 +15,16 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonPositive, Shallow
-from .trees import Patch
+from .trees import Patch, _record
 
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@_record
 class DiskIsometry:
     """Unit-disk Moebius map z -> (alpha z + beta) / (conj(beta) z + conj(alpha))."""
 
@@ -74,7 +73,7 @@ BACKGROUND = "#ffffff"
 ROOT_COLOR = "#e6c800"  # the root glyph of the tree picture
 
 
-@dataclass(frozen=True)
+@_record
 class RenderConfig:
     resolution: int = 512
     depth_limit: int = 3

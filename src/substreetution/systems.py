@@ -13,11 +13,10 @@ and edges once, when it is built; `measures` takes it as checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import MalformedGraph, NonConstantLevel, NotClosed
-from .trees import Patch, classes, truncations
+from .trees import Patch, _record, classes, truncations
 
 
 def tm_project(p: Patch) -> str:
@@ -55,7 +54,7 @@ def nomeasure_tree(root: int, depth: int) -> Patch:
 # -- orbit graphs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitGraph:
     """Finite a/b-edge graph over depth-truncated tree states.
 

@@ -18,15 +18,23 @@ Patches are validated where they enter (`Patch(...)`, `leaf`, `combine`,
 `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
 `truncate`, `subtree`) and the results of `engine.apply` and `engine.unsub`
 are valid by construction and skip the checks through `Patch._of`.
+
+The package's records (`Patch`, systems, reports, graphs) are classes under
+`_record`: it sets their methods as closures over the annotated fields, where
+`dataclasses` would import `inspect`, `ast` and `dis` and compile code.  The
+`dataclass` contract holds: `==` only within a class, by fields; `hash` of the
+field tuple; repr `Name(field=value, ...)`; `__post_init__` after the fields;
+AttributeError on assigning or deleting.  With `frozen=False` a record can be
+assigned to and is unhashable; a list default is copied for each instance.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
+from operator import attrgetter
 
 from .errors import AddressTooDeep, BadPatchFormat, DepthMismatch
 
@@ -62,7 +70,53 @@ class _EqualToDepth:
 EQUAL_TO_DEPTH = _EqualToDepth()
 
 
-@dataclass(frozen=True)
+def _record(cls=None, *, frozen=True):
+    """Class decorator: a record over the fields the class annotates (see the module doc)."""
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            values = {n: d.copy() if isinstance(d, list) else d for n, d in defaults.items()}
+            values.update(**dict(zip(names, args)), **kwargs)  # a field given twice raises
+            if len(args) > len(names) or values.keys() != set(names):
+                raise TypeError(f"{cls.__name__}() takes {names}, got {len(args)} "
+                                f"positional arguments and the keywords {sorted(kwargs)}")
+            args = map(values.__getitem__, names)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            post_init(self)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, names, key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    if frozen:
+        cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
+    else:
+        cls.__hash__ = None
+    return cls
+
+
+@_record
 class Patch:
     """Complete colored binary tree of finite depth."""
 

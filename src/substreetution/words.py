@@ -35,14 +35,13 @@ _MASK_CACHE_LEVEL = 8
 _ONES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _theta_masks(sub: Substreetution, l: int) -> list[int]:
+def _theta_masks(sub: Substreetution, levels: dict, l: int) -> list[int]:
     """theta's bitmask of every level-l address, in rank order, position 0 on top.
 
     theta is the product of the letters' slot sets, so a level of masks is a
     Kronecker power of the 4-bit slot masks, first letter outermost; 0 is an
-    empty image.
+    empty image.  `levels` is sub's entry of `_MASKS`.
     """
-    levels = _MASKS.setdefault(sub, {})
     if l in levels:
         return levels[l]
     masks = [1]
@@ -64,10 +63,11 @@ def chi_via_theta(sub: Substreetution, word: str) -> str:
     """
     l = _level_of(word)
     r = min(l, _MASK_CACHE_LEVEL)
-    inner, size = _theta_masks(sub, r), 1 << r
+    levels = _MASKS.setdefault(sub, {})
+    inner, size = _theta_masks(sub, levels, r), 1 << r
     ones = word.encode().translate(_ONES)
     image = 0
-    for p, outer in enumerate(_theta_masks(sub, l - r)):
+    for p, outer in enumerate(_theta_masks(sub, levels, l - r)):
         block, start = 0, p * size
         for i in compress(range(start, start + size), ones[start : start + size]):
             mask = inner[i - start]

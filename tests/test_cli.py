@@ -1,11 +1,15 @@
 import argparse
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import substreetution
 from substreetution.cli import build_parser, main
 from substreetution.engine import BBAB, BUILTINS, SLOTS, fixed_point_prefix, theta
 from substreetution.jacaranda import jacaranda_prefix
@@ -570,3 +574,21 @@ class TestExitCodes:
             if a.type is int and not a.choices
         }
         assert covered == flags - {("verify-renorm", "--seed")}
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    """Importing the CLI, and with it every module, loads no dataclasses, inspect or hashlib.
+
+    Only what the import itself adds counts, so modules that the host's site
+    hooks load beforehand do not.
+    """
+    code = (
+        "import sys; before = set(sys.modules); import substreetution.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    path = [str(Path(substreetution.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert "substreetution.cli" in added
+    assert added & {"dataclasses", "inspect", "hashlib"} == set()

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substreetution.engine import BBAB, fixed_point_prefix
+from substreetution.engine import BBAB, RenormReport, Substreetution, fixed_point_prefix
 from substreetution.errors import AddressTooDeep, BadPatchFormat, DepthMismatch
-from substreetution.jacaranda import jacaranda_prefix
+from substreetution.jacaranda import TypeReport, jacaranda_prefix
+from substreetution.measures import MeasureResult
+from substreetution.preimages import CrosscheckReport, PreimageDescriptor, PreimageSet
+from substreetution.render import DiskIsometry, RenderConfig
+from substreetution.systems import OrbitGraph
 from substreetution.trees import (
     EQUAL_TO_DEPTH,
     Patch,
@@ -391,3 +395,59 @@ class TestTextFormat:
             parse_patch("deep 1\n0\n10\n")
         with pytest.raises(BadPatchFormat):
             parse_patch("depth 2\n0\n10\n")
+
+
+# -- the record contract ------------------------------------------------------
+
+_DESC = PreimageDescriptor(0, "a", "J", "jac")
+
+# each record class with two argument tuples that differ in one field
+RECORDS = [
+    (Patch, (("0", "01"),), (("0", "11"),)),
+    (Substreetution, ((0, 1, 0), (1, 0, 1), "BBAB", "bbab"), ((0, 1, 0), (1, 0, 1), "BBAB", None)),
+    (RenormReport, (True, 3, None), (True, 4, None)),
+    (TypeReport, ("odd", frozenset({1}), 1, False, 4), ("odd", frozenset({1}), None, False, 4)),
+    (MeasureResult, (False, None, ("s0",)), (False, None, ())),
+    (PreimageDescriptor, (0, "a", "J", "jac"), (0, "b", "J", "jac")),
+    (PreimageSet, ((_DESC,), "exact"), ((_DESC,), "lower-bound")),
+    (CrosscheckReport, (True, 2, [], 0), (True, 2, [], 1)),
+    (DiskIsometry, (1 + 0j, 0.5j), (1 + 0j, 0.25j)),
+    (RenderConfig, (256, 2), (256, 3)),
+    (OrbitGraph, (("s0",), {"s0": "s0"}, {"s0": "s0"}), (("s1",), {"s1": "s1"}, {"s1": "s1"})),
+]
+
+
+@pytest.mark.parametrize("cls, args, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, args, other):
+    """Records compare, hash and print by their fields, and frozen ones refuse assignment."""
+    names = list(cls.__annotations__)
+    x, y = cls(*args), cls(**dict(zip(names, args)))
+    fields = tuple(getattr(x, n) for n in names)
+    assert x == y and x is not y
+    assert x != cls(*other)
+    # == holds only within a class
+    assert x.__eq__(fields) is NotImplemented
+    stranger = next(c(*a) for c, a, _ in RECORDS if c is not cls)
+    assert x.__eq__(stranger) is NotImplemented and x != stranger
+    assert repr(x) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, fields)) + ")"
+    if cls is CrosscheckReport:
+        with pytest.raises(TypeError):
+            hash(x)
+        x.ok = False
+        assert not x.ok
+        a, b = CrosscheckReport(True, 0), CrosscheckReport(True, 0)
+        assert a.mismatches == [] and a.mismatches is not b.mismatches
+        return
+    try:
+        want = hash(fields)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == want
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(y, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == y
