@@ -36,19 +36,29 @@ def abba_digit(root: int, word: str) -> int:
 
 # -- the line-doubling periodic tree -------------------------------------------
 
-# odd lines rewrite each digit to a pair; even lines rewrite each "01"/"10"
-# pair of the line above, which its first digit names
-_T1 = str.maketrans({"0": "01", "1": "10"})
-_T2 = str.maketrans({"0": "0001", "1": "1110"})
+# a digit's flip, on the bytes of a line
+_FLIP = bytes.maketrans(b"01", b"10")
 
 
 def nomeasure_tree(root: int, depth: int) -> Patch:
-    """Tree whose even lines come from pair rewriting and odd lines digitwise."""
-    rows = [str(int(root))]
+    """Tree whose even lines come from pair rewriting and odd lines digitwise.
+
+    An odd line follows each digit of the line above with its flip; an even
+    line rewrites each "01"/"10" pair of the line above, which its first
+    digit d names, to d d d and the flip of d.  Each line is built by slice
+    assignment into a bytearray.
+    """
+    rows = [str(int(root)).encode()]
     for l in range(1, depth + 1):
-        prev = rows[-1]
-        rows.append(prev.translate(_T1) if l % 2 else prev[::2].translate(_T2))
-    return Patch(tuple(rows))
+        prev, row = rows[-1], bytearray(2 * len(rows[-1]))
+        if l % 2:
+            row[0::2], row[1::2] = prev, prev.translate(_FLIP)
+        else:
+            firsts = prev[::2]
+            row[0::4] = row[1::4] = row[2::4] = firsts
+            row[3::4] = firsts.translate(_FLIP)
+        rows.append(row)
+    return Patch(tuple(row.decode() for row in rows))
 
 
 # -- orbit graphs ---------------------------------------------------------------

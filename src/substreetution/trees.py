@@ -12,7 +12,11 @@ They are exact: two subtrees of one patch have equal ids exactly when they
 are equal, never "probably equal".  Each depth's ids form one contiguous
 range, so the classes of a depth, each with its node key (color, a-child
 id, b-child id), are read off the node table without a pass over the id
-table.
+table.  An id row is a sequence of ints: `bytes` up to depth 2, a list
+above.  There are only 2, 8 and 128 trees of depth 0, 1 and 2, so a site's
+tree of those depths packs into one byte code, and the tables of those
+depths are built for all sites at once by bytes operations; deeper tables
+take one node-table lookup per site.
 
 Patches are validated where they enter (`Patch(...)`, `leaf`, `combine`,
 `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
@@ -48,6 +52,12 @@ def check_address(word: str) -> str:
 
 
 _TO_BITS, _TO_LETTERS = str.maketrans("ab", "01"), str.maketrans("01", "ab")
+
+
+# a site's depth-0 code from its color byte, and x -> (x << s) & 255, which shifts
+# a code into its field of a depth-k code
+_COLOR_CODES = bytes.maketrans(b"01", b"\0\1")
+_SHIFT = {s: bytes(range(0, 256, 1 << s)) * (1 << s) for s in (1, 2, 3, 6)}
 
 
 def addr_index(word: str) -> int:
@@ -201,40 +211,78 @@ class Patch:
 
     # -- subtree identity ----------------------------------------------------
 
-    def subtree_ids(self, n: int) -> list[list[int]]:
+    def subtree_ids(self, n: int) -> list[bytes] | list[list[int]]:
         """Ids of every depth-n subtree, local to this patch.
 
         Entry [m][i] is the id of the depth-n subtree rooted at rank i of
-        generation m, for every m <= depth - n.  Tables are cached per patch
+        generation m, for every m <= depth - n.  A row is a sequence of ints:
+        `bytes` for n <= 2, a list above.  Tables are cached per patch
         and built upward from depth 0; ids come from one (color, left-id,
         right-id) -> id table per patch, where a leaf has children 0.  A
         missing key takes the next id, so ids count from 1 in first-seen order:
         the root's color is leaf 1 and the other color, if it occurs, leaf 2.
         A depth-k key has depth-(k-1) children, so each depth takes a new,
         contiguous id range; `_ends[k + 1]` is the table's size after depth k.
+
+        There are 2, 8 and 128 trees of depth 0, 1 and 2, so up to depth 2 a
+        site's tree is a one-byte code, and its ids (at most 2 + 8 + 128) fit
+        a byte too: those tables are built for all sites at once by bytes
+        operations (`_coded_ids`).  Deeper ones take a key per site.
         """
         if not 0 <= n <= self.depth:
             raise AddressTooDeep(f"no depth-{n} subtrees in a depth-{self.depth} patch")
         cache = self.__dict__.setdefault("_idtables", [])
         nodes = self.__dict__.setdefault("_nodes", defaultdict(count(1).__next__))
         ends = self.__dict__.setdefault("_ends", [0])
-        if not cache:
-            root = self.levels[0]
-            other = "10"[int(root)]
-            leaf = {root: nodes[root, 0, 0], other: 0}
-            if any(other in row for row in self.levels):
-                leaf[other] = nodes[other, 0, 0]
-            table = bytes.maketrans(b"01", bytes((leaf["0"], leaf["1"])))
-            cache.append([list(row.encode().translate(table)) for row in self.levels])
-            ends.append(len(nodes))
         for k in range(len(cache), n + 1):
-            below = map(iter, cache[k - 1][1:])
-            cache.append([
-                list(map(nodes.__getitem__, zip(row, it, it)))
-                for row, it in zip(self.levels[: self.depth - k + 1], below)
-            ])
+            if k <= 2:
+                cache.append(self._coded_ids(k, nodes))
+            else:
+                below = map(iter, cache[k - 1][1:])
+                cache.append([
+                    list(map(nodes.__getitem__, zip(row, it, it)))
+                    for row, it in zip(self.levels[: self.depth - k + 1], below)
+                ])
             ends.append(len(nodes))
         return cache[n]
+
+    def _coded_ids(self, k: int, nodes) -> list[bytes]:
+        """The depth-k id rows, k <= 2, for every site at once (see subtree_ids).
+
+        The code of a depth-0 site is its color c; of a depth-k site it is
+        c << 2w | l << w | r, l and r its children's depth-(k-1) codes, w = 2k - 1
+        their width.  Codes are kept for every site, breadth first, so the
+        a-children of all sites are [1::2] of the depth below and the b-children
+        [2::2].  Each code is numbered at its first site, and a translate maps
+        codes to ids.
+        """
+        coded = self.__dict__.setdefault("_codes", [])  # (codes, code -> id, codes by first site)
+        if k:
+            (colors, _, hues), (below, ids, kids) = coded[0], coded[-1]
+            w, sites = 2 * k - 1, len(below) >> 1
+            fields = (colors[:sites].translate(_SHIFT[2 * w]), below[1::2].translate(_SHIFT[w]),
+                      below[2::2])
+            # the fields share no bit, so their sum is their OR, over every site at once
+            codes = sum(int.from_bytes(f, "big") for f in fields).to_bytes(sites, "big")
+            mask = (1 << w) - 1
+            key = lambda v: ("01"[v >> 2 * w], ids[v >> w & mask], ids[v & mask])
+            candidates = (c << 2 * w | l << w | r for c in hues for l in kids for r in kids)
+        else:
+            codes = "".join(self.levels).encode().translate(_COLOR_CODES)
+            key, candidates = lambda v: ("01"[v], 0, 0), (0, 1)
+        # a search per candidate code, each a C-speed scan
+        find = codes.find
+        first = {v: at for v in candidates if (at := find(v)) >= 0}
+        firsts = sorted(first, key=first.get)
+        table = bytearray(256)
+        for v in firsts:
+            table[v] = nodes[key(v)]
+        if k < 2:
+            coded.append((codes, table, firsts))
+        else:  # no deeper table reads codes
+            coded.clear()
+        row_ids = codes.translate(table)
+        return [row_ids[(1 << m) - 1 : (2 << m) - 1] for m in range(self.depth - k + 1)]
 
     def locate(self, a: "Patch") -> int | None:
         """The id `a` has in self.subtree_ids(a.depth), or None if it does not occur."""

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from substreetution.engine import ABBA, THUE_MORSE, Substreetution, fixed_point_prefix
-from substreetution.errors import MalformedGraph, NonConstantLevel, NotClosed
+from substreetution.errors import BadPatchFormat, MalformedGraph, NonConstantLevel, NotClosed
 from substreetution.jacaranda import jacaranda_prefix
 from substreetution.measures import invariant_measure
 from substreetution.systems import (
@@ -78,6 +78,16 @@ def nomeasure_by_chars(root, depth):
     return tuple(rows)
 
 
+def nomeasure_by_translate(root, depth):
+    """Oracle: odd lines by a 1-to-2 translate, even lines by a 1-to-4 translate of every other digit."""
+    t1 = str.maketrans({"0": "01", "1": "10"})
+    t2 = str.maketrans({"0": "0001", "1": "1110"})
+    rows = [str(root)]
+    for l in range(1, depth + 1):
+        rows.append(rows[-1].translate(t1) if l % 2 else rows[-1][::2].translate(t2))
+    return tuple(rows)
+
+
 class TestLineDoubling:
     def test_root0(self):
         assert nomeasure_tree(0, 3).levels == ("0", "01", "0001", "01010110")
@@ -93,6 +103,16 @@ class TestLineDoubling:
         for root in (0, 1):
             for depth in range(19):
                 assert nomeasure_tree(root, depth).levels == nomeasure_by_chars(root, depth)
+
+    def test_matches_translate_rewriting(self):
+        for root in (0, 1):
+            for depth in range(15):
+                assert nomeasure_tree(root, depth).levels == nomeasure_by_translate(root, depth)
+
+    def test_root_not_a_color_raises(self):
+        for depth in (0, 1, 4):
+            with pytest.raises(BadPatchFormat):
+                nomeasure_tree(2, depth)
 
     def test_even_level_children_identities(self):
         p = nomeasure_tree(0, 10)

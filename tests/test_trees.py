@@ -12,7 +12,7 @@ from substreetution.jacaranda import TypeReport, jacaranda_prefix
 from substreetution.measures import MeasureResult
 from substreetution.preimages import CrosscheckReport, PreimageDescriptor, PreimageSet
 from substreetution.render import DiskIsometry, RenderConfig
-from substreetution.systems import OrbitGraph
+from substreetution.systems import OrbitGraph, nomeasure_tree
 from substreetution.trees import (
     EQUAL_TO_DEPTH,
     Patch,
@@ -228,9 +228,9 @@ class TestIdNumbering:
     def check(self, p, n):
         fresh = Patch(p.levels)  # no tables yet
         tables, nodes = setdefault_ids(fresh, n)
-        assert fresh.subtree_ids(n) == tables[n]
+        assert list(map(list, fresh.subtree_ids(n))) == tables[n]
         assert list(fresh.__dict__["_nodes"].items()) == list(nodes.items())
-        assert [fresh.subtree_ids(k) for k in range(n + 1)] == tables
+        assert [list(map(list, fresh.subtree_ids(k))) for k in range(n + 1)] == tables
 
     @settings(deadline=None)
     @given(p=patches(8), data=st.data())
@@ -281,14 +281,14 @@ def one_color_patches(depth):
 
 
 class TestLeafLevel:
-    """The leaf level is one translate per row; the per-node build is the oracle."""
+    """Depths 0..2 are byte codes for all sites at once; the per-node build is the oracle."""
 
     def check(self, p):
         tables, leaf_nodes, nodes = per_node_ids(p)
         fresh = Patch(p.levels)
-        assert fresh.subtree_ids(0) == tables[0]
+        assert list(map(list, fresh.subtree_ids(0))) == tables[0]
         assert list(fresh.__dict__["_nodes"].items()) == leaf_nodes
-        assert [fresh.subtree_ids(k) for k in range(p.depth + 1)] == tables
+        assert [list(map(list, fresh.subtree_ids(k))) for k in range(p.depth + 1)] == tables
         assert list(fresh.__dict__["_nodes"].items()) == nodes
 
     @settings(deadline=None)
@@ -297,14 +297,38 @@ class TestLeafLevel:
         self.check(p)
 
     def test_one_color_patches(self):
-        for depth in range(6):
+        for depth in range(7):
             for p in one_color_patches(depth):
                 self.check(p)
+                if p.levels[0] == p.levels[-1][0]:  # all one color: one code per depth
+                    assert {len(distinct_subpatches(p, n)) for n in range(depth + 1)} == {1}
 
     def test_depth0_patches(self):
         for c in "01":
             self.check(Patch((c,)))
-            assert Patch((c,)).subtree_ids(0) == [[1]]
+            assert list(map(list, Patch((c,)).subtree_ids(0))) == [[1]]
+
+    def test_deep_rows(self):
+        # generations past 8, which the generated patches do not reach, at the
+        # byte-coded depths and the first depth above them
+        for p in (jacaranda_prefix(16), nomeasure_tree(1, 14), random_patch(12, random.Random(33))):
+            tables, _, nodes = per_node_ids(p)
+            fresh = Patch(p.levels)
+            assert [list(map(list, fresh.subtree_ids(k))) for k in range(4)] == tables[:4]
+            size = max(map(max, tables[3]))  # the last id of depth 3
+            assert list(fresh.__dict__["_nodes"].items()) == nodes[:size]
+
+    def test_every_depth2_code(self):
+        # generation 7 holds each of the 128 depth-2 trees once, tree t at rank t;
+        # two more generations make the depth-2 codes long enough to be searched
+        # for one code at a time
+        trees = [format(t, "07b") for t in range(128)]
+        rows = ["0" * (1 << l) for l in range(7)]
+        rows += ["".join(t[0] for t in trees), "".join(t[1:3] for t in trees),
+                 "".join(t[3:] for t in trees), "0" * (1 << 10), "0" * (1 << 11)]
+        p = Patch(tuple(rows))
+        assert len(distinct_subpatches(p, 2)) == 128
+        self.check(p)
 
     @settings(deadline=None)
     @given(p=st.one_of(patches(8), st.sampled_from(list(one_color_patches(5)))), data=st.data())
