@@ -12,11 +12,11 @@ They are exact: two subtrees of one patch have equal ids exactly when they
 are equal, never "probably equal".  Each depth's ids form one contiguous
 range, so the classes of a depth, each with its node key (color, a-child
 id, b-child id), are read off the node table without a pass over the id
-table.  An id row is a sequence of ints: `bytes` up to depth 2, a list
-above.  There are only 2, 8 and 128 trees of depth 0, 1 and 2, so a site's
-tree of those depths packs into one byte code, and the tables of those
-depths are built for all sites at once by bytes operations; deeper tables
-take one node-table lookup per site.
+table.  An id row is a sequence of ints.  While the classes one depth below
+are so few that each site's tree packs into a one-byte code, and the ids a
+depth can take fit a byte too, its table is built for all sites at once by
+bytes operations and its rows are `bytes`; from the first depth that does
+not fit, a table takes one node-table lookup per site and its rows are lists.
 
 Patches are validated where they enter (`Patch(...)`, `leaf`, `combine`,
 `parse_patch`, `random_patch`).  Slices of a valid patch (`window`,
@@ -54,10 +54,7 @@ def check_address(word: str) -> str:
 _TO_BITS, _TO_LETTERS = str.maketrans("ab", "01"), str.maketrans("01", "ab")
 
 
-# a site's depth-0 code from its color byte, and x -> (x << s) & 255, which shifts
-# a code into its field of a depth-k code
-_COLOR_CODES = bytes.maketrans(b"01", b"\0\1")
-_SHIFT = {s: bytes(range(0, 256, 1 << s)) * (1 << s) for s in (1, 2, 3, 6)}
+_COLOR_CODES = bytes.maketrans(b"01", b"\0\1")  # a color character to its depth-0 code
 
 
 def addr_index(word: str) -> int:
@@ -215,8 +212,7 @@ class Patch:
         """Ids of every depth-n subtree, local to this patch.
 
         Entry [m][i] is the id of the depth-n subtree rooted at rank i of
-        generation m, for every m <= depth - n.  A row is a sequence of ints:
-        `bytes` for n <= 2, a list above.  Tables are cached per patch
+        generation m, for every m <= depth - n.  Tables are cached per patch
         and built upward from depth 0; ids come from one (color, left-id,
         right-id) -> id table per patch, where a leaf has children 0.  A
         missing key takes the next id, so ids count from 1 in first-seen order:
@@ -224,10 +220,13 @@ class Patch:
         A depth-k key has depth-(k-1) children, so each depth takes a new,
         contiguous id range; `_ends[k + 1]` is the table's size after depth k.
 
-        There are 2, 8 and 128 trees of depth 0, 1 and 2, so up to depth 2 a
-        site's tree is a one-byte code, and its ids (at most 2 + 8 + 128) fit
-        a byte too: those tables are built for all sites at once by bytes
-        operations (`_coded_ids`).  Deeper ones take a key per site.
+        With N classes at depth k - 1, a site's depth-k tree is one of 2*N^2
+        codes, each below 2*N^2 plus the first depth-(k-1) id (`_coded_ids`).
+        While every id depth k can take fits a byte, the table's size before it
+        plus 2*N^2 at most 255 (so every code < 256 too), depth k's rows are
+        `bytes`, built for all sites at once; depths 0, 1 and 2 always are
+        (N = 1, 2 and at most 8).  From the first depth that does not fit, rows
+        are lists, one node-table lookup per site.
         """
         if not 0 <= n <= self.depth:
             raise AddressTooDeep(f"no depth-{n} subtrees in a depth-{self.depth} patch")
@@ -235,53 +234,50 @@ class Patch:
         nodes = self.__dict__.setdefault("_nodes", defaultdict(count(1).__next__))
         ends = self.__dict__.setdefault("_ends", [0])
         for k in range(len(cache), n + 1):
-            if k <= 2:
-                cache.append(self._coded_ids(k, nodes))
-            else:
-                below = map(iter, cache[k - 1][1:])
-                cache.append([
-                    list(map(nodes.__getitem__, zip(row, it, it)))
-                    for row, it in zip(self.levels[: self.depth - k + 1], below)
-                ])
+            cache.append(self._coded_ids(k, nodes) or [
+                list(map(nodes.__getitem__, zip(row, it, it)))
+                for row, it in zip(self.levels[: self.depth - k + 1], map(iter, cache[k - 1][1:]))
+            ])
             ends.append(len(nodes))
         return cache[n]
 
-    def _coded_ids(self, k: int, nodes) -> list[bytes]:
-        """The depth-k id rows, k <= 2, for every site at once (see subtree_ids).
+    def _coded_ids(self, k: int, nodes) -> list[bytes] | None:
+        """The depth-k id rows for every site at once, or None if depth k is not coded.
 
-        The code of a depth-0 site is its color c; of a depth-k site it is
-        c << 2w | l << w | r, l and r its children's depth-(k-1) codes, w = 2k - 1
-        their width.  Codes are kept for every site, breadth first, so the
-        a-children of all sites are [1::2] of the depth below and the b-children
-        [2::2].  Each code is numbered at its first site, and a translate maps
-        codes to ids.
+        A site's code is c*N^2 + l*N + r + base: c its color, N the number of
+        depth-(k-1) classes, base the first depth-(k-1) id, and l + base and
+        r + base its children's depth-(k-1) ids (at depth 0, N = 1 and base = 0:
+        the code is the color).  The depth-0 ids and the latest coded depth's are
+        kept for every site, breadth first, so the a-children of all sites are
+        [1::2] of the latter and the b-children [2::2].  The b-child's id is its
+        field as it is; translates map a site's depth-0 id to c*N^2 and its
+        a-child's id to l*N.  Each code is numbered at its first site, and a
+        translate maps codes to ids.
         """
-        coded = self.__dict__.setdefault("_codes", [])  # (codes, code -> id, codes by first site)
         if k:
-            (colors, _, hues), (below, ids, kids) = coded[0], coded[-1]
-            w, sites = 2 * k - 1, len(below) >> 1
-            fields = (colors[:sites].translate(_SHIFT[2 * w]), below[1::2].translate(_SHIFT[w]),
-                      below[2::2])
-            # the fields share no bit, so their sum is their OR, over every site at once
+            if not (coded := self.__dict__["_coded"]):  # depth k - 1 was the last coded one
+                return None
+            leaves, below, n = coded
+            base, sites = len(nodes) + 1 - n, len(below) >> 1
+            # leaf id 1 has the root's color, 2 the other one
+            hue = bytes((0, 0, n * n) if self.levels[0] == "0" else (0, n * n)).ljust(256, b"\0")
+            times_n = (bytes(base) + bytes(range(0, n * n, n))).ljust(256, b"\0")
+            fields = (leaves[:sites].translate(hue), below[1::2].translate(times_n), below[2::2])
+            # a site's fields sum to its code, < 256, so one sum of big integers adds every site's
             codes = sum(int.from_bytes(f, "big") for f in fields).to_bytes(sites, "big")
-            mask = (1 << w) - 1
-            key = lambda v: ("01"[v >> 2 * w], ids[v >> w & mask], ids[v & mask])
-            candidates = (c << 2 * w | l << w | r for c in hues for l in kids for r in kids)
         else:
-            codes = "".join(self.levels).encode().translate(_COLOR_CODES)
-            key, candidates = lambda v: ("01"[v], 0, 0), (0, 1)
+            n, base, codes = 1, 0, "".join(self.levels).encode().translate(_COLOR_CODES)
         # a search per candidate code, each a C-speed scan
         find = codes.find
-        first = {v: at for v in candidates if (at := find(v)) >= 0}
-        firsts = sorted(first, key=first.get)
+        first = {v: at for v in range(base, base + 2 * n * n) if (at := find(v)) >= 0}
         table = bytearray(256)
-        for v in firsts:
-            table[v] = nodes[key(v)]
-        if k < 2:
-            coded.append((codes, table, firsts))
-        else:  # no deeper table reads codes
-            coded.clear()
+        for v in sorted(first, key=first.get):
+            c, lr = divmod(v - base, n * n)
+            table[v] = nodes["01"[c], base + lr // n, base + lr % n]
         row_ids = codes.translate(table)
+        # keep the leaf ids and the latest ones while depth k + 1 fits a byte (see subtree_ids)
+        fits = len(nodes) + 2 * len(first) ** 2 <= 255
+        self.__dict__["_coded"] = (leaves if k else row_ids, row_ids, len(first)) if fits else ()
         return [row_ids[(1 << m) - 1 : (2 << m) - 1] for m in range(self.depth - k + 1)]
 
     def locate(self, a: "Patch") -> int | None:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from substreetution.engine import BBAB, RenormReport, Substreetution, fixed_point_prefix
+from substreetution.engine import (
+    ABBA, BBAB, THUE_MORSE, RenormReport, Substreetution, fixed_point_prefix,
+)
 from substreetution.errors import AddressTooDeep, BadPatchFormat, DepthMismatch
 from substreetution.jacaranda import TypeReport, jacaranda_prefix
 from substreetution.measures import MeasureResult
@@ -46,6 +48,40 @@ def patches(max_depth):
             *(st.text("01", min_size=1 << l, max_size=1 << l) for l in range(d + 1))
         ).map(Patch)
     )
+
+
+def block_patches(max_depth):
+    """Low-complexity patches of depth 0..max_depth: level l is a random block of
+    1, 2, 4 or 8 colors (at most 2^l) repeated, so each depth has few classes."""
+
+    def level(l):
+        return st.sampled_from([1, 2, 4, 8]).flatmap(
+            lambda n: st.text("01", min_size=min(n, 1 << l), max_size=min(n, 1 << l))
+        ).map(lambda block: block * ((1 << l) // len(block)))
+
+    return st.integers(0, max_depth).flatmap(
+        lambda d: st.tuples(*map(level, range(d + 1))).map(Patch)
+    )
+
+
+def last_level_patch(depth, sizes):
+    """A depth-`depth` patch of 0s but its last level, which holds sizes[j - 1]
+    distinct aligned blocks of 2^j colors, the 0 block among them, for j = 1, 2, ...:
+    so depth j has sizes[j - 1] classes.  The blocks of 2^j colors are the first
+    sizes[j - 1] pairs of those of 2^(j-1) in product order, so each of those is
+    the b-half of one while the sizes do not shrink."""
+    blocks = ["0", "1"]
+    for n in sizes:
+        blocks = [a + b for a in blocks for b in blocks][:n]
+    last = "".join(blocks).ljust(1 << depth, "0")
+    return Patch(tuple("0" * (1 << l) for l in range(depth)) + (last,))
+
+
+def coded_depths(p):
+    """The depths whose id rows are all `bytes`, on a fresh copy of p built to its depth."""
+    p = Patch(p.levels)
+    p.subtree_ids(p.depth)
+    return [k for k, t in enumerate(p.__dict__["_idtables"]) if {type(row) for row in t} == {bytes}]
 
 
 class TestAddressing:
@@ -281,7 +317,8 @@ def one_color_patches(depth):
 
 
 class TestLeafLevel:
-    """Depths 0..2 are byte codes for all sites at once; the per-node build is the oracle."""
+    """Byte-coded depths are built for all sites at once, the others a site at a
+    time; the per-node build is the oracle for both."""
 
     def check(self, p):
         tables, leaf_nodes, nodes = per_node_ids(p)
@@ -309,14 +346,45 @@ class TestLeafLevel:
             assert list(map(list, Patch((c,)).subtree_ids(0))) == [[1]]
 
     def test_deep_rows(self):
-        # generations past 8, which the generated patches do not reach, at the
-        # byte-coded depths and the first depth above them
-        for p in (jacaranda_prefix(16), nomeasure_tree(1, 14), random_patch(12, random.Random(33))):
-            tables, _, nodes = per_node_ids(p)
-            fresh = Patch(p.levels)
-            assert [list(map(list, fresh.subtree_ids(k))) for k in range(4)] == tables[:4]
-            size = max(map(max, tables[3]))  # the last id of depth 3
-            assert list(fresh.__dict__["_nodes"].items()) == nodes[:size]
+        # generations past 8, which the generated patches do not reach, at every
+        # depth: coded up to 4 (BBAB, Thue-Morse), at every depth (ABBA, the
+        # no-measure tree) and up to 2 (the random patch)
+        for p in (jacaranda_prefix(16), nomeasure_tree(1, 14), fixed_point_prefix(THUE_MORSE, 0, 14),
+                  fixed_point_prefix(ABBA, 0, 14), random_patch(12, random.Random(33))):
+            self.check(p)
+
+    @settings(deadline=None)
+    @given(p=block_patches(10))
+    def test_low_complexity_patches(self, p):
+        # few classes per depth, so the byte-coded path reaches deep depths
+        self.check(p)
+
+    def test_coded_depths(self):
+        # a silent fall back to lists would only show as a slower benchmark
+        assert coded_depths(fixed_point_prefix(BBAB, 0, 18)) == [0, 1, 2, 3, 4]
+        assert coded_depths(nomeasure_tree(0, 18)) == list(range(19))
+        assert coded_depths(random_patch(16, random.Random(1))) == [0, 1, 2]
+
+    def test_id_bound(self):
+        # 55 or 56 ids before depth 7 and 10 classes at depth 6: depth 7 has 2 * 10^2
+        # possible codes, so the ids it can create reach 255 (coded) or 256 (not)
+        for sizes, last in (((4, 9, 10, 10, 10, 10), 255), ((4, 10, 10, 10, 10, 10), 256)):
+            p = last_level_patch(10, sizes)
+            self.check(p)
+            p.subtree_ids(10)
+            ends = p.__dict__["_ends"]
+            assert ends[7] + 2 * (ends[7] - ends[6]) ** 2 == last
+            # depth 8 would fit on its own, but stays a list once depth 7 is one
+            assert ends[8] + 2 * (ends[8] - ends[7]) ** 2 <= 255
+            assert coded_depths(p) == (list(range(11)) if last == 255 else list(range(7)))
+
+    def test_no_coding_after_a_fall_back(self):
+        # 16 classes at depth 2 (2 * 16^2 codes), so depth 3 falls back; depth 5
+        # would fit on its own (2 + 4 + 16 + 16 + 9 ids and 2 * 9^2 codes), but stays a list
+        p = last_level_patch(8, (4, 16, 16))
+        self.check(p)
+        assert [len(distinct_subpatches(p, n)) for n in range(6)] == [2, 4, 16, 16, 9, 5]
+        assert coded_depths(p) == [0, 1, 2]
 
     def test_every_depth2_code(self):
         # generation 7 holds each of the 128 depth-2 trees once, tree t at rank t;
