@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .errors import (
@@ -270,9 +270,10 @@ def unsub(sub: Substreetution, p: Patch) -> Patch:
 
     Recovers the patch of depth floor((depth-1)/2) whose image agrees with p
     on all of p's data.  Generation m of the preimage is read off generation
-    2m of p by undoing the slot recursion, and p is accepted only when the
-    image of what was read is p itself, so a forged deepest level is still
-    rejected.
+    2m of p by undoing the slot recursion: one gather of its first a-slot and
+    b-slot positions, cached per grammar slot pair and generation.  p is
+    accepted only when the image of what was read is p itself, so a forged
+    deepest level is still rejected.
     """
     if not sub.marked:
         raise NotInImage("only marked systems can be unsubstituted")
@@ -297,12 +298,27 @@ def unsub(sub: Substreetution, p: Patch) -> Patch:
 
 
 def _undouble(line: str, first: list[int]) -> str:
-    """Inverse of double on an image line: read the first a-slot and b-slot of each block."""
-    parts = [line]
-    while len(parts[0]) > 1:
-        w = len(parts[0]) // 4
-        parts = [part[k * w : (k + 1) * w] for part in parts for k in first]
-    return "".join(parts)
+    """Inverse of double on an image line: read the first a-slot and b-slot of each block.
+
+    A line of 4^m colors is read by one gather, the cached _reader of
+    (first, m); a 1-color line is its own preimage.
+    """
+    if len(line) == 1:
+        return line
+    return "".join(_reader(tuple(first), len(line).bit_length() // 2)(line))
+
+
+@lru_cache(maxsize=None)
+def _reader(first: tuple[int, ...], m: int) -> itemgetter:
+    """The positions _undouble reads in a line of 4^m colors, as one picker.
+
+    Each generation splits every block into quarters and keeps quarters
+    first[0] and first[1] in that order, so a position p becomes 4p + k.
+    """
+    pos = [0]
+    for _ in range(m):
+        pos = [4 * p + k for p in pos for k in first]
+    return itemgetter(*pos)
 
 
 # -- text format --------------------------------------------------------------

@@ -13,6 +13,8 @@ from substreetution.engine import (
     SLOTS,
     THUE_MORSE,
     Substreetution,
+    _reader,
+    _undouble,
     apply,
     double,
     fixed_point_prefix,
@@ -510,6 +512,48 @@ class TestUnsub:
             cases += len(inputs)
         assert len(MARKED) == 512 and cases > 25_000
 
+    def test_gather_matches_slices(self):
+        # every slot pair unsub reads with, the one-letter fallback included,
+        # on lines of 4^0..4^8 colors
+        rng = random.Random(17)
+        firsts = {tuple(_first(grammar)) for grammar in GRAMMARS}
+        assert (0, 0) in firsts and len(firsts) == 7
+        lines = ["".join(rng.choice("01") for _ in range(4**m)) for m in range(9)]
+        for first in firsts:
+            for line in lines:
+                assert _undouble(line, list(first)) == _undouble_slices(line, list(first))
+
+    def test_gather_inverts_double(self):
+        rng = random.Random(18)
+        lines = ["".join(rng.choice("01") for _ in range(1 << l)) for l in range(9)]
+        for grammar in GRAMMARS:
+            if len(set(grammar)) < 2:
+                continue
+            system = Substreetution(BBAB.image0, BBAB.image1, grammar)
+            for line in lines:
+                assert _undouble(double(system, line), _first(grammar)) == line
+
+    def test_matches_cold_and_warm(self):
+        # unsub(apply(.)) of random patches of depth 0..7 on every marked
+        # system: the same outcome with the readers built in case order from
+        # an empty cache and with them built first for the lengths in
+        # shuffled order; at most one reader per (slot pair, generation)
+        rng = random.Random(19)
+        cases = [(system, random_patch(k % 8, rng)) for k, system in enumerate(MARKED)]
+        _reader.cache_clear()
+        cold = [_outcome(unsub, system, apply(system, p)) for system, p in cases]
+        used = {(tuple(_first(s.grammar)), m) for s, p in cases for m in range(1, p.depth + 1)}
+        assert 0 < _reader.cache_info().currsize <= len(used)
+        _reader.cache_clear()
+        for first, m in rng.sample(sorted(used), len(used)):
+            _undouble("".join(rng.choice("01") for _ in range(4**m)), list(first))
+        warm = {}
+        for i in rng.sample(range(len(cases)), len(cases)):
+            system, p = cases[i]
+            warm[i] = _outcome(unsub, system, apply(system, p))
+        assert [warm[i] for i in range(len(cases))] == cold
+        assert _reader.cache_info().currsize == len(used)
+
 
 def _unsub_recursive(sub, p):
     """Top-down inversion: root from generation 1, children from the slots."""
@@ -554,6 +598,21 @@ def _flips(p):
             rows = list(p.levels)
             rows[l] = row[:i] + "10"[int(c)] + row[i + 1 :]
             yield Patch(tuple(rows))
+
+
+def _first(grammar):
+    """The slot pair unsub reads: the first A-slot and B-slot, or one slot twice."""
+    first = [grammar.find(g) for g in "AB"]
+    return [max(first)] * 2 if -1 in first else first
+
+
+def _undouble_slices(line, first):
+    """The slot recursion undone a generation at a time, by slicing each block in quarters."""
+    parts = [line]
+    while len(parts[0]) > 1:
+        w = len(parts[0]) // 4
+        parts = [part[k * w : (k + 1) * w] for part in parts for k in first]
+    return "".join(parts)
 
 
 def dump_substreetution(sub):
