@@ -93,7 +93,10 @@ def brother(p: Patch, u: int | None = None) -> Patch:
 
     Unsubstitute u times to root(left, right), rebuild 1(right, right) and
     push it back through the substitution; the result is exact to the depth
-    the input data can certify.
+    the input data can certify.  It is the root-1 sibling of some parent of
+    the tree in the orbit closure X, not always the sibling at the patch's
+    own site: in the fixed tree J, J|ab has root 0, and so does its sibling
+    J|aa.
     """
     if p.get("") != 0:
         raise Inconsistent("the sibling construction starts from a root-0 tree")

@@ -23,7 +23,7 @@ from .errors import Inconsistent, NonPositive, Shallow, Undetermined
 from .jacaranda import brother_best_effort, unsub_best_effort
 from .trees import (
     Patch, _record, addr_index, check_address, classes, decode, find, index_addr, node_keys,
-    subpatch_representatives,
+    subpatch_representatives, truncations,
 )
 from .words import v2
 
@@ -134,7 +134,7 @@ def preimages_classified(
     return PreimageSet(tuple(members), "exact")
 
 
-def _classify(p: Patch, n: int, i: int, jp: Patch | None) -> list:
+def _classify(p: Patch, n: int, i: int, jp: Patch | None, built: dict | None = None) -> list:
     """The parent case tree of the tree p at rank i of generation n.
 
     Returns [(tag, members)], or raises Undetermined with the open cases.
@@ -142,11 +142,13 @@ def _classify(p: Patch, n: int, i: int, jp: Patch | None) -> list:
     line 2^v - 1 is read from p or, below it, from the ambient prefix jp.
     An odd tree is class u = 0: at u = 0 the u-fold unsubstitution and image
     are the identity, so one sibling construction per root color serves
-    every class.
+    every class.  The siblings depend on p, u and, for root 1, k alone;
+    calls that pass one `built` dict build each of them once.
     """
     root, u = p.get(""), v2(n)
+    built = {} if built is None else built
     if root == 0:
-        sibs = {"self": p, "main": brother_best_effort(p, u)}
+        sibs = {"self": p, "main": _once(built, brother_best_effort, p, u)}
         if u:
             return _cases(("even0-deep" if u >= 2 else "even0-2type",), sibs)
         # odd tree with root 0: only ever a b-child
@@ -166,12 +168,12 @@ def _classify(p: Patch, n: int, i: int, jp: Patch | None) -> list:
             return _cases(("odd0-2a",), sibs)
     else:
         # the a-child of the odd core, root 0 also where depth hides it, and its class
-        core = unsub_best_effort(p, u)
+        core = _once(built, unsub_best_effort, p, u)
         c = core.subtree("a") if core.depth >= 1 else Patch.leaf(0)
         k = v2((n >> u) + 1)
         sibs = {
-            "main": apply_pow(BBAB, Patch.combine(0, brother_best_effort(c, k), c), u, p.depth),
-            "prime": apply_pow(BBAB, Patch.combine(0, c, c), u, p.depth),
+            "main": _once(built, _image, _once(built, brother_best_effort, c, k), c, u, p.depth),
+            "prime": _once(built, _image, c, c, u, p.depth),
         }
         if u:
             return _cases(("even1-v1" if k == 1 else "even1-vdeep",), sibs)
@@ -193,6 +195,19 @@ def _classify(p: Patch, n: int, i: int, jp: Patch | None) -> list:
     if "1" in line:
         return _cases(deep[2:], sibs)
     return _cases(deep[:1] if v2(n - 1 + (1 << v)) - v >= 2 else deep[1:2], sibs)
+
+
+def _once(built: dict, make, *args):
+    """make(*args), made on the first call with these arguments and read from `built` after."""
+    key = (make, *args)
+    if key not in built:
+        built[key] = make(*args)
+    return built[key]
+
+
+def _image(left: Patch, right: Patch, u: int, depth: int) -> Patch:
+    """The u-fold image of the tree 0(left, right), to the given depth."""
+    return apply_pow(BBAB, Patch.combine(0, left, right), u, depth)
 
 
 # -- brute force over a generated prefix --------------------------------------
@@ -263,6 +278,10 @@ class CrosscheckReport:
 
 
 def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bool:
+    """Does the depth-(d+1) window `parent` hold `a` as its member `desc` says?
+
+    The same test as `_check_occurrences` makes on node ids, made on patches.
+    """
     if parent.get("") != desc.root:
         return False
     other = "b" if desc.side == "a" else "a"
@@ -287,22 +306,35 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
     fixes the keys of both its children.  So each key first occurs at 2j or
     2j + 1 for j the first rank of a depth-L class in generation m - 1, and
     only those children are keyed, in rank order.
+
+    Members are matched on node ids, the test that `_descriptor_matches`
+    makes on patches.  The parent at site i is keys[prow[i // 2]], its
+    (color, a-child id, b-child id).  A member matches when the color is its
+    root, its side holds the id that reps[cid] has in jp (not cid: reps may
+    map an id to a patch of another class), and the other child, truncated
+    to the sibling's depth through `truncations`, has the sibling's id.  The
+    classifications of one call share their sibling constructions, each
+    sibling is located once, and a parent's window is cut only for a
+    mismatch report.
     """
     table, ptable = jp.subtree_ids(d), jp.subtree_ids(d + 1)
+    keys, up = node_keys(jp), truncations(jp, d)
+    own = {cid: jp.locate(a) for cid, a in reps.items()}
+    # a row holds depth-d ids only: its sites less those of the classes reps lacks
+    absent = classes(jp, d).keys() - reps.keys()
+    built: dict = {}
     class_cache: dict = {}
     checked = 0
     for m in range(1, jp.depth - d + 1):
         row, prow = table[m], ptable[m - 1]
-        report.occurrences += sum(map(reps.__contains__, row))
+        report.occurrences += len(row) - sum(map(row.count, absent))
         # the site classification reads the patch, m and, for odd m, line
         # l = 2^v2(m-1) - 1: the patch's, or below it sliced from the prefix
         l = (1 << v2(m - 1)) - 1 if m % 2 and m > 1 else None
         sliced = l is not None and l > d and m + l <= jp.depth
         lrow = jp.subtree_ids(l + 1)[m - 1] if sliced else prow
-        # scanned from the last rank down, each depth-L class keeps its first rank
-        firsts = dict(zip(reversed(lrow), range(len(lrow) - 1, -1, -1))).values()
         first = {}
-        for j in sorted(firsts):
+        for j in sorted(map(lrow.index, set(lrow))):  # the first rank of each depth-L class
             for i in (2 * j, 2 * j + 1):
                 line = jp.levels[m + l][i << l : (i + 1) << l] if sliced else None
                 first.setdefault((prow[j], row[i], line), i)
@@ -313,23 +345,30 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
             cached = class_cache.get(key)
             if cached is None:
                 try:
-                    cached = _classify(a, m, i, jp), False
+                    cases, still_open = _classify(a, m, i, jp, built), False
                 except Undetermined as exc:  # matched against the union of the open cases
-                    cached = exc.cases, True
-                class_cache[key] = cached
-            cases, still_open = cached
+                    cases, still_open = exc.cases, True
+                members = []
+                for _, found in cases:
+                    for member in found:
+                        ref = member.sibling.truncate(d)
+                        sid = _once(built, jp.locate, ref)
+                        members.append((member.root, member.side, d - ref.depth, sid))
+                cached = class_cache[key] = members, still_open
+            members, still_open = cached
             report.undetermined_sites += still_open
-            parent = jp.window(m - 1, i // 2, d + 1)
             checked += 1
-            hits = {
-                (member.root, member.side)
-                for _, members in cases
-                for member in members
-                if _descriptor_matches(parent, a, member)
-            }
+            color, x, y = keys[prow[i // 2]]
+            hits = set()
+            for root, side, steps, sid in members:
+                this, other = (x, y) if side == "a" else (y, x)
+                for _ in range(steps):  # a shallower sibling: truncate the other child to its depth
+                    other = up[other]
+                if (int(color), this, other) == (root, own[cid], sid):
+                    hits.add((root, side))
             if not hits:
                 report.ok = False
-                report.mismatches.append((index_addr(i, m), parent))
+                report.mismatches.append((index_addr(i, m), jp.window(m - 1, i // 2, d + 1)))
             matched |= hits
     return checked
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import substreetution
-from substreetution import preimages
+from substreetution import jacaranda, preimages
 from substreetution.closure import closure_classes
 from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.errors import (
@@ -175,6 +175,40 @@ def test_serialization_ignores_call_history():
     ]
     assert outs[0] == outs[1]
     assert "sibling=d" in outs[0] and "id:" not in outs[0]
+
+
+_SWEEPS = """
+from substreetution.engine import BBAB, fixed_point_prefix
+from substreetution.jacaranda import jacaranda_prefix
+from substreetution.preimages import crosscheck_sweep
+
+if {other_first}:
+    crosscheck_sweep(fixed_point_prefix(BBAB, 1, 14), 6)
+for _ in range(2):
+    print(*crosscheck_sweep(jacaranda_prefix(16), 7))
+"""
+
+
+def test_sweep_ignores_call_history():
+    # the sweep of the depth-16 prefix twice in a row in a fresh interpreter,
+    # and twice after the sweep of a J' prefix, whose ids name other classes
+    # (its leaf 1 has color 1): sibling constructions live in each call, and
+    # no helper keeps a cache
+    src = os.path.dirname(os.path.dirname(substreetution.__file__))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _SWEEPS.format(other_first=other_first)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        for other_first in (False, True)
+    ]
+    want = "CrosscheckReport(ok=True, occurrences=130034, mismatches=[], undetermined_sites=0) 354"
+    assert outs == [[want, want], [want, want]]
+    helpers = [
+        jacaranda.brother_best_effort, jacaranda.unsub_best_effort,
+        preimages._classify, preimages._once, preimages._image,
+    ]
+    assert not any(hasattr(helper, "cache_info") for helper in helpers)
 
 
 class TestBruteForce:
@@ -498,12 +532,34 @@ class TestOccurrenceScanOracle:
                 out.append((fn(*args), counts))
         return out
 
-    @pytest.mark.parametrize("depth", [10, 12, 14])
-    def test_sweep(self, monkeypatch, depth):
+    @pytest.mark.parametrize(
+        "depth, max_depth", [(10, 6), (12, 6), (14, 6), (16, 7)], ids=["10", "12", "14", "16"]
+    )
+    def test_sweep(self, monkeypatch, depth, max_depth):
+        # depth 16 at max depth 7 is the sweep of the fixed-tree benchmark workload
         jp = jacaranda_prefix(depth)
-        (got, got_counts), (want, want_counts) = self._both(monkeypatch, crosscheck_sweep, jp, 6)
+        (got, got_counts), (want, want_counts) = self._both(
+            monkeypatch, crosscheck_sweep, jp, max_depth
+        )
         assert _fields(got[0]) == _fields(want[0]) and got[1] == want[1]
         assert got_counts == want_counts
+        if depth == 16:
+            assert (got[0].occurrences, got[1], got[0].undetermined_sites) == (130034, 354, 0)
+
+    @pytest.mark.parametrize("site, depth, steps", [("ba", 4, 1), ("ba", 7, 2), ("aaa", 7, 3)])
+    def test_shallower_siblings(self, monkeypatch, site, depth, steps):
+        # the case analysis builds these siblings `steps` levels shallower than
+        # the patch, so the scan truncates the parent's other child that many
+        # levels before it compares ids; each member is witnessed
+        jp16 = jacaranda_prefix(16)
+        patch = jp16.subtree(site).truncate(depth)
+        members = preimages_classified(patch, jp16, site).members
+        assert steps == max(depth - member.sibling.depth for member in members)
+        (got, got_counts), (want, want_counts) = self._both(
+            monkeypatch, crosscheck, patch, jp16, site
+        )
+        assert _fields(*got) == _fields(*want) and got_counts == want_counts
+        assert got[0].ok and got[1] == []
 
     def test_sweep_with_lines_far_below_patch(self, monkeypatch):
         # at max depth 6 the only sliced rows are m = 5 (line 3); here m = 9
