@@ -30,7 +30,7 @@ from .preimages import p_n, preimages_bruteforce, preimages_classified
 from .render import RenderConfig, tiling_svg, tree_svg
 from .systems import build_orbit_graph, nomeasure_tree, parse_orbit_graph
 from .trees import check_address, distinct_subpatches, dump_patch, load_patch, random_patch
-from .words import chi_pow, ones_count_line_2n
+from .words import chi_pow, line_formula, ones_count_line_2n
 
 
 # The line-2^n count for n = 14 has 4,933 digits, past the 4,300 that Python
@@ -74,7 +74,7 @@ def _write(text, out):
 def _check_occurrence(patch, site, jp) -> None:
     """The site classifier trusts its prefix and site, so the command line checks them."""
     # J or J' to its depth, as detect_type tests it: the fixed trees differ only at the root
-    if jp.levels[1:] != jacaranda_prefix(jp.depth).levels[1:]:
+    if any(jp.levels[m] != line_formula(m) for m in range(1, jp.depth + 1)):
         raise Inconsistent(f"the depth-{jp.depth} prefix is not a prefix of a BBAB fixed tree")
     if len(site) + patch.depth > jp.depth:
         raise AddressTooDeep(

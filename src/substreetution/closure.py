@@ -16,16 +16,13 @@ are ids in one node table keyed (color, a-child id, b-child id), leaves
 
 from __future__ import annotations
 
-from .engine import SLOTS, Substreetution
-from .errors import BadSystemFormat, NonPositive, NotFixable
+from .engine import SLOTS, Substreetution, check_fixed_tree
+from .errors import BadSystemFormat
 
 
 def closure_classes(sub: Substreetution, root: int, depth: int) -> list[dict]:
     """W_0..W_depth of the fixed tree of `sub` with the given root, each {id: key}."""
-    if depth < 0:
-        raise NonPositive(f"depth must be >= 0, got {depth}")
-    if not sub.fixable_at(root):
-        raise NotFixable(f"{sub.name or sub.grammar}: image of {root} does not start with {root}")
+    check_fixed_tree(sub, root, depth)
     if len(set(sub.grammar)) == 1:
         raise BadSystemFormat(f"grammar {sub.grammar} sources the spine only; not supported")
     ids, keys, memo = {}, [None], {}

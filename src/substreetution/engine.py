@@ -178,11 +178,16 @@ def fixed_point_prefix(sub: Substreetution, root: int, depth: int) -> Patch:
     The image of the fixed tree's depth-d prefix is its depth-(2d + 1)
     prefix, so depth.bit_length() images of the root reach `depth`.
     """
+    check_fixed_tree(sub, root, depth)
+    return apply_pow(sub, Patch.leaf(root), depth.bit_length(), depth)
+
+
+def check_fixed_tree(sub: Substreetution, root: int, depth: int) -> None:
+    """Refuse a negative depth, then a root whose image does not start with it."""
     if depth < 0:
         raise NonPositive(f"depth must be >= 0, got {depth}")
     if not sub.fixable_at(root):
         raise NotFixable(f"{sub.name or sub.grammar}: image of {root} does not start with {root}")
-    return apply_pow(sub, Patch.leaf(root), depth.bit_length(), depth)
 
 
 # -- source and its multivalued inverse --------------------------------------

@@ -12,7 +12,7 @@ from functools import lru_cache
 from .engine import BBAB, apply_pow, fixed_point_prefix, unsub
 from .errors import Inconsistent, NonPositive, Shallow, TypeUndetermined
 from .trees import Patch, _record
-from .words import doubling_block
+from .words import doubling_block, line_formula
 
 
 @lru_cache(maxsize=8)
@@ -68,8 +68,8 @@ def detect_type(p: Patch) -> TypeReport:
     odd_ok = 0 in candidates
     if not odd_ok and not even_ok:
         raise Inconsistent("neither parity fits the visible lines")
-    # the two fixed trees differ only at the root
-    inf_ok = even_ok and p.levels[1:] == jacaranda_prefix(p.depth).levels[1:]
+    # the two fixed trees differ only at the root, and their lines have a closed form
+    inf_ok = even_ok and all(p.levels[m] == line_formula(m) for m in range(1, p.depth + 1))
     parity = "undetermined" if odd_ok and even_ok else "odd" if odd_ok else "even"
     determined = None
     if parity != "undetermined" and len(candidates) == 1 and not inf_ok:

@@ -130,16 +130,22 @@ def preimages_classified(
         return _parent_set(cid, levels[-1], keys, "closure", "exact")
     if site == "":
         return JAC_PRIME_PREIMAGES if p.get("") else JAC_PREIMAGES
-    ((_, members),) = _classify(p, len(site), addr_index(check_address(site)), jprefix)
+    n, i = len(site), addr_index(check_address(site))
+    l = (1 << v2(n - 1)) - 1 if n > 1 else 0  # the one line the case tree may read
+    below = None
+    if jprefix is not None and n + l <= jprefix.depth:
+        below = jprefix.levels[n + l][i << l : (i + 1) << l]
+    ((_, members),) = _classify(p, n, below)
     return PreimageSet(tuple(members), "exact")
 
 
-def _classify(p: Patch, n: int, i: int, jp: Patch | None, built: dict | None = None) -> list:
-    """The parent case tree of the tree p at rank i of generation n.
+def _classify(p: Patch, n: int, below: str | None = None, built: dict | None = None) -> list:
+    """The parent case tree of a tree p in generation n of a fixed tree.
 
     Returns [(tag, members)], or raises Undetermined with the open cases.
     Every index the cases branch on is a dyadic valuation read off n, and
-    line 2^v - 1 is read from p or, below it, from the ambient prefix jp.
+    line l = 2^v2(n-1) - 1 of the tree is read from p or, below it, is
+    `below`, which the caller slices from the fixed tree (None: not visible).
     An odd tree is class u = 0: at u = 0 the u-fold unsubstitution and image
     are the identity, so one sibling construction per root color serves
     every class.  The siblings depend on p, u and, for root 1, k alone;
@@ -186,11 +192,8 @@ def _classify(p: Patch, n: int, i: int, jp: Patch | None, built: dict | None = N
     # u_inner >= 2, all zero with u_inner < 2, or holding a 1
     deep = ("odd1-1a", "odd1-1b", "odd1-1c") if root else ("odd0-2bi", "odd0-2bii", "odd0-2biii")
     l = (1 << v) - 1
-    if l <= p.depth:
-        line = p.levels[l]
-    elif jp is not None and n + l <= jp.depth:
-        line = jp.levels[n + l][i << l : (i + 1) << l]
-    else:
+    line = p.levels[l] if l <= p.depth else below
+    if line is None:
         raise Undetermined(f"line {l} not visible at depth {p.depth}", cases=_cases(deep, sibs))
     if "1" in line:
         return _cases(deep[2:], sibs)
@@ -269,11 +272,11 @@ def p_n(a: Patch, n: int, jp: Patch) -> int:
 # -- classified-versus-oracle validation ---------------------------------------
 
 
-@_record(frozen=False)
+@_record
 class CrosscheckReport:
     ok: bool
     occurrences: int
-    mismatches: list = []  # copied for each report
+    mismatches: list  # (site, parent window) of each checked visit that no member matched
     undetermined_sites: int = 0  # checked visits whose site left several cases open
 
 
@@ -292,12 +295,13 @@ def _descriptor_matches(parent: Patch, a: Patch, desc: PreimageDescriptor) -> bo
     return sib.truncate(d) == ref.truncate(d)
 
 
-def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, matched: set) -> int:
+def _check_occurrences(jp: Patch, d: int, reps: dict) -> tuple[CrosscheckReport, int, set]:
     """Match the actual parent at every depth-d site of jp holding a patch of `reps`.
 
     Sites are classified at their own class, once per distinct (patch,
-    parent, class) at its first site.  Adds the (root, side) of every
-    matching member to `matched`; returns the number of combinations checked.
+    parent, class) at its first site.  Returns the report for depth d, the
+    number of combinations checked and the (root, side) of every member
+    seen matched.
 
     Site i of generation m is keyed by (parent id, patch id, line), the line
     sliced from the prefix on odd rows with l = 2^v2(m-1) - 1 > d and
@@ -324,10 +328,11 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
     absent = classes(jp, d).keys() - reps.keys()
     built: dict = {}
     class_cache: dict = {}
-    checked = 0
+    mismatches, matched = [], set()
+    occurrences = undetermined = checked = 0
     for m in range(1, jp.depth - d + 1):
         row, prow = table[m], ptable[m - 1]
-        report.occurrences += len(row) - sum(map(row.count, absent))
+        occurrences += len(row) - sum(map(row.count, absent))
         # the site classification reads the patch, m and, for odd m, line
         # l = 2^v2(m-1) - 1: the patch's, or below it sliced from the prefix
         l = (1 << v2(m - 1)) - 1 if m % 2 and m > 1 else None
@@ -340,12 +345,11 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
                 first.setdefault((prow[j], row[i], line), i)
         visits = [(i, cid, line) for (_, cid, line), i in first.items() if cid in reps]
         for i, cid, line in visits:
-            a = reps[cid]
-            key = (cid, m, a.levels[l] if l is not None and l <= d else line)
+            key = (cid, m, line)  # line is None unless sliced from below the patch
             cached = class_cache.get(key)
             if cached is None:
                 try:
-                    cases, still_open = _classify(a, m, i, jp, built), False
+                    cases, still_open = _classify(reps[cid], m, line, built), False
                 except Undetermined as exc:  # matched against the union of the open cases
                     cases, still_open = exc.cases, True
                 members = []
@@ -356,7 +360,7 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
                         members.append((member.root, member.side, d - ref.depth, sid))
                 cached = class_cache[key] = members, still_open
             members, still_open = cached
-            report.undetermined_sites += still_open
+            undetermined += still_open
             checked += 1
             color, x, y = keys[prow[i // 2]]
             hits = set()
@@ -367,21 +371,23 @@ def _check_occurrences(jp: Patch, d: int, reps: dict, report: CrosscheckReport, 
                 if (int(color), this, other) == (root, own[cid], sid):
                     hits.add((root, side))
             if not hits:
-                report.ok = False
-                report.mismatches.append((index_addr(i, m), jp.window(m - 1, i // 2, d + 1)))
+                mismatches.append((index_addr(i, m), jp.window(m - 1, i // 2, d + 1)))
             matched |= hits
-    return checked
+    return CrosscheckReport(not mismatches, occurrences, mismatches, undetermined), checked, matched
 
 
 def crosscheck_sweep(jp: Patch, max_depth: int = 6):
     """Oracle comparison over every distinct subpatch of depth <= max_depth.
 
     One pass per depth: each site's actual parent is matched against the
-    classification for that site's class.  Returns the aggregate report and
-    the number of distinct (patch, parent, class) combinations checked.
+    classification for that site's class.  Returns the depths' reports added
+    up and the number of distinct (patch, parent, class) combinations checked.
     """
-    total = CrosscheckReport(ok=True, occurrences=0)
-    checked = 0
-    for d in range(1, max_depth + 1):
-        checked += _check_occurrences(jp, d, subpatch_representatives(jp, d), total, set())
-    return total, checked
+    depths = range(1, max_depth + 1)
+    runs = [_check_occurrences(jp, d, subpatch_representatives(jp, d)) for d in depths]
+    reports = [report for report, _, _ in runs]
+    total = CrosscheckReport(
+        all(r.ok for r in reports), sum(r.occurrences for r in reports),
+        [x for r in reports for x in r.mismatches], sum(r.undetermined_sites for r in reports),
+    )
+    return total, sum(checked for _, checked, _ in runs)

@@ -28,8 +28,7 @@ The package's records (`Patch`, systems, reports, graphs) are classes under
 `dataclasses` would import `inspect`, `ast` and `dis` and compile code.  The
 `dataclass` contract holds: `==` only within a class, by fields; `hash` of the
 field tuple; repr `Name(field=value, ...)`; `__post_init__` after the fields;
-AttributeError on assigning or deleting.  With `frozen=False` a record can be
-assigned to and is unhashable; a list default is copied for each instance.
+AttributeError on assigning or deleting.
 """
 
 from __future__ import annotations
@@ -77,10 +76,8 @@ class _EqualToDepth:
 EQUAL_TO_DEPTH = _EqualToDepth()
 
 
-def _record(cls=None, *, frozen=True):
+def _record(cls):
     """Class decorator: a record over the fields the class annotates (see the module doc)."""
-    if cls is None:
-        return lambda cls: _record(cls, frozen=frozen)
     names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
@@ -89,8 +86,7 @@ def _record(cls=None, *, frozen=True):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            values = {n: d.copy() if isinstance(d, list) else d for n, d in defaults.items()}
-            values.update(**dict(zip(names, args)), **kwargs)  # a field given twice raises
+            values = dict(defaults, **dict(zip(names, args)), **kwargs)  # a repeated field raises
             if len(args) > len(names) or values.keys() != set(names):
                 raise TypeError(f"{cls.__name__}() takes {names}, got {len(args)} "
                                 f"positional arguments and the keywords {sorted(kwargs)}")
@@ -116,10 +112,7 @@ def _record(cls=None, *, frozen=True):
         raise AttributeError(f"cannot delete field {name!r}")
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
-    else:
-        cls.__hash__ = None
+    cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
     return cls
 
 

@@ -13,7 +13,7 @@ from itertools import compress
 
 from .engine import BBAB, Substreetution, double, theta
 from .errors import BadPatchFormat, NonIntegerResult, NonPositive, NotPowerOfTwo
-from .trees import addr_index, index_addr
+from .trees import _COLOR_CODES, addr_index, index_addr
 
 
 def _level_of(word: str) -> int:
@@ -30,9 +30,6 @@ def _level_of(word: str) -> int:
 # (2 MB); a level grows as 8^l, so longer words are read in blocks.
 _MASKS = weakref.WeakKeyDictionary()
 _MASK_CACHE_LEVEL = 8
-
-# a line word's characters as compress selectors: 1 keeps an address rank
-_ONES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _theta_masks(sub: Substreetution, levels: dict, l: int) -> list[int]:
@@ -65,7 +62,7 @@ def chi_via_theta(sub: Substreetution, word: str) -> str:
     r = min(l, _MASK_CACHE_LEVEL)
     levels = _MASKS.setdefault(sub, {})
     inner, size = _theta_masks(sub, levels, r), 1 << r
-    ones = word.encode().translate(_ONES)
+    ones = word.encode().translate(_COLOR_CODES)  # compress selectors: 1 keeps an address rank
     image = 0
     for p, outer in enumerate(_theta_masks(sub, levels, l - r)):
         block, start = 0, p * size

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 import substreetution
+from substreetution import cli
 from substreetution.engine import ABBA, BBAB, apply, fixed_point_prefix
 from substreetution.errors import (
     Inconsistent,
@@ -182,6 +183,36 @@ class TestBlockTable:
                 continue
             assert (rep.parity, rep.candidates, rep.determined) == want
         assert outcomes == {None, "odd", "even", "undetermined"}
+
+    def test_inf_check_matches_a_generated_prefix(self):
+        # type detection and the site command compare each line with the
+        # closed form; the oracle compares the lines with a generated prefix
+        rng = random.Random(23)
+        j14 = jacaranda_prefix(14)
+        patches = [w for d in range(2, 12) for w in subpatch_representatives(j14, d).values()]
+        patches += [fixed_point_prefix(BBAB, root, d) for root in (0, 1) for d in range(15)]
+        for p in list(patches):  # one flipped color, the root's included
+            rows = list(p.levels)
+            l = rng.randrange(len(rows))
+            i = rng.randrange(len(rows[l]))
+            rows[l] = rows[l][:i] + "10"[int(rows[l][i])] + rows[l][i + 1 :]
+            patches.append(Patch(tuple(rows)))
+        verdicts = []
+        for p in patches:
+            want = p.levels[1:] == jacaranda_prefix(p.depth).levels[1:]
+            try:
+                cli._check_occurrence(Patch.leaf(p.get("")), "", p)
+            except Inconsistent:
+                assert not want, p.levels
+            else:
+                assert want, p.levels
+            if p.depth >= 2:
+                try:
+                    assert detect_type(p).inf_consistent == want, p.levels
+                except Inconsistent:
+                    assert not want, p.levels
+            verdicts.append(want)
+        assert (len(verdicts), sum(verdicts)) == (304, 50)
 
 
 class TestUnsubPow:

@@ -50,9 +50,7 @@ def crosscheck(a, jp, site=None, primary=None):
             primary = preimages_classified(a, jp, site).members
         except Undetermined:
             primary = ()
-    report = CrosscheckReport(ok=True, occurrences=0)
-    matched: set = set()
-    preimages._check_occurrences(jp, a.depth, {jp.locate(a): a}, report, matched)
+    report, _, matched = preimages._check_occurrences(jp, a.depth, {jp.locate(a): a})
     return report, [m.serialize() for m in primary if (m.root, m.side) not in matched]
 
 
@@ -458,13 +456,44 @@ def test_site_members_lie_in_the_closure(jp):
     assert (len(members), len(set(members)), shallower) == (93, 69, 20)
 
 
-def _check_occurrences_per_site(jp, d, reps, report, matched):
+def test_case_tree_reads_the_line_it_is_given(jp):
+    # the case tree, given the line 2^v2(n-1) - 1 where it lies below the
+    # tree (cut here from a window of the prefix), gives the cases that the
+    # classification at the site gives, open cases and message included, at
+    # the first site of each (class, line) in each generation
+    outcomes = []
+    for d in range(1, 7):
+        for m, row in enumerate(jp.subtree_ids(d)[1:], start=1):
+            l = (1 << v2(m - 1)) - 1 if m > 1 else 0
+            below = d < l and m + l <= jp.depth
+            first = {}
+            for i, cid in enumerate(row):
+                first.setdefault((cid, jp.window(m, i, l).levels[l] if below else None), i)
+            for (_, line), i in first.items():
+                patch, site = jp.window(m, i, d), index_addr(i, m)
+                try:
+                    ((_, members),) = _classify(patch, m, line)
+                    got = tuple(members)
+                except Undetermined as exc:
+                    got = (str(exc), exc.cases)
+                try:
+                    want = preimages_classified(patch, jp, site).members
+                except Undetermined as exc:
+                    want = (str(exc), exc.cases)
+                assert got == want, (site, d)
+                outcomes.append((line is not None, isinstance(got[0], str)))
+    # sites with a line below the patch, and sites whose cases stay open
+    assert (len(outcomes), sum(b for b, _ in outcomes), sum(u for _, u in outcomes)) == (158, 8, 12)
+
+
+def _check_occurrences_per_site(jp, d, reps):
     """The occurrence scan one site at a time: the oracle for the scan by generation."""
     table = jp.subtree_ids(d)
     ptable = jp.subtree_ids(d + 1)
     seen = set()
     class_cache: dict = {}
-    checked = 0
+    mismatches, matched = [], set()
+    occurrences = undetermined = checked = 0
     for m in range(1, jp.depth - d + 1):
         row = table[m]
         prow = ptable[m - 1]
@@ -472,14 +501,14 @@ def _check_occurrences_per_site(jp, d, reps, report, matched):
             a = reps.get(cid)
             if a is None:
                 continue
-            report.occurrences += 1
-            line = None
+            occurrences += 1
+            line = below = None
             if m % 2 and m > 1:  # line l = 2^v2(m-1) - 1: the patch's or, below it, the prefix's
                 l = (1 << v2(m - 1)) - 1
                 if l <= d:
                     line = a.levels[l]
                 elif m + l <= jp.depth:
-                    line = jp.levels[m + l][i << l : (i + 1) << l]
+                    line = below = jp.levels[m + l][i << l : (i + 1) << l]
             key = (cid, m, line)
             pid = prow[i // 2]
             if (pid, key) in seen:
@@ -488,12 +517,12 @@ def _check_occurrences_per_site(jp, d, reps, report, matched):
             cached = class_cache.get(key)
             if cached is None:
                 try:
-                    cached = _classify(a, m, i, jp), False
+                    cached = _classify(a, m, below), False
                 except Undetermined as exc:
                     cached = exc.cases, True
                 class_cache[key] = cached
             cases, still_open = cached
-            report.undetermined_sites += still_open
+            undetermined += still_open
             parent = jp.window(m - 1, i // 2, d + 1)
             checked += 1
             hits = {
@@ -503,10 +532,9 @@ def _check_occurrences_per_site(jp, d, reps, report, matched):
                 if _descriptor_matches(parent, a, member)
             }
             if not hits:
-                report.ok = False
-                report.mismatches.append((index_addr(i, m), parent))
+                mismatches.append((index_addr(i, m), parent))
             matched |= hits
-    return checked
+    return CrosscheckReport(not mismatches, occurrences, mismatches, undetermined), checked, matched
 
 
 def _fields(report, limit_only=()):
@@ -524,8 +552,9 @@ class TestOccurrenceScanOracle:
             counts = []
 
             def recording(*a, scan=scan, counts=counts):
-                counts.append(scan(*a))
-                return counts[-1]
+                result = scan(*a)
+                counts.append(result[1])
+                return result
 
             with monkeypatch.context() as mp:
                 mp.setattr(preimages, "_check_occurrences", recording)
@@ -602,9 +631,8 @@ class TestOccurrenceScanOracle:
                         continue
                     results = []
                     for scan in (preimages._check_occurrences, _check_occurrences_per_site):
-                        report, matched = CrosscheckReport(ok=True, occurrences=0), set()
                         try:
-                            checked = scan(jp, d, {cid: other}, report, matched)
+                            report, checked, matched = scan(jp, d, {cid: other})
                         except SubstreetutionError as exc:
                             results.append((type(exc), str(exc)))
                         else:

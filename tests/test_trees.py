@@ -511,7 +511,7 @@ RECORDS = [
 
 @pytest.mark.parametrize("cls, args, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_record_contract(cls, args, other):
-    """Records compare, hash and print by their fields, and frozen ones refuse assignment."""
+    """Records compare, hash and print by their fields, and refuse assignment."""
     names = list(cls.__annotations__)
     x, y = cls(*args), cls(**dict(zip(names, args)))
     fields = tuple(getattr(x, n) for n in names)
@@ -522,14 +522,6 @@ def test_record_contract(cls, args, other):
     stranger = next(c(*a) for c, a, _ in RECORDS if c is not cls)
     assert x.__eq__(stranger) is NotImplemented and x != stranger
     assert repr(x) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, fields)) + ")"
-    if cls is CrosscheckReport:
-        with pytest.raises(TypeError):
-            hash(x)
-        x.ok = False
-        assert not x.ok
-        a, b = CrosscheckReport(True, 0), CrosscheckReport(True, 0)
-        assert a.mismatches == [] and a.mismatches is not b.mismatches
-        return
     try:
         want = hash(fields)
     except TypeError:
