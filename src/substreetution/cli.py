@@ -23,14 +23,14 @@ from .engine import (
     theta,
     verify_renormalization,
 )
-from .errors import AddressTooDeep, Inconsistent, NonPositive, SubstreetutionError
+from .errors import NonPositive, SubstreetutionError
 from .jacaranda import brother, detect_type, jacaranda_prefix, unsub_pow
 from .measures import invariant_measure
 from .preimages import p_n, preimages_bruteforce, preimages_classified
 from .render import RenderConfig, tiling_svg, tree_svg
 from .systems import build_orbit_graph, nomeasure_tree, parse_orbit_graph
 from .trees import check_address, distinct_subpatches, dump_patch, load_patch, random_patch
-from .words import chi_pow, line_formula, ones_count_line_2n
+from .words import chi_pow, ones_count_line_2n
 
 
 # The line-2^n count for n = 14 has 4,933 digits, past the 4,300 that Python
@@ -69,20 +69,6 @@ def _write(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_occurrence(patch, site, jp) -> None:
-    """The site classifier trusts its prefix and site, so the command line checks them."""
-    # J or J' to its depth, as detect_type tests it: the fixed trees differ only at the root
-    if any(jp.levels[m] != line_formula(m) for m in range(1, jp.depth + 1)):
-        raise Inconsistent(f"the depth-{jp.depth} prefix is not a prefix of a BBAB fixed tree")
-    if len(site) + patch.depth > jp.depth:
-        raise AddressTooDeep(
-            f"site {site!r} plus patch depth {patch.depth} reaches below "
-            f"the depth-{jp.depth} prefix"
-        )
-    if jp.subtree(site).truncate(patch.depth) != patch:
-        raise Inconsistent(f"the patch does not occur at site {site!r} of the prefix")
 
 
 def build_parser() -> _Parser:
@@ -132,15 +118,15 @@ def build_parser() -> _Parser:
     p.add_argument("--patch", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("preimages", help="parents of a patch inside a prefix")
+    p = sub.add_parser("preimages", help="parents of a patch: classified, or scanned in a prefix")
     p.add_argument("--patch", required=True)
-    p.add_argument("--jprefix", help="prefix file for --site and the scan (defaults to depth 14)")
+    p.add_argument("--jprefix", help="prefix file for the scan and --n (defaults to depth 14)")
     p.add_argument("--n", type=int, default=1, help="iterated ancestor distance")
     p.add_argument("--classified", action="store_true")
     p.add_argument(
         "--site",
         metavar="WORD",
-        help="where the patch occurs in the prefix; classifies that occurrence "
+        help="where the patch occurs in the fixed tree; classifies that occurrence "
         "(implies --classified)",
     )
 
@@ -237,14 +223,11 @@ def _run(args) -> int:
         if classified and args.n != 1:
             raise SubstreetutionError(f"--n must be 1 with --classified or --site, got {args.n}")
         patch = load_patch(args.patch)
-        if args.classified and args.site is None:  # the class's parents, from the closure
-            sys.stdout.write(preimages_classified(patch).serialize())
+        if classified:  # at a site of J from its closed form, else the class's, from the closure
+            sys.stdout.write(preimages_classified(patch, args.site).serialize())
             return 0
         jp = load_patch(args.jprefix) if args.jprefix else jacaranda_prefix(14)
-        if args.site is not None:
-            _check_occurrence(patch, args.site, jp)
-            sys.stdout.write(preimages_classified(patch, jp, args.site).serialize())
-        elif args.n == 1:
+        if args.n == 1:
             sys.stdout.write(preimages_bruteforce(patch, jp).serialize())
         else:
             print(p_n(patch, args.n, jp))

@@ -5,7 +5,7 @@ Two sources give exact parent sets:
 
 - a tree at a site of the fixed tree: the case analysis, whose indices
   (classes u, k, v, u_inner and line 2^v - 1) are dyadic valuations of the
-  site's generation, with lines below the patch read from the ambient prefix;
+  site's generation, with the line below the patch read from J's closed form;
 - a patch without a site, which stands for its class: the parents of every
   tree of the class, read off the closure's depth-(d+1) classes
   (`closure.closure_classes`).
@@ -25,7 +25,7 @@ from .trees import (
     Patch, _record, addr_index, check_address, classes, decode, find, index_addr, node_keys,
     subpatch_representatives, truncations,
 )
-from .words import v2
+from .words import line_window, v2
 
 
 @_record
@@ -109,33 +109,30 @@ def _cases(tags, sibs) -> list:
     ]
 
 
-def preimages_classified(
-    p: Patch, jprefix: Patch | None = None, site: str | None = None
-) -> PreimageSet:
-    """Exact parent set: of a tree at its site, or of a patch's class.
+def preimages_classified(p: Patch, site: str | None = None) -> PreimageSet:
+    """Exact parent set: of a tree at a site of the fixed tree J, or of a patch's class.
 
-    A patch with the site it occupies in the fixed-tree prefix `jprefix` goes
-    through the case analysis: the site pins its class, and lines below the
-    patch are read from the prefix, which the caller vouches is a prefix of
-    J or J'.  Without a site, a patch stands for its class, the trees of the
-    orbit closure it truncates, and the parents of every one of them are read
-    off the closure's depth-(d+1) classes.  At the root site the tree is the
-    fixed tree itself, J when p has root 0 and J' when it has root 1, with
-    the constant set JAC_PREIMAGES or JAC_PRIME_PREIMAGES.
+    A patch with a site goes through the case analysis: the site pins its
+    class, and p must be J's window there, which is checked against J's
+    closed form, the source of the one line below p the cases may read.  At
+    the root site the tree is the fixed tree itself, J when p has root 0 and
+    J' when it has root 1 (they differ only at the root), with the constant
+    set JAC_PREIMAGES or JAC_PRIME_PREIMAGES.  Without a site, a patch stands
+    for its class, the trees of the orbit closure it truncates, and the
+    parents of every one of them are read off the closure's depth-(d+1) classes.
     """
     if site is None:
         levels = closure_classes(BBAB, 0, p.depth + 1)
         keys = {cid: key for level in levels for cid, key in level.items()}
         cid = find(dict(zip(keys.values(), keys)), p)
         return _parent_set(cid, levels[-1], keys, "closure", "exact")
-    if site == "":
-        return JAC_PRIME_PREIMAGES if p.get("") else JAC_PREIMAGES
     n, i = len(site), addr_index(check_address(site))
+    if any(p.levels[t] != line_window(n + t, t, i) for t in range(n == 0, p.depth + 1)):
+        raise Inconsistent(f"the patch is not the fixed tree's window at site {site!r}")
+    if n == 0:
+        return JAC_PRIME_PREIMAGES if p.get("") else JAC_PREIMAGES
     l = (1 << v2(n - 1)) - 1 if n > 1 else 0  # the one line the case tree may read
-    below = None
-    if jprefix is not None and n + l <= jprefix.depth:
-        below = jprefix.levels[n + l][i << l : (i + 1) << l]
-    ((_, members),) = _classify(p, n, below)
+    ((_, members),) = _classify(p, n, line_window(n + l, l, i))
     return PreimageSet(tuple(members), "exact")
 
 

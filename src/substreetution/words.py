@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import compress
 
 from .engine import BBAB, Substreetution, double, theta
-from .errors import BadPatchFormat, NonIntegerResult, NonPositive, NotPowerOfTwo
+from .errors import AddressTooDeep, BadPatchFormat, NonIntegerResult, NonPositive, NotPowerOfTwo
 from .trees import _COLOR_CODES, addr_index, index_addr
 
 
@@ -136,15 +136,28 @@ def doubling_block(z: int) -> str:
     return "10" if z == 0 else chi(BBAB, doubling_block(z - 1))
 
 
-def line_formula(m: int) -> str:
-    """Closed form for generation m of the root-0 fixed tree of the BBAB system.
+def line_window(m: int, k: int, i: int = 0) -> str:
+    """Colors [i 2^k, (i + 1) 2^k) of generation m of the root-0 fixed tree of BBAB.
 
-    With u the dyadic valuation of m, the line is the u-th doubling block of
-    "10" repeated 2^m / 2^(2^u) times (2^u <= m, so the count is whole); odd
-    lines are plain "10" repetitions.
+    With u the dyadic valuation of m, the line repeats the u-th doubling
+    block of "10" (2^u <= m, so whole copies fill it); odd lines repeat "10".
+    The window is cut from the block without building the line; a block past
+    2^24 colors (m a multiple of 32, whose block has 2^32) is refused, not built.
     """
     if m < 1:
         raise NonPositive("generations are indexed from 1 here")
-    block = doubling_block(v2(m))
-    return block * ((1 << m) // len(block))
+    z = v2(m)
+    if 1 << z > 24:
+        raise AddressTooDeep(f"generation {m} repeats a block of 2^{1 << z} colors, past 2^24")
+    if not (0 <= k <= m and 0 <= i < 1 << m - k):
+        raise AddressTooDeep(f"no window {i} of 2^{k} colors in generation {m}")
+    block, size = doubling_block(z), 1 << k
+    if size >= len(block):  # the window starts at a multiple of its size: whole copies
+        return block * (size // len(block))
+    start = (i << k) % len(block)
+    return block[start : start + size]
 
+
+def line_formula(m: int) -> str:
+    """Closed form for generation m of the root-0 fixed tree of the BBAB system."""
+    return line_window(m, m)

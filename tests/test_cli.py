@@ -177,11 +177,11 @@ class TestPatchCommands:
         assert code == 0 and of_class == preimages_classified(patch).serialize()
         code, out, _ = run(capsys, "preimages", "--patch", str(f), "--site", "a")
         assert code == 0
-        assert out == preimages_classified(patch, jp, "a").serialize()
+        assert out == preimages_classified(patch, "a").serialize()
         assert out.startswith("completeness=exact") and of_class.startswith("completeness=exact")
         # each member at the site is a class member, its sibling to the site's depth
         members = preimages_classified(patch).members
-        for at_site in preimages_classified(patch, jp, "a").members:
+        for at_site in preimages_classified(patch, "a").members:
             sib = at_site.sibling
             assert any(
                 (m.root, m.side) == (at_site.root, at_site.side)
@@ -193,8 +193,8 @@ class TestPatchCommands:
         f = tmp_path / "sub.patch"
         f.write_text(dump_patch(jacaranda_prefix(14).subtree("a").truncate(5)))
         for site, message in (
-            ("b", "does not occur at site 'b'"),
-            ("a" * 10, "reaches below the depth-14 prefix"),
+            ("b", "is not the fixed tree's window at site 'b'"),
+            ("a" * 10, f"is not the fixed tree's window at site '{'a' * 10}'"),
             ("ax", "address must be a word"),
         ):
             code, out, err = run(
@@ -214,16 +214,19 @@ class TestPatchCommands:
         )
 
     def test_preimages_site_needs_a_fixed_tree_prefix(self, capsys, tmp_path):
-        # the case analysis reads lines of J or J', so another prefix is refused
-        # even where the patch does sit at the site
+        # the site is a site of the fixed tree, whose lines the case analysis
+        # reads from the closed form: a patch of another tree is refused
+        # whatever --jprefix names, which the site path does not read
         rp = random_patch(8, random.Random(3))
-        jp, f = tmp_path / "random.patch", tmp_path / "sub.patch"
+        jp, j8, f = tmp_path / "random.patch", tmp_path / "j8.patch", tmp_path / "sub.patch"
         jp.write_text(dump_patch(rp))
+        j8.write_text(dump_patch(jacaranda_prefix(8)))
         f.write_text(dump_patch(rp.subtree("ab").truncate(3)))
-        argv = ["preimages", "--patch", str(f), "--site", "ab", "--jprefix", str(jp)]
-        assert run(capsys, *argv) == (
-            2, "", "error: the depth-8 prefix is not a prefix of a BBAB fixed tree\n"
-        )
+        argv = ["preimages", "--patch", str(f), "--site", "ab"]
+        for named in ([], ["--jprefix", str(jp)], ["--jprefix", str(j8)], ["--jprefix", "absent"]):
+            assert run(capsys, *argv, *named) == (
+                2, "", "error: the patch is not the fixed tree's window at site 'ab'\n"
+            )
 
     def test_preimages_site_in_jprime_prints_as_in_j(self, capsys, tmp_path):
         # J and J' differ only at the root, so every other site reads the same lines

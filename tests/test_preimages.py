@@ -11,6 +11,7 @@ from substreetution.closure import closure_classes
 from substreetution.engine import BBAB, fixed_point_prefix
 from substreetution.errors import (
     BadPatchFormat,
+    Inconsistent,
     NonPositive,
     Shallow,
     SubstreetutionError,
@@ -47,17 +48,17 @@ def crosscheck(a, jp, site=None, primary=None):
         raise Shallow("prefix too shallow for a parent scan")
     if primary is None:
         try:
-            primary = preimages_classified(a, jp, site).members
+            primary = preimages_classified(a, site).members
         except Undetermined:
             primary = ()
     report, _, matched = preimages._check_occurrences(jp, a.depth, {jp.locate(a): a})
     return report, [m.serialize() for m in primary if (m.root, m.side) not in matched]
 
 
-def _site_members(patch, jp, site):
+def _site_members(patch, site):
     """The members classified at the site, or the union of its open cases."""
     try:
-        return preimages_classified(patch, jp, site).members
+        return preimages_classified(patch, site).members
     except Undetermined as exc:
         return [member for _, members in exc.cases for member in members]
 
@@ -118,7 +119,7 @@ def test_serialization_golden(jp, first_sites_by_scan):
     # and without the site and by the scan, then both fixed trees, with each
     # error as its class and message: every serialized byte, one digest per path
     paths = {
-        "site": lambda patch, site: preimages_classified(patch, jp, site),
+        "site": lambda patch, site: preimages_classified(patch, site),
         "site-less": lambda patch, site: preimages_classified(patch),
         "scan": lambda patch, site: preimages_bruteforce(patch, jp),
     }
@@ -153,7 +154,7 @@ for _ in range({warm}):
     random_patch(6, rng).subtree_ids(3)
 jp = jacaranda_prefix(14)
 patch = jp.subtree("aabb").truncate(6)
-print(preimages_classified(patch, jp, "aabb").serialize(), end="")
+print(preimages_classified(patch, "aabb").serialize(), end="")
 print(preimages_bruteforce(patch, jp).serialize(), end="")
 print(sorted(distinct_subpatches(jp, 3)))
 """
@@ -328,7 +329,7 @@ class TestCrosscheck:
                 patch, site = jp16.window(m, i, d), index_addr(i, m)
                 for at in (site, None):
                     try:
-                        members = preimages_classified(patch, jp16, at).members
+                        members = preimages_classified(patch, at).members
                     except SubstreetutionError:
                         continue
                     for member in members:
@@ -356,7 +357,7 @@ class TestCrosscheck:
         # every parent the class has, each sibling agreeing to the site's depth
         site = "aabb"
         patch = jp.subtree(site)
-        at_site = preimages_classified(patch, jp, site).members
+        at_site = preimages_classified(patch, site).members
         of_class = preimages_classified(patch).members
         assert {(d.root, d.side) for d in at_site} == {(d.root, d.side) for d in of_class}
         assert all(_among(d, of_class) for d in at_site)
@@ -371,7 +372,7 @@ class TestCrosscheck:
             cid, tags = jp.locate(patch), set()
             for m, row in enumerate(jp.subtree_ids(depth)[1:], start=1):
                 for i in (i for i, c in enumerate(row) if c == cid):
-                    members = _site_members(patch, jp, index_addr(i, m))
+                    members = _site_members(patch, index_addr(i, m))
                     tags |= {d.case_tag for d in members}
                     assert all(_among(d, of_class) for d in members)
             assert {"odd1-vinf", "odd1-1c"} <= tags and "odd1-2b" not in tags
@@ -379,25 +380,41 @@ class TestCrosscheck:
     def test_site_is_an_address(self, jp):
         # the site classifier reads the site's rank, so it checks the site's letters
         with pytest.raises(BadPatchFormat, match="address must be a word over"):
-            preimages_classified(Patch.leaf(0), jp, "bx")
+            preimages_classified(Patch.leaf(0), "bx")
+
+    def test_site_patch_is_the_fixed_tree_window(self, jp):
+        # every line of the patch is checked against J's, the root's included
+        # below the root site (only the root site admits J' as well)
+        for site in ("a", "ab", "bab"):
+            rows = list(jp.subtree(site).truncate(3).levels)
+            for t, row in enumerate(rows):
+                flipped = rows[:t] + ["10"[int(row[0])] + row[1:]] + rows[t + 1 :]
+                message = f"^the patch is not the fixed tree's window at site '{site}'$"
+                with pytest.raises(Inconsistent, match=message):
+                    preimages_classified(Patch(tuple(flipped)), site)
 
     def test_undetermined_carries_case_union(self, jp):
-        # a root-1 odd site whose discriminating line lies beyond both the
-        # patch and the prefix leaves the three deep cases open
+        # a root-1 odd tree whose discriminating line lies below the patch,
+        # with no line given, leaves the three deep cases open; at its site
+        # the closed form gives that line (J's line 16), which holds a 1
         site = "a" * 9
         patch = jp.subtree(site).truncate(4)
         assert patch.get("") == 1
         with pytest.raises(Undetermined) as exc:
-            preimages_classified(patch, jp, site)
+            _classify(patch, 9, None)
         tags = [tag for tag, _ in exc.value.cases]
         assert tags == ["odd1-1a", "odd1-1b", "odd1-1c"]
+        assert preimages_classified(patch, site).serialize().splitlines() == [
+            "completeness=exact count=1",
+            "case=odd1-1c root=0 side=a sibling=d4:b081e280e44be928",
+        ]
 
     def test_depth0_root0_odd_site_leaves_children_open(self, jp):
         # a bare root-0 tree at an odd generation: its children, and so its
         # case, are unknown; the sibling is the root-1 leaf
         assert jp.get("b") == 0
         with pytest.raises(Undetermined, match="^children of a depth-0 odd tree are unknown$") as exc:
-            preimages_classified(Patch.leaf(0), jp, "b")
+            preimages_classified(Patch.leaf(0), "b")
         ((tag, members),) = exc.value.cases
         assert tag == "odd0-open"
         assert [(m.root, m.side, m.case_tag) for m in members] == [
@@ -447,7 +464,7 @@ def test_site_members_lie_in_the_closure(jp):
                 firsts.setdefault(cid, (m, i))
         for m, i in firsts.values():
             patch = jp.window(m, i, d)
-            for member in _site_members(patch, jp, index_addr(i, m)):
+            for member in _site_members(patch, index_addr(i, m)):
                 members.append((d, member.root, member.side, member.sibling.levels))
                 if not any(_descriptor_matches(q, patch, member) for q in parents):
                     outside.append((index_addr(i, m), member.serialize()))
@@ -460,12 +477,15 @@ def test_case_tree_reads_the_line_it_is_given(jp):
     # the case tree, given the line 2^v2(n-1) - 1 where it lies below the
     # tree (cut here from a window of the prefix), gives the cases that the
     # classification at the site gives, open cases and message included, at
-    # the first site of each (class, line) in each generation
+    # the first site of each (class, line) in each generation whose line the
+    # prefix shows (the site reads lines below it from the closed form)
     outcomes = []
     for d in range(1, 7):
         for m, row in enumerate(jp.subtree_ids(d)[1:], start=1):
             l = (1 << v2(m - 1)) - 1 if m > 1 else 0
             below = d < l and m + l <= jp.depth
+            if d < l and not below:
+                continue
             first = {}
             for i, cid in enumerate(row):
                 first.setdefault((cid, jp.window(m, i, l).levels[l] if below else None), i)
@@ -477,13 +497,45 @@ def test_case_tree_reads_the_line_it_is_given(jp):
                 except Undetermined as exc:
                     got = (str(exc), exc.cases)
                 try:
-                    want = preimages_classified(patch, jp, site).members
+                    want = preimages_classified(patch, site).members
                 except Undetermined as exc:
                     want = (str(exc), exc.cases)
                 assert got == want, (site, d)
                 outcomes.append((line is not None, isinstance(got[0], str)))
     # sites with a line below the patch, and sites whose cases stay open
-    assert (len(outcomes), sum(b for b, _ in outcomes), sum(u for _, u in outcomes)) == (158, 8, 12)
+    assert (len(outcomes), sum(b for b, _ in outcomes), sum(u for _, u in outcomes)) == (146, 8, 0)
+
+
+def _outcome(members_of):
+    """The members that members_of() gives, or the message and open cases it raises."""
+    try:
+        return tuple(members_of())
+    except Undetermined as exc:
+        return (str(exc), exc.cases)
+
+
+def test_site_reads_the_lines_a_prefix_shows(jp):
+    # at every site of length n <= 10 and depth d <= 14 - n, the site's
+    # classification, which reads the line below the patch from the closed
+    # form, gives the case tree's cases on the line cut from the prefix
+    # wherever the prefix shows it; only a bare root-0 tree at an odd site
+    # stays open, since the patch does not show its children
+    pairs = shown = opened = 0
+    for n in range(1, 11):
+        l = (1 << v2(n - 1)) - 1 if n > 1 else 0
+        for d in range(15 - n):
+            for i in range(1 << n):
+                patch = jp.window(n, i, d)
+                got = _outcome(lambda: preimages_classified(patch, index_addr(i, n)).members)
+                is_open = isinstance(got[0], str)
+                assert is_open == (d == 0 and patch.get("") == 0 and n % 2 == 1), (n, i, d)
+                pairs, opened = pairs + 1, opened + is_open
+                if l > d and n + l > jp.depth:
+                    continue
+                line = jp.levels[n + l][i << l : (i + 1) << l] if l > d else None
+                assert got == _outcome(lambda: _classify(patch, n, line)[0][1]), (n, i, d)
+                shown += 1
+    assert (pairs, shown, opened) == (12256, 9184, 341)
 
 
 def _check_occurrences_per_site(jp, d, reps):
@@ -582,7 +634,7 @@ class TestOccurrenceScanOracle:
         # levels before it compares ids; each member is witnessed
         jp16 = jacaranda_prefix(16)
         patch = jp16.subtree(site).truncate(depth)
-        members = preimages_classified(patch, jp16, site).members
+        members = preimages_classified(patch, site).members
         assert steps == max(depth - member.sibling.depth for member in members)
         (got, got_counts), (want, want_counts) = self._both(
             monkeypatch, crosscheck, patch, jp16, site

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import substreetution
-from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply
-from substreetution.errors import BadPatchFormat, NonPositive, NotPowerOfTwo
+from substreetution.engine import ABBA, BBAB, THUE_MORSE, Substreetution, apply, source
+from substreetution.errors import AddressTooDeep, BadPatchFormat, NonPositive, NotPowerOfTwo
+from substreetution.jacaranda import jacaranda_prefix
 from substreetution.words import (
     _MASKS,
     _level_of,
@@ -25,10 +26,11 @@ from substreetution.words import (
     doubling_block,
     f_iter,
     line_formula,
+    line_window,
     ones_count_line_2n,
     v2,
 )
-from substreetution.trees import addr_index, index_addr, random_patch
+from substreetution.trees import Patch, addr_index, index_addr, random_patch
 
 
 def ones_addresses(word: str) -> frozenset[str]:
@@ -298,3 +300,43 @@ class TestLineFormula:
             assert "1" in block[half:]
             if u >= 2:
                 assert "1" in block[:half]
+
+
+def _j_window(site: str, depth: int) -> Patch:
+    """The fixed tree J's lines at a site below its root, read from the closed form."""
+    i = addr_index(site)
+    return Patch(tuple(line_window(len(site) + t, t, i) for t in range(depth + 1)))
+
+
+class TestLineWindow:
+    def test_slices_of_a_generated_prefix(self):
+        rng = random.Random(16)
+        j16 = jacaranda_prefix(16)
+        for m in range(1, 17):
+            assert line_formula(m) == j16.levels[m]
+            for k in range(m + 1):
+                count = 1 << (m - k)
+                for i in {0, count - 1, *rng.sample(range(count), min(count, 8))}:
+                    assert line_window(m, k, i) == j16.levels[m][i << k : (i + 1) << k], (m, k, i)
+
+    @settings(deadline=None)
+    @given(
+        site=st.integers(1, 5).flatmap(lambda j: st.text("ab", min_size=2 * j, max_size=2 * j)),
+        depth=st.integers(0, 6),
+    )
+    def test_renormalization(self, site, depth):
+        # J at an even site is the image of J at the site's source
+        image = apply(BBAB, _j_window(source(BBAB, site), depth // 2), depth)
+        assert _j_window(site, depth) == image
+
+    def test_refuses_blocks_past_2_24_colors(self):
+        # generation 32 repeats the level-5 block, 2^32 colors, which is never built
+        for m in (32, 64):
+            with pytest.raises(AddressTooDeep, match=f"^generation {m} repeats a block of 2\\^"):
+                line_window(m, 0)
+            with pytest.raises(AddressTooDeep):
+                line_formula(m)
+        assert doubling_block.cache_info().currsize <= 5  # B(0) to B(4) at most
+        for m, k, i in ((3, 4, 0), (3, 1, 4), (3, 0, -1)):
+            with pytest.raises(AddressTooDeep, match=f"^no window {i} of 2\\^{k} colors"):
+                line_window(m, k, i)
