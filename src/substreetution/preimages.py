@@ -5,7 +5,8 @@ Two sources give exact parent sets:
 
 - a tree at a site of the fixed tree: the case analysis, whose indices
   (classes u, k, v, u_inner and line 2^v - 1) are dyadic valuations of the
-  site's generation, with the line below the patch read from J's closed form;
+  site's generation, with the line below the patch, and a bare tree's
+  children, read from J's closed form;
 - a patch without a site, which stands for its class: the parents of every
   tree of the class, read off the closure's depth-(d+1) classes
   (`closure.closure_classes`).
@@ -114,10 +115,11 @@ def preimages_classified(p: Patch, site: str | None = None) -> PreimageSet:
 
     A patch with a site goes through the case analysis: the site pins its
     class, and p must be J's window there, which is checked against J's
-    closed form, the source of the one line below p the cases may read.  At
-    the root site the tree is the fixed tree itself, J when p has root 0 and
-    J' when it has root 1 (they differ only at the root), with the constant
-    set JAC_PREIMAGES or JAC_PRIME_PREIMAGES.  Without a site, a patch stands
+    closed form, the source of the one line below p the cases may read and
+    of a bare root-0 tree's children at an odd site.  At the root site the
+    tree is the fixed tree itself, J when p has root 0 and J' when it has
+    root 1 (they differ only at the root), with the constant set
+    JAC_PREIMAGES or JAC_PRIME_PREIMAGES.  Without a site, a patch stands
     for its class, the trees of the orbit closure it truncates, and the
     parents of every one of them are read off the closure's depth-(d+1) classes.
     """
@@ -132,17 +134,28 @@ def preimages_classified(p: Patch, site: str | None = None) -> PreimageSet:
     if n == 0:
         return JAC_PRIME_PREIMAGES if p.get("") else JAC_PREIMAGES
     l = (1 << v2(n - 1)) - 1 if n > 1 else 0  # the one line the case tree may read
-    ((_, members),) = _classify(p, n, line_window(n + l, l, i))
+    # a bare root-0 tree at an odd site: the case tree branches on its children
+    bare = p.depth == 0 and n % 2 == 1 and p.get("") == 0
+    children = line_window(n + 1, 1, i) if bare else None
+    ((_, members),) = _classify(p, n, line_window(n + l, l, i), children=children)
     return PreimageSet(tuple(members), "exact")
 
 
-def _classify(p: Patch, n: int, below: str | None = None, built: dict | None = None) -> list:
+def _classify(
+    p: Patch,
+    n: int,
+    below: str | None = None,
+    built: dict | None = None,
+    children: str | None = None,
+) -> list:
     """The parent case tree of a tree p in generation n of a fixed tree.
 
     Returns [(tag, members)], or raises Undetermined with the open cases.
     Every index the cases branch on is a dyadic valuation read off n, and
     line l = 2^v2(n-1) - 1 of the tree is read from p or, below it, is
     `below`, which the caller slices from the fixed tree (None: not visible).
+    A root-0 tree at an odd n branches on its children: p's line 1 or, for
+    a bare p, `children`, read by the caller the same way.
     An odd tree is class u = 0: at u = 0 the u-fold unsubstitution and image
     are the identity, so one sibling construction per root color serves
     every class.  The siblings depend on p, u and, for root 1, k alone;
@@ -155,11 +168,12 @@ def _classify(p: Patch, n: int, below: str | None = None, built: dict | None = N
         if u:
             return _cases(("even0-deep" if u >= 2 else "even0-2type",), sibs)
         # odd tree with root 0: only ever a b-child
-        if p.depth < 1:
+        line1 = p.levels[1] if p.depth >= 1 else children
+        if line1 is None:
             raise Undetermined(
                 "children of a depth-0 odd tree are unknown", cases=_cases(("odd0-open",), sibs)
             )
-        ca, cb = p.get("a"), p.get("b")
+        ca, cb = int(line1[0]), int(line1[1])
         k = v2(n + 1)
         if (ca, cb) == (0, 0):
             if k < 2:

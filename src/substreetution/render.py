@@ -6,6 +6,8 @@ the shorter word.  The tiling is drawn one pixel row at a time, by spans:
   every comparison is a bisector of two isometry images, so walls are geodesics;
   between two wall bands a row keeps one label, so one pixel decides it;
   a pixel whose centre lies inside a band is classified on its own, exactly.
+The tree picture formats each level's coordinates once, for all its edges
+and glyphs.  Each figure is one join of its lines.
 Output is deterministic: fixed formatting, row-major order, no concurrency.
 """
 
@@ -180,47 +182,59 @@ def _band_columns(walls, res):
     columns c0 = ceil(((xa + 1) res - 1) / 2) to c1 = floor(((xb + 1) res - 1) / 2);
     a band between two centres gives c0 = c1 + 1 and still cuts the row.
     A row may name a column twice: a list per row takes half a set's memory.
+    Each band's columns are appended inline, with its float expressions in
+    the order written here, so the same walls give the same columns.
     """
     d = _WALL_BAND
+    ceil, floor, sqrt = math.ceil, math.floor, math.sqrt
     rows = [[0] for _ in range(res)]
     columns = list(range(res))
-
-    def add(row, xa, xb):
-        c0 = math.ceil(((xa + 1) * res - 1) / 2)
-        c1 = math.floor(((xb + 1) * res - 1) / 2)
-        # a slice stops at res by itself; a negative end would count from it
-        rows[row] += columns[max(c0, 0) : max(c1 + 2, 0)]
-
+    ys = [1 - (2 * row + 1) / res for row in range(res)]
+    # a band adds columns[max(c0, 0) : max(end, 0)], end = c1 + 2: a slice
+    # stops at res by itself, and a negative end would count from it
     for wall in walls:
         if wall[0] == "line":  # a line wall reaches every row
             n = wall[1]
-            for row in range(res):
-                y = 1 - (2 * row + 1) / res
-                if abs(n.real) > 1e-12:
-                    xa = (-n.imag * y - d) / n.real
-                    xb = (-n.imag * y + d) / n.real
-                    add(row, min(xa, xb), max(xa, xb))
-                elif abs(n.imag * y) <= d:
-                    add(row, -1.0, 1.0)
+            if abs(n.real) <= 1e-12:  # the horizontal diameter: band [-1, 1], every column
+                for cols, y in zip(rows, ys):
+                    if abs(n.imag * y) <= d:
+                        cols += columns
+                continue
+            nx, ny = n.real, -n.imag
+            for cols, y in zip(rows, ys):
+                xa = (ny * y - d) / nx
+                xb = (ny * y + d) / nx
+                if xb < xa:
+                    xa, xb = xb, xa
+                c0 = ceil(((xa + 1) * res - 1) / 2)
+                end = floor(((xb + 1) * res - 1) / 2) + 2
+                cols += columns[c0 if c0 > 0 else 0 : end if end > 0 else 0]
             continue
         # A circle wall reaches the rows within R + band of its centre's
         # height; row = ((1 - y) res - 1) / 2, and the floor and ceil widen
         # the range by up to a row, far more than rounding.
         _, c, radius, k = wall
         reach = radius + d
-        first = max(0, math.floor(((1 - c.imag - reach) * res - 1) / 2))
-        last = min(res - 1, math.ceil(((1 - c.imag + reach) * res - 1) / 2))
+        first = max(0, floor(((1 - c.imag - reach) * res - 1) / 2))
+        last = min(res - 1, ceil(((1 - c.imag + reach) * res - 1) / 2))
+        cx, cy2, widen = c.real, 2 * c.imag, 2 * radius * d
         for row in range(first, last + 1):
-            y = 1 - (2 * row + 1) / res
+            y = ys[row]
             # (x - cx)^2 = s on the wall, with k = R^2 - cy^2 kept free of
             # cancellation; the band widens s by 2 R d + d^2.
-            s = k + y * (2 * c.imag - y)
-            hi2 = s + 2 * radius * d + d * d
+            s = k + y * (cy2 - y)
+            hi2 = s + widen + d * d
             if hi2 >= 0:
-                hi = math.sqrt(hi2)
-                lo = math.sqrt(max(s - 2 * radius * d, 0.0))
-                add(row, c.real - hi, c.real - lo)
-                add(row, c.real + lo, c.real + hi)
+                hi = sqrt(hi2)
+                lo = sqrt(max(s - widen, 0.0))
+                cols = rows[row]
+                # the bands [cx - hi, cx - lo] and [cx + lo, cx + hi]
+                c0 = ceil(((cx - hi + 1) * res - 1) / 2)
+                end = floor(((cx - lo + 1) * res - 1) / 2) + 2
+                cols += columns[c0 if c0 > 0 else 0 : end if end > 0 else 0]
+                c0 = ceil(((cx + lo + 1) * res - 1) / 2)
+                end = floor(((cx + hi + 1) * res - 1) / 2) + 2
+                cols += columns[c0 if c0 > 0 else 0 : end if end > 0 else 0]
     return rows
 
 
@@ -264,48 +278,49 @@ def tiling_svg(p: Patch, cfg: RenderConfig) -> str:
                 out.append(
                     f'<rect x="{x0}" y="{row}" width="{x1 - x0}" height="1" fill="{color}"/>'
                 )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out += ("</svg>", "")  # the empty last line ends the document in a newline
+    return "\n".join(out)
 
 
 def tree_svg(p: Patch) -> str:
-    """Classic layered layout: squares under a-edges, disks under b-edges."""
+    """Classic layered layout: squares under a-edges, disks under b-edges.
+
+    Each level's x coordinates and its y are formatted once, for the edges
+    that meet the level and for its glyphs; only the two levels an edge
+    joins are held.  All edges come first in the document, then the glyphs.
+    """
     if p.depth > 12:
         warnings.warn(f"depth {p.depth} will not render readably", stacklevel=2)
     unit = 24
     width = (1 << p.depth) * unit
     height = (p.depth + 1) * 2 * unit
     half = unit * 0.32
-
-    def pos(level, i):
-        x = width * (2 * i + 1) / (2 << level)
-        y = unit + level * 2 * unit
-        return x, y
-
+    side, radius = f"{2 * half:.2f}", f"{half:.2f}"
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="{BACKGROUND}"/>',
     ]
-    for level in range(p.depth):
-        for i in range(1 << level):
-            x0, y0 = pos(level, i)
-            for child in (2 * i, 2 * i + 1):
-                x1, y1 = pos(level + 1, child)
-                out.append(
-                    f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
-                    f'stroke="#606060" stroke-width="1"/>'
-                )
+    glyphs = []
     for level, rowbits in enumerate(p.levels):
-        for i, c in enumerate(rowbits):
-            x, y = pos(level, i)
-            fill = ROOT_COLOR if level == 0 else PALETTE[int(c)]
-            if level == 0 or i % 2 == 0:  # root and a-followers: rectangles
-                out.append(
-                    f'<rect x="{x - half:.2f}" y="{y - half:.2f}" '
-                    f'width="{2 * half:.2f}" height="{2 * half:.2f}" fill="{fill}"/>'
-                )
-            else:  # b-followers: disks
-                out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{half:.2f}" fill="{fill}"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        span = 2 << level
+        x_text = [f"{width * (2 * i + 1) / span:.2f}" for i in range(1 << level)]
+        y = unit + level * 2 * unit
+        y_text = f"{y:.2f}"
+        if level:  # the edges from the level above, parent by parent
+            tail = f'" y2="{y_text}" stroke="#606060" stroke-width="1"/>'
+            for x0, xa, xb in zip(above_x, x_text[::2], x_text[1::2]):
+                head = f'<line x1="{x0}" y1="{above_y}" x2="'
+                out += (head + xa + tail, head + xb + tail)
+        # the root and the a-followers (even i) are squares, the b-followers disks
+        fills = [PALETTE[int(c)] for c in rowbits] if level else [ROOT_COLOR]
+        square = f'" y="{y - half:.2f}" width="{side}" height="{side}" fill="'
+        disk = f'" cy="{y_text}" r="{radius}" fill="'
+        for i in range(0, 1 << level, 2):
+            glyphs.append(f'<rect x="{width * (2 * i + 1) / span - half:.2f}{square}{fills[i]}"/>')
+            if level:
+                glyphs.append(f'<circle cx="{x_text[i + 1]}{disk}{fills[i + 1]}"/>')
+        above_x, above_y = x_text, y_text
+    out += glyphs
+    out += ("</svg>", "")  # the empty last line ends the document in a newline
+    return "\n".join(out)

@@ -239,6 +239,16 @@ class TestPatchCommands:
             in_j, in_jprime = run(capsys, *argv), run(capsys, *argv, "--jprefix", str(jp))
             assert in_j == in_jprime and in_j[0] == 0 and in_j[1].startswith("completeness=exact")
 
+    def test_preimages_bare_tree_at_odd_site(self, capsys, tmp_path):
+        # a bare root-0 tree at an odd site: its children come from the closed form
+        f = tmp_path / "leaf.patch"
+        f.write_text("depth 0\n0\n")
+        code, out, err = run(capsys, "preimages", "--patch", str(f), "--site", "b")
+        assert (code, err) == (0, "")
+        assert out == preimages_classified(parse_patch(f.read_text()), "b").serialize()
+        assert out.splitlines()[0] == "completeness=exact count=2"
+        assert all(line.startswith("case=odd0-vinf ") for line in out.splitlines()[1:])
+
     @pytest.mark.parametrize("flag", [["--site", "ab"], ["--classified"]], ids=["site", "classified"])
     @pytest.mark.parametrize("n", ["-1", "3"])
     def test_preimages_classified_rejects_other_n(self, capsys, tmp_path, flag, n):

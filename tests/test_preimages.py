@@ -409,19 +409,22 @@ class TestCrosscheck:
             "case=odd1-1c root=0 side=a sibling=d4:b081e280e44be928",
         ]
 
-    def test_depth0_root0_odd_site_leaves_children_open(self, jp):
-        # a bare root-0 tree at an odd generation: its children, and so its
-        # case, are unknown; the sibling is the root-1 leaf
-        assert jp.get("b") == 0
-        with pytest.raises(Undetermined, match="^children of a depth-0 odd tree are unknown$") as exc:
-            preimages_classified(Patch.leaf(0), "b")
-        ((tag, members),) = exc.value.cases
-        assert tag == "odd0-open"
-        assert [(m.root, m.side, m.case_tag) for m in members] == [
-            (0, "b", "odd0-open"),
-            (1, "b", "odd0-open"),
+    def test_depth0_root0_odd_site_reads_children(self, jp):
+        # a bare root-0 tree at an odd generation: the site reads its children
+        # from the closed form and the case tree branches on them; the
+        # sibling is built from the patch, at its depth: the root-1 leaf
+        assert (jp.get("b"), jp.levels[2][2:4]) == (0, "10")
+        found = preimages_classified(Patch.leaf(0), "b")
+        assert found.completeness == "exact"
+        assert [(m.root, m.side, m.case_tag) for m in found.members] == [
+            (0, "b", "odd0-vinf"),
+            (1, "b", "odd0-vinf"),
         ]
-        assert {m.sibling.levels for m in members} == {("1",)}
+        assert {m.sibling.levels for m in found.members} == {("1",)}
+        # without the children the case stays open
+        with pytest.raises(Undetermined, match="^children of a depth-0 odd tree are unknown$") as exc:
+            _classify(Patch.leaf(0), 1)
+        assert [tag for tag, _ in exc.value.cases] == ["odd0-open"]
 
 
 def test_class_parents_equal_a_deep_scan():
@@ -516,26 +519,33 @@ def _outcome(members_of):
 
 def test_site_reads_the_lines_a_prefix_shows(jp):
     # at every site of length n <= 10 and depth d <= 14 - n, the site's
-    # classification, which reads the line below the patch from the closed
-    # form, gives the case tree's cases on the line cut from the prefix
-    # wherever the prefix shows it; only a bare root-0 tree at an odd site
-    # stays open, since the patch does not show its children
-    pairs = shown = opened = 0
+    # classification, which reads the lines below the patch from the closed
+    # form, gives the case tree's cases on the lines cut from the prefix:
+    # line 2^v2(n-1) - 1 wherever the prefix shows it and, for a bare root-0
+    # tree at an odd site, its children, which the prefix always shows; where
+    # the line lies below the prefix, a bare tree's members are among the
+    # cases the case tree leaves open on the children alone; none stays open
+    pairs = shown = opened = bare = 0
     for n in range(1, 11):
         l = (1 << v2(n - 1)) - 1 if n > 1 else 0
         for d in range(15 - n):
             for i in range(1 << n):
                 patch = jp.window(n, i, d)
                 got = _outcome(lambda: preimages_classified(patch, index_addr(i, n)).members)
-                is_open = isinstance(got[0], str)
-                assert is_open == (d == 0 and patch.get("") == 0 and n % 2 == 1), (n, i, d)
-                pairs, opened = pairs + 1, opened + is_open
+                pairs, opened = pairs + 1, opened + isinstance(got[0], str)
+                children = None
+                if d == 0 and patch.get("") == 0 and n % 2 == 1:
+                    children, bare = jp.levels[n + 1][2 * i : 2 * i + 2], bare + 1
                 if l > d and n + l > jp.depth:
+                    if children is not None:
+                        _, cases = _outcome(lambda: _classify(patch, n, None, children=children))
+                        assert set(got) <= {m for _, members in cases for m in members}
                     continue
                 line = jp.levels[n + l][i << l : (i + 1) << l] if l > d else None
-                assert got == _outcome(lambda: _classify(patch, n, line)[0][1]), (n, i, d)
+                want = _outcome(lambda: _classify(patch, n, line, children=children)[0][1])
+                assert got == want, (n, i, d)
                 shown += 1
-    assert (pairs, shown, opened) == (12256, 9184, 341)
+    assert (pairs, shown, opened, bare) == (12256, 9184, 0, 341)
 
 
 def _check_occurrences_per_site(jp, d, reps):

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +75,87 @@ def _tiling_svg_per_pixel(p, cfg):
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _tree_svg_by_element(p):
+    """The tree picture formatted element by element: the byte oracle for `tree_svg`."""
+    unit = 24
+    width = (1 << p.depth) * unit
+    height = (p.depth + 1) * 2 * unit
+    half = unit * 0.32
+
+    def pos(level, i):
+        x = width * (2 * i + 1) / (2 << level)
+        y = unit + level * 2 * unit
+        return x, y
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="{BACKGROUND}"/>',
+    ]
+    for level in range(p.depth):
+        for i in range(1 << level):
+            x0, y0 = pos(level, i)
+            for child in (2 * i, 2 * i + 1):
+                x1, y1 = pos(level + 1, child)
+                out.append(
+                    f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
+                    f'stroke="#606060" stroke-width="1"/>'
+                )
+    for level, rowbits in enumerate(p.levels):
+        for i, c in enumerate(rowbits):
+            x, y = pos(level, i)
+            fill = ROOT_COLOR if level == 0 else PALETTE[int(c)]
+            if level == 0 or i % 2 == 0:  # root and a-followers: rectangles
+                out.append(
+                    f'<rect x="{x - half:.2f}" y="{y - half:.2f}" '
+                    f'width="{2 * half:.2f}" height="{2 * half:.2f}" fill="{fill}"/>'
+                )
+            else:  # b-followers: disks
+                out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{half:.2f}" fill="{fill}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _band_columns_by_call(walls, res):
+    """Each band's columns added by one call: the oracle for `render._band_columns`."""
+    d = render._WALL_BAND
+    rows = [[0] for _ in range(res)]
+    columns = list(range(res))
+
+    def add(row, xa, xb):
+        c0 = math.ceil(((xa + 1) * res - 1) / 2)
+        c1 = math.floor(((xb + 1) * res - 1) / 2)
+        # a slice stops at res by itself; a negative end would count from it
+        rows[row] += columns[max(c0, 0) : max(c1 + 2, 0)]
+
+    for wall in walls:
+        if wall[0] == "line":  # a line wall reaches every row
+            n = wall[1]
+            for row in range(res):
+                y = 1 - (2 * row + 1) / res
+                if abs(n.real) > 1e-12:
+                    xa = (-n.imag * y - d) / n.real
+                    xb = (-n.imag * y + d) / n.real
+                    add(row, min(xa, xb), max(xa, xb))
+                elif abs(n.imag * y) <= d:
+                    add(row, -1.0, 1.0)
+            continue
+        _, c, radius, k = wall
+        reach = radius + d
+        first = max(0, math.floor(((1 - c.imag - reach) * res - 1) / 2))
+        last = min(res - 1, math.ceil(((1 - c.imag + reach) * res - 1) / 2))
+        for row in range(first, last + 1):
+            y = 1 - (2 * row + 1) / res
+            s = k + y * (2 * c.imag - y)
+            hi2 = s + 2 * radius * d + d * d
+            if hi2 >= 0:
+                hi = math.sqrt(hi2)
+                lo = math.sqrt(max(s - 2 * radius * d, 0.0))
+                add(row, c.real - hi, c.real - lo)
+                add(row, c.real + lo, c.real + hi)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +273,44 @@ class TestTreeSvg:
         with pytest.warns(UserWarning):
             tree_svg(deep)
 
+    @pytest.mark.parametrize("depth", range(13))
+    def test_bytes_match_per_element(self, depth):
+        p = jacaranda_prefix(depth)
+        assert tree_svg(p) == _tree_svg_by_element(p)
+
+    def test_bytes_match_per_element_on_thue_morse(self):
+        p = fixed_point_prefix(THUE_MORSE, 0, 9)
+        assert tree_svg(p) == _tree_svg_by_element(p)
+
+    @settings(deadline=None, max_examples=40)
+    @given(depth=st.integers(0, 5), data=st.data())
+    def test_bytes_match_per_element_on_random_patches(self, depth, data):
+        lines = (st.text("01", min_size=1 << l, max_size=1 << l) for l in range(depth + 1))
+        p = Patch(tuple(map(data.draw, lines)))
+        assert tree_svg(p) == _tree_svg_by_element(p)
+
+    def test_benchmark_tree_digest(self):
+        # the tiling workload's depth-10 picture, against the digest it checks
+        expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+        want = json.loads(expected.read_text())["tiling"]["full"]["tree"]
+        svg = tree_svg(jacaranda_prefix(18).truncate(10))
+        assert hashlib.blake2b(svg.encode("ascii"), digest_size=16).hexdigest() == want
+
+    def test_memory_at_depth_14(self):
+        # formatted element by element and joined into a copy with the final
+        # newline, the depth-14 picture peaked at 19,845,787 B under tracemalloc;
+        # per-level coordinate strings and one join bring it to about 16.0 MB
+        p = jacaranda_prefix(14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                tree_svg(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 17_000_000
+
 
 class TestTilingSvg:
     def test_no_wall_between_two_boundary_points(self):
@@ -252,6 +374,21 @@ class TestTilingSvg:
         if res == 512:
             digest = hashlib.blake2b(svg.encode("ascii"), digest_size=16).hexdigest()
             assert digest == "436c1c22f171d3d92eb45bf100d3818d"
+
+    @pytest.mark.parametrize(
+        "res, depth_limits",
+        [
+            *(pytest.param(res, range(6), id=f"{res}px") for res in (1, 2, 3, 33, 97, 256, 512)),
+            pytest.param(16, [11], id="16px-words11"),
+        ],
+    )
+    def test_band_columns_match_per_call(self, res, depth_limits):
+        # the same columns in every row: a finer check than the pixels, since an
+        # added or lost column fails here even where it would not flip a pixel
+        for depth_limit in depth_limits:
+            got = render._band_columns(render._walls(depth_limit), res)
+            want = _band_columns_by_call(render._walls(depth_limit), res)
+            assert list(map(set, got)) == list(map(set, want)), depth_limit
 
     def test_walls_are_not_held_at_once(self):
         # word limit 11 has 40,950 walls: held as one list they peaked at 7.4 MB
