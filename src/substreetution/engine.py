@@ -169,7 +169,7 @@ def apply_pow(sub: Substreetution, p: Patch, u: int, depth: int) -> Patch:
     """u-fold image of `p`, truncated to `depth` while it is built."""
     for _ in range(u):
         p = apply(sub, p, depth)
-    return p
+    return p.truncate(depth)
 
 
 def fixed_point_prefix(sub: Substreetution, root: int, depth: int) -> Patch:

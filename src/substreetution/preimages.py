@@ -5,8 +5,8 @@ Two sources give exact parent sets:
 
 - a tree at a site of the fixed tree: the case analysis, whose indices
   (classes u, k, v, u_inner and line 2^v - 1) are dyadic valuations of the
-  site's generation, with the line below the patch, and a bare tree's
-  children, read from J's closed form;
+  site's generation, with any line below the patch that the cases read
+  taken from J's closed form;
 - a patch without a site, which stands for its class: the parents of every
   tree of the class, read off the closure's depth-(d+1) classes
   (`closure.closure_classes`).
@@ -115,13 +115,13 @@ def preimages_classified(p: Patch, site: str | None = None) -> PreimageSet:
 
     A patch with a site goes through the case analysis: the site pins its
     class, and p must be J's window there, which is checked against J's
-    closed form, the source of the one line below p the cases may read and
-    of a bare root-0 tree's children at an odd site.  At the root site the
-    tree is the fixed tree itself, J when p has root 0 and J' when it has
-    root 1 (they differ only at the root), with the constant set
-    JAC_PREIMAGES or JAC_PRIME_PREIMAGES.  Without a site, a patch stands
-    for its class, the trees of the orbit closure it truncates, and the
-    parents of every one of them are read off the closure's depth-(d+1) classes.
+    closed form, the source of any line below p that the cases read.  At
+    the root site the tree is the fixed tree itself, J when p has root 0
+    and J' when it has root 1 (they differ only at the root), with the
+    constant set JAC_PREIMAGES or JAC_PRIME_PREIMAGES.  Without a site, a
+    patch stands for its class, the trees of the orbit closure it truncates,
+    and the parents of every one of them are read off the closure's
+    depth-(d+1) classes.
     """
     if site is None:
         levels = closure_classes(BBAB, 0, p.depth + 1)
@@ -129,33 +129,24 @@ def preimages_classified(p: Patch, site: str | None = None) -> PreimageSet:
         cid = find(dict(zip(keys.values(), keys)), p)
         return _parent_set(cid, levels[-1], keys, "closure", "exact")
     n, i = len(site), addr_index(check_address(site))
-    if any(p.levels[t] != line_window(n + t, t, i) for t in range(n == 0, p.depth + 1)):
+    below = lambda t: line_window(n + t, t, i)  # line t of the tree at the site
+    if any(p.levels[t] != below(t) for t in range(n == 0, p.depth + 1)):
         raise Inconsistent(f"the patch is not the fixed tree's window at site {site!r}")
     if n == 0:
         return JAC_PRIME_PREIMAGES if p.get("") else JAC_PREIMAGES
-    l = (1 << v2(n - 1)) - 1 if n > 1 else 0  # the one line the case tree may read
-    # a bare root-0 tree at an odd site: the case tree branches on its children
-    bare = p.depth == 0 and n % 2 == 1 and p.get("") == 0
-    children = line_window(n + 1, 1, i) if bare else None
-    ((_, members),) = _classify(p, n, line_window(n + l, l, i), children=children)
+    ((_, members),) = _classify(p, n, below)
     return PreimageSet(tuple(members), "exact")
 
 
-def _classify(
-    p: Patch,
-    n: int,
-    below: str | None = None,
-    built: dict | None = None,
-    children: str | None = None,
-) -> list:
+def _classify(p: Patch, n: int, below, built: dict | None = None) -> list:
     """The parent case tree of a tree p in generation n of a fixed tree.
 
     Returns [(tag, members)], or raises Undetermined with the open cases.
-    Every index the cases branch on is a dyadic valuation read off n, and
-    line l = 2^v2(n-1) - 1 of the tree is read from p or, below it, is
-    `below`, which the caller slices from the fixed tree (None: not visible).
-    A root-0 tree at an odd n branches on its children: p's line 1 or, for
-    a bare p, `children`, read by the caller the same way.
+    Every index the cases branch on is a dyadic valuation read off n.  A
+    branch that needs line t of the tree (the children, t = 1, of a root-0
+    tree at an odd n, or line 2^v2(n-1) - 1) reads it from p or, below p,
+    as below(t), which the caller reads from the fixed tree (None: not
+    visible); no other line is asked for.
     An odd tree is class u = 0: at u = 0 the u-fold unsubstitution and image
     are the identity, so one sibling construction per root color serves
     every class.  The siblings depend on p, u and, for root 1, k alone;
@@ -168,7 +159,7 @@ def _classify(
         if u:
             return _cases(("even0-deep" if u >= 2 else "even0-2type",), sibs)
         # odd tree with root 0: only ever a b-child
-        line1 = p.levels[1] if p.depth >= 1 else children
+        line1 = p.levels[1] if p.depth >= 1 else below(1)
         if line1 is None:
             raise Undetermined(
                 "children of a depth-0 odd tree are unknown", cases=_cases(("odd0-open",), sibs)
@@ -203,7 +194,7 @@ def _classify(
     # u_inner >= 2, all zero with u_inner < 2, or holding a 1
     deep = ("odd1-1a", "odd1-1b", "odd1-1c") if root else ("odd0-2bi", "odd0-2bii", "odd0-2biii")
     l = (1 << v) - 1
-    line = p.levels[l] if l <= p.depth else below
+    line = p.levels[l] if l <= p.depth else below(l)
     if line is None:
         raise Undetermined(f"line {l} not visible at depth {p.depth}", cases=_cases(deep, sibs))
     if "1" in line:
@@ -360,7 +351,7 @@ def _check_occurrences(jp: Patch, d: int, reps: dict) -> tuple[CrosscheckReport,
             cached = class_cache.get(key)
             if cached is None:
                 try:
-                    cases, still_open = _classify(reps[cid], m, line, built), False
+                    cases, still_open = _classify(reps[cid], m, {l: line}.get, built), False
                 except Undetermined as exc:  # matched against the union of the open cases
                     cases, still_open = exc.cases, True
                 members = []

@@ -249,6 +249,21 @@ class TestPatchCommands:
         assert out.splitlines()[0] == "completeness=exact count=2"
         assert all(line.startswith("case=odd0-vinf ") for line in out.splitlines()[1:])
 
+    def test_preimages_site_reads_only_the_lines_its_case_reads(self, capsys, tmp_path):
+        # a bare root-1 tree at a^31 lands in case odd1-2a, as at a^15, which
+        # reads no line, so generation 32 is never built; at a^29 the case
+        # reads line 3, generation 32, and the command exits 2
+        f = tmp_path / "leaf1.patch"
+        f.write_text("depth 0\n1\n")
+        argv = ["preimages", "--patch", str(f), "--site"]
+        code, out, err = run(capsys, *argv, "a" * 31)
+        assert (code, out, err) == (0, run(capsys, *argv, "a" * 15)[1], "")
+        assert out.splitlines()[0] == "completeness=exact count=3"
+        assert all(line.startswith("case=odd1-2a ") for line in out.splitlines()[1:])
+        assert run(capsys, *argv, "a" * 29) == (
+            2, "", "error: generation 32 repeats a block of 2^32 colors, past 2^24\n"
+        )
+
     @pytest.mark.parametrize("flag", [["--site", "ab"], ["--classified"]], ids=["site", "classified"])
     @pytest.mark.parametrize("n", ["-1", "3"])
     def test_preimages_classified_rejects_other_n(self, capsys, tmp_path, flag, n):

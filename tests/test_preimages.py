@@ -322,7 +322,7 @@ class TestCrosscheck:
         # a parent of a depth-d tree shows the sibling only to depth d
         jp16 = jacaranda_prefix(16)
         seen = 0
-        for d in range(1, 9):
+        for d in range(9):
             for m, i in first_sites_by_scan(jp16, d).values():
                 if m == 0:
                     continue
@@ -401,7 +401,7 @@ class TestCrosscheck:
         patch = jp.subtree(site).truncate(4)
         assert patch.get("") == 1
         with pytest.raises(Undetermined) as exc:
-            _classify(patch, 9, None)
+            _classify(patch, 9, lambda t: None)
         tags = [tag for tag, _ in exc.value.cases]
         assert tags == ["odd1-1a", "odd1-1b", "odd1-1c"]
         assert preimages_classified(patch, site).serialize().splitlines() == [
@@ -423,7 +423,7 @@ class TestCrosscheck:
         assert {m.sibling.levels for m in found.members} == {("1",)}
         # without the children the case stays open
         with pytest.raises(Undetermined, match="^children of a depth-0 odd tree are unknown$") as exc:
-            _classify(Patch.leaf(0), 1)
+            _classify(Patch.leaf(0), 1, lambda t: None)
         assert [tag for tag, _ in exc.value.cases] == ["odd0-open"]
 
 
@@ -495,7 +495,7 @@ def test_case_tree_reads_the_line_it_is_given(jp):
             for (_, line), i in first.items():
                 patch, site = jp.window(m, i, d), index_addr(i, m)
                 try:
-                    ((_, members),) = _classify(patch, m, line)
+                    ((_, members),) = _classify(patch, m, {l: line}.get)
                     got = tuple(members)
                 except Undetermined as exc:
                     got = (str(exc), exc.cases)
@@ -538,14 +538,32 @@ def test_site_reads_the_lines_a_prefix_shows(jp):
                     children, bare = jp.levels[n + 1][2 * i : 2 * i + 2], bare + 1
                 if l > d and n + l > jp.depth:
                     if children is not None:
-                        _, cases = _outcome(lambda: _classify(patch, n, None, children=children))
+                        _, cases = _outcome(lambda: _classify(patch, n, {1: children}.get))
                         assert set(got) <= {m for _, members in cases for m in members}
                     continue
                 line = jp.levels[n + l][i << l : (i + 1) << l] if l > d else None
-                want = _outcome(lambda: _classify(patch, n, line, children=children)[0][1])
+                want = _outcome(lambda: _classify(patch, n, {1: children, l: line}.get)[0][1])
                 assert got == want, (n, i, d)
                 shown += 1
     assert (pairs, shown, opened, bare) == (12256, 9184, 0, 341)
+
+
+def test_case_tree_asks_only_for_lines_below_the_tree(jp):
+    # over the pairs of the test above, the case tree asks its reader for a
+    # line only where it lies below the tree, and only for the children or
+    # line 2^v2(n-1) - 1; the reader gives the prefix's line, where it shows
+    asked, built = [], {}
+    for n in range(1, 11):
+        for d in range(15 - n):
+            for i in range(1 << n):
+
+                def read(t, n=n, d=d, i=i):
+                    asked.append((n, d, t))
+                    return jp.levels[n + t][i << t : (i + 1) << t] if n + t <= jp.depth else None
+
+                _outcome(lambda: _classify(jp.window(n, i, d), n, read, built))
+    assert all(d < t and (t == 1 or t == (1 << v2(n - 1)) - 1) for n, d, t in asked)
+    assert (len(asked), sum(t == 1 for _, _, t in asked)) == (3509, 341)
 
 
 def _check_occurrences_per_site(jp, d, reps):
@@ -564,13 +582,14 @@ def _check_occurrences_per_site(jp, d, reps):
             if a is None:
                 continue
             occurrences += 1
-            line = below = None
+            line, below = None, {}.get
             if m % 2 and m > 1:  # line l = 2^v2(m-1) - 1: the patch's or, below it, the prefix's
                 l = (1 << v2(m - 1)) - 1
                 if l <= d:
                     line = a.levels[l]
                 elif m + l <= jp.depth:
-                    line = below = jp.levels[m + l][i << l : (i + 1) << l]
+                    line = jp.levels[m + l][i << l : (i + 1) << l]
+                    below = {l: line}.get
             key = (cid, m, line)
             pid = prow[i // 2]
             if (pid, key) in seen:
