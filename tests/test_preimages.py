@@ -520,49 +520,35 @@ def _outcome(members_of):
 def test_site_reads_the_lines_a_prefix_shows(jp):
     # at every site of length n <= 10 and depth d <= 14 - n, the site's
     # classification, which reads the lines below the patch from the closed
-    # form, gives the case tree's cases on the lines cut from the prefix:
-    # line 2^v2(n-1) - 1 wherever the prefix shows it and, for a bare root-0
-    # tree at an odd site, its children, which the prefix always shows; where
-    # the line lies below the prefix, a bare tree's members are among the
-    # cases the case tree leaves open on the children alone; none stays open
-    pairs = shown = opened = bare = 0
+    # form, gives the case tree's cases on a reader of the prefix's lines.
+    # The case tree asks that reader only for lines below the tree, and only
+    # for the children (line 1) or line 2^v2(n-1) - 1; where it asks for a
+    # line below the prefix, the site's members are among the open cases
+    pairs = shown = opened = 0
+    asked, built = [], {}
     for n in range(1, 11):
-        l = (1 << v2(n - 1)) - 1 if n > 1 else 0
         for d in range(15 - n):
             for i in range(1 << n):
                 patch = jp.window(n, i, d)
                 got = _outcome(lambda: preimages_classified(patch, index_addr(i, n)).members)
                 pairs, opened = pairs + 1, opened + isinstance(got[0], str)
-                children = None
-                if d == 0 and patch.get("") == 0 and n % 2 == 1:
-                    children, bare = jp.levels[n + 1][2 * i : 2 * i + 2], bare + 1
-                if l > d and n + l > jp.depth:
-                    if children is not None:
-                        _, cases = _outcome(lambda: _classify(patch, n, {1: children}.get))
-                        assert set(got) <= {m for _, members in cases for m in members}
+                hidden = []
+
+                def read(t, n=n, d=d, i=i, hidden=hidden):
+                    asked.append((n, d, t))
+                    if n + t > jp.depth:
+                        hidden.append(t)
+                        return None
+                    return jp.levels[n + t][i << t : (i + 1) << t]
+
+                want = _outcome(lambda: _classify(patch, n, read, built)[0][1])
+                if hidden:
+                    assert set(got) <= {m for _, members in want[1] for m in members}
                     continue
-                line = jp.levels[n + l][i << l : (i + 1) << l] if l > d else None
-                want = _outcome(lambda: _classify(patch, n, {1: children, l: line}.get)[0][1])
                 assert got == want, (n, i, d)
                 shown += 1
-    assert (pairs, shown, opened, bare) == (12256, 9184, 0, 341)
-
-
-def test_case_tree_asks_only_for_lines_below_the_tree(jp):
-    # over the pairs of the test above, the case tree asks its reader for a
-    # line only where it lies below the tree, and only for the children or
-    # line 2^v2(n-1) - 1; the reader gives the prefix's line, where it shows
-    asked, built = [], {}
-    for n in range(1, 11):
-        for d in range(15 - n):
-            for i in range(1 << n):
-
-                def read(t, n=n, d=d, i=i):
-                    asked.append((n, d, t))
-                    return jp.levels[n + t][i << t : (i + 1) << t] if n + t <= jp.depth else None
-
-                _outcome(lambda: _classify(jp.window(n, i, d), n, read, built))
     assert all(d < t and (t == 1 or t == (1 << v2(n - 1)) - 1) for n, d, t in asked)
+    assert (pairs, shown, opened) == (12256, 9184, 0)
     assert (len(asked), sum(t == 1 for _, _, t in asked)) == (3509, 341)
 
 
